@@ -11,8 +11,8 @@ from .evaluate import (Experiment, ExperimentConfig, dump_raw, emit_csv,
                        read_sweep_csv, run_sweep)
 from .feedback import (build_dft_codebook, build_pilot_matrix, observe,
                        select_codebook_index)
-from .gmm import EmOptions, fit_em, load_model, project_to_observation, \
-    save_model
+from .gmm import (EmOptions, fit_em, load_model, project_to_observation,
+                  sample_moments, save_model)
 from .scene import (ArrayGeometry, generate_channels, load_dataset,
                     load_scene_config, normalize_dataset, save_dataset)
 
@@ -80,11 +80,7 @@ def _cmd_feedback(args):
         if not args.train_data:
             raise SystemExit("dft:lmmse needs --train-data for the sample "
                              "statistics")
-        train = load_dataset(args.train_data)
-        x = train.samples.astype(np.complex128)
-        mean = x.mean(axis=0)
-        centered = x - mean
-        lmmse_stats = (mean, centered.T @ centered.conj() / len(x))
+        lmmse_stats = sample_moments(load_dataset(args.train_data).samples)
     if args.scheme == "dft:omp":
         omp_dict = build_omp_dictionary(geometry)
 

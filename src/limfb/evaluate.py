@@ -28,7 +28,7 @@ from .estimators import (build_omp_dictionary, estimate_gmm, estimate_lmmse,
                          estimate_omp)
 from .feedback import (FeedbackReport, build_dft_codebook, build_pilot_matrix,
                        select_codebook_index)
-from .gmm import fit_em, load_model, project_to_observation
+from .gmm import fit_em, load_model, project_to_observation, sample_moments
 from .precoding import (SwmmseOptions, directional_representatives,
                         rci_precoders, swmmse_precoders)
 from .scene import ArrayGeometry, ChannelDataset, load_dataset, save_dataset
@@ -245,10 +245,7 @@ class Experiment:
         if self._train_stats is None:
             if self.train is None:
                 return None
-            x = self.train.samples.astype(np.complex128)
-            mean = x.mean(axis=0)
-            centered = x - mean
-            self._train_stats = (mean, centered.T @ centered.conj() / len(x))
+            self._train_stats = sample_moments(self.train.samples)
         return self._train_stats
 
     def pilot_setup(self, n_pilots, sigma_n2):

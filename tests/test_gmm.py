@@ -2,14 +2,18 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from limfb import gmm
 from limfb.feedback import build_pilot_matrix
 from limfb.formats import BadMagicError
 from limfb.gmm import (EmOptions, GmmModel, fit_em, load_model, log_density,
                        param_count, project_to_observation, responsibilities,
-                       sample_component, save_model)
-from limfb.scene import ArrayGeometry, ChannelDataset, normalize_dataset
-from limfb.toeplitz import check_structure
+                       sample_component, sample_moments, save_model)
+from limfb.scene import (ArrayGeometry, ChannelDataset, SceneConfig,
+                         generate_channels, normalize_dataset)
+from limfb.toeplitz import check_structure, realize_spectral, toeplitz_mstep
 
 
 def _random_model(n_components, dim, seed, scale=1.0):
@@ -207,6 +211,199 @@ def test_fit_em_validates_inputs(desk_train):
     tiny = ChannelDataset(desk_train.samples[:3], normalized=True)
     with pytest.raises(ValueError):
         fit_em(tiny, 8)
+
+
+# -- lifted EM pass ----------------------------------------------------------
+# fit_em scores and accumulates through the second-order lift; these pin the
+# lift, its packing and the EM step to direct per-sample evaluation.
+
+def _complex_normal(rng, shape):
+    return (rng.standard_normal(shape)
+            + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _lifted(x):
+    dim = x.shape[1]
+    return gmm._lift(x, np.empty((len(x), dim * dim + 2 * dim + 1)))
+
+
+def _conditioned_covariance(rng, dim, cond):
+    """Random Hermitian PD matrix, trace N, condition number ``cond``."""
+    basis, _ = np.linalg.qr(_complex_normal(rng, (dim, dim)))
+    eigvals = np.logspace(0.0, -np.log10(cond), dim)
+    eigvals *= dim / eigvals.sum()
+    return (basis * eigvals) @ basis.conj().T
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(1, 7), rows=st.integers(1, 9), seed=_SEEDS)
+def test_lift_packs_hermitian_quadratic_forms(dim, rows, seed):
+    rng = np.random.default_rng(seed)
+    raw = _complex_normal(rng, (dim, dim))
+    herm = raw + raw.conj().T
+    x = 3.0 * _complex_normal(rng, (rows, dim))
+    phi = _lifted(x)
+    quad = np.einsum("ri,ij,rj->r", x.conj(), herm, x).real
+    scale = np.sum(np.abs(x) ** 2, axis=1) * np.abs(herm).max()
+    assert np.all(np.abs(phi[:, :dim * dim] @ gmm._pack_hermitian(herm) - quad)
+                  <= 1e-12 * scale)
+    np.testing.assert_array_equal(phi[:, dim * dim:-1].view(complex), x)
+    np.testing.assert_array_equal(phi[:, -1], 1.0)
+
+
+# at these dimensions a chunk holds _EM_CHUNK rows; the sample counts
+# straddle its multiples
+@settings(max_examples=20, deadline=None)
+@given(dim=st.integers(1, 4), n_comp=st.integers(1, 4),
+       n_samples=st.sampled_from([1, 7, gmm._EM_CHUNK - 1, gmm._EM_CHUNK,
+                                  gmm._EM_CHUNK + 1, 2 * gmm._EM_CHUNK + 37]),
+       seed=_SEEDS)
+def test_lift_sums_unpack_to_weighted_moments(dim, n_comp, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    model = _random_model(n_comp, dim, seed=seed)
+    x = 2.0 * _complex_normal(rng, (n_samples, dim))
+    precisions, logdets = zip(*map(gmm._precision_logdet, model.covariances))
+    score_matrix = gmm._score_matrix(model.weights, model.means,
+                                     np.array(precisions), np.array(logdets))
+    log_norm, sums = gmm._em_pass(x, score_matrix)
+
+    # direct evaluation: per-component densities and weighted scatters
+    scores = np.log(model.weights) + np.array(
+        [model.component_log_densities(row) for row in x])
+    resp = np.exp(scores - log_norm[:, None])
+    np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=1e-10)
+    mass = resp.sum(axis=0)
+    n_quad = dim * dim
+    np.testing.assert_allclose(sums[:, -1], mass, rtol=1e-10)
+    means = sums[:, n_quad:-1].view(complex) / mass[:, None]
+    second = gmm._unpack_second_moments(sums[:, :n_quad], dim)
+    for k in range(n_comp):
+        direct_mean = resp[:, k] @ x / mass[k]
+        diff = x - direct_mean
+        direct_scatter = (resp[:, k] * diff.T) @ diff.conj() / mass[k]
+        scatter = second[k] / mass[k] - np.outer(means[k], means[k].conj())
+        np.testing.assert_allclose(means[k], direct_mean, rtol=1e-10,
+                                   atol=1e-10)
+        # the moment form E[x x^H] - mu mu^H is exact up to rounding of
+        # E[x x^H], which sets the absolute scale
+        np.testing.assert_allclose(scatter, direct_scatter, rtol=1e-10,
+                                   atol=1e-10 * np.abs(second[k]).max()
+                                   / mass[k])
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(1, 8), log_cond=st.floats(0.0, 6.0), seed=_SEEDS)
+def test_lifted_scores_match_log_density(dim, log_cond, seed):
+    # condition numbers up to 1e6 are the regime of the default floor_scale
+    rng = np.random.default_rng(seed)
+    weights = np.array([0.3, 0.7])
+    means = 2.0 * _complex_normal(rng, (2, dim))
+    covs = np.array([_conditioned_covariance(rng, dim, 10.0 ** log_cond)
+                     for _ in range(2)])
+    precisions, logdets = zip(*map(gmm._precision_logdet, covs))
+    score_matrix = gmm._score_matrix(weights, means, np.array(precisions),
+                                     np.array(logdets))
+    # points drawn from the first component and unit-power points
+    near = means[0] + _complex_normal(rng, (3, dim)) @ np.linalg.cholesky(
+        covs[0]).T
+    x = np.concatenate([near, _complex_normal(rng, (3, dim))])
+    got = _lifted(x) @ score_matrix
+    for j, row in enumerate(x):
+        for k in range(2):
+            ref = np.log(weights[k]) + log_density(row, means[k], covs[k])
+            assert abs(got[j, k] - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def _naive_em_step(x, n_comp, constraint, geometry, options):
+    """One EM iteration from fit_em's initialisation, scored per sample."""
+    rng = np.random.default_rng(options.seed)
+    seeds = rng.choice(len(x), size=n_comp, replace=False)
+    means = x[seeds]
+    mean = x.mean(axis=0)
+    global_cov = (x - mean).T @ (x - mean).conj() / len(x)
+    floor = options.floor_scale * np.trace(global_cov).real / x.shape[1]
+
+    def project(scatter):
+        if constraint == "toeplitz":
+            return realize_spectral(
+                toeplitz_mstep(scatter, geometry, floor=floor), geometry)
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (scatter + scatter.conj().T))
+        return (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.conj().T
+
+    cov = project(global_cov)
+    scores = np.array([[np.log(1.0 / n_comp) + log_density(row, mu, cov)
+                        for mu in means] for row in x])
+    log_norm = np.logaddexp.reduce(scores, axis=1)
+    resp = np.exp(scores - log_norm[:, None])
+    mass = resp.sum(axis=0)
+    new_means = resp.T @ x / mass[:, None]
+    covs = []
+    for k in range(n_comp):
+        diff = x - new_means[k]
+        covs.append(project((resp[:, k] * diff.T) @ diff.conj() / mass[k]))
+    return log_norm.mean(), mass / len(x), new_means, np.array(covs)
+
+
+@pytest.mark.parametrize("constraint", ["full", "toeplitz"])
+def test_fit_em_iteration_matches_naive_em_step(constraint):
+    geometry = ArrayGeometry(2, 2)
+    scene = SceneConfig(geometry, seed=3)
+    ds = normalize_dataset(generate_channels(scene, 300, sample_seed=4))
+    options = EmOptions(max_iters=1, rel_loglik_tol=0.0, init="random",
+                        seed=5)
+    model = fit_em(ds, 3, constraint, options, geometry=geometry)
+    x = ds.samples.astype(complex)
+    avg_ll, weights, means, covs = _naive_em_step(x, 3, constraint, geometry,
+                                                  options)
+    assert abs(model.fit_log_likelihoods[0] - avg_ll) <= 1e-10 * abs(avg_ll)
+    np.testing.assert_allclose(model.weights, weights, rtol=1e-10)
+    np.testing.assert_allclose(model.means, means, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(model.covariances, covs, rtol=1e-10,
+                               atol=1e-10 * np.abs(covs).max())
+
+
+def _exact_kmeanspp_indices(x, n_components, rng):
+    """k-means++ seeding on directly computed squared distances."""
+    chosen = [int(rng.integers(len(x)))]
+    dist_sq = np.sum(np.abs(x - x[chosen[0]]) ** 2, axis=1)
+    for _ in range(n_components - 1):
+        idx = int(rng.choice(len(x), p=dist_sq / dist_sq.sum()))
+        chosen.append(idx)
+        dist_sq = np.minimum(dist_sq, np.sum(np.abs(x - x[idx]) ** 2, axis=1))
+    return chosen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_kmeanspp_matches_exact_distance_seeding(desk_train, seed):
+    x = desk_train.samples[:3000].astype(complex)
+    got = gmm._kmeanspp_indices(x, 16, np.random.default_rng(seed))
+    assert got == _exact_kmeanspp_indices(x, 16, np.random.default_rng(seed))
+
+
+def test_fit_em_logs_each_iteration(caplog):
+    import logging
+
+    rng = np.random.default_rng(20)
+    ds = normalize_dataset(ChannelDataset(_complex_normal(rng, (200, 3))))
+    with caplog.at_level(logging.INFO, logger="limfb.gmm"):
+        model = fit_em(ds, 2, options=EmOptions(max_iters=4, seed=0))
+    lines = [rec.getMessage() for rec in caplog.records
+             if rec.message.startswith("EM iteration")]
+    assert len(lines) == len(model.fit_log_likelihoods) == 4
+    assert "re-seeded" in lines[-1]
+
+
+def test_sample_moments_match_definition():
+    rng = np.random.default_rng(21)
+    x = _complex_normal(rng, (50, 3)) + 1.0
+    mean, cov = sample_moments(x.astype(np.complex64))
+    ref = x.astype(np.complex64).astype(complex)
+    np.testing.assert_array_equal(mean, ref.mean(axis=0))
+    centered = ref - ref.mean(axis=0)
+    np.testing.assert_array_equal(cov, centered.T @ centered.conj() / 50)
 
 
 # -- observation domain ------------------------------------------------------
