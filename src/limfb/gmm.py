@@ -262,7 +262,7 @@ def _component_sqrt(cov):
     """Matrix square root for sampling; eigenvalue fallback when not PD."""
     try:
         return cholesky(cov, lower=True)
-    except Exception:
+    except np.linalg.LinAlgError:
         logger.warning("covariance Cholesky failed; using clipped eigen square root")
         eigvals, eigvecs = np.linalg.eigh(cov)
         return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))

@@ -6,7 +6,9 @@ by a single common factor to meet the power budget. The stochastic WMMSE
 designer never sees a representative: it redraws one channel sample per user
 and iteration from the reported mixture component and averages the weighted
 MMSE statistics over iterations, so the precoders optimize the expected
-sum-rate under the component distributions.
+sum-rate under the component distributions. Its power step finds the least
+ridge that meets the budget by warm-started Newton steps, one Cholesky
+factorization each.
 
 Rates everywhere use the bilinear pairing ``h^T v``; designers therefore
 consume conjugated representatives internally so that a representative equal
@@ -17,6 +19,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .gmm import _component_sqrt
 
@@ -25,6 +28,7 @@ logger = logging.getLogger(__name__)
 _POWER_SLACK = 1e-6
 _EIGEN_GAP_TIE = 1e-10
 _WEIGHT_CLAMP = 1e6
+_NEWTON_STEPS = 100
 
 
 @dataclass
@@ -111,6 +115,7 @@ def rci_precoders(representatives, sigma_n2, rho):
     hand over unit-norm vectors, and a fixed regularizer is only meaningful
     on that scale.
     """
+    _check_rho(rho)
     reps = np.asarray(representatives, dtype=np.complex128)
     if reps.ndim != 2 or reps.shape[0] < 1:
         raise ValueError("need a (J, N) matrix of representatives")
@@ -141,15 +146,109 @@ def rci_precoders(representatives, sigma_n2, rho):
                                  "ridged": flagged})
 
 
-def _power_profile(eigvals, coeffs_sq, lam, active):
-    """Total precoder power at ridge ``lam`` given eigen-coordinates."""
-    shifted = eigvals + lam
-    if lam == 0.0:
-        power = np.sum(coeffs_sq[:, active] / np.maximum(shifted[active], 1e-300) ** 2)
-        if np.any(coeffs_sq[:, ~active] > 1e-24 * max(coeffs_sq.sum(), 1e-300)):
-            return np.inf
-        return power
-    return float(np.sum(coeffs_sq / shifted ** 2))
+def _check_rho(rho):
+    if not (np.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be finite and > 0, got {rho}")
+
+
+def _ill_conditioned(cov, chol):
+    """Whether tr(cov) tr(cov^-1), a condition-number bound, reaches 1e13."""
+    inv, info = lapack.ztrtri(chol, lower=1)  # chol's upper triangle is junk
+    return info != 0 or np.trace(cov).real * np.linalg.norm(np.tril(inv)) ** 2 >= 1e13
+
+
+def _ridge_newton(solve, rho, tol, lam, bracket, zero_open, resolution):
+    """Safeguarded Newton on ``phi^-1/2`` (Moré & Sorensen, SIAM J. Sci. Stat.
+    Comput. 1983) for the least ridge with ``rho - tol rho <= phi <= rho``.
+
+    ``solve(lam)`` gives ``(phi, -phi'/2, solution)`` or None where it cannot
+    resolve ``lam``. Steps outside the bracket ``[lo, hi]`` (updated in place)
+    go to 0 once while ``zero_open``, else to ``max(sqrt(lo hi), hi / 1000)``.
+    A ridge in the window is accepted only once ``phi(0) <= rho`` is ruled out.
+    Returns ``(solution, lam)``, or None when ``solve`` or the step fails.
+    """
+    target = rho * (1.0 - 0.5 * tol)  # the middle of the window
+    for _ in range(_NEWTON_STEPS):
+        lo, hi = bracket
+        if lam <= lo == 0.0 and zero_open:
+            lam, zero_open = 0.0, False
+        elif not lo < lam < hi:
+            lam = max(np.sqrt(lo * hi), 1e-3 * hi)
+        found = solve(lam)
+        if found is None:
+            return None
+        power, half_slope, solution = found
+        # in the window, but phi(0) >= power + 2 half_slope lam (phi is
+        # convex) leaves phi(0) <= rho open: lam = 0 is tried first
+        if (zero_open and rho - power <= tol * rho
+                and power + 2.0 * half_slope * lam <= rho):
+            bracket[1], lam = lam, 0.0
+            continue
+        if power > rho:
+            bracket[0] = lam
+        elif lam == 0.0 or rho - power <= tol * rho:
+            return solution, lam
+        else:
+            bracket[1] = lam
+        step = power / half_slope * (np.sqrt(power / target) - 1.0)
+        if abs(step) <= resolution or bracket[1] - bracket[0] <= resolution:
+            return None
+        lam += step
+    return None
+
+
+def _power_step(cov, rhs, rho, tol, lam=0.0):
+    """Least-ridge rows ``((cov + lam I)^-1 rhs^T)^T`` with power <= rho.
+
+    Returns ``(vectors, lam, factorizations, eigen)``. The ridge is 0 when
+    the pseudo-inverse over the eigenvalues above 1e-13 of the top fits the
+    budget (weight outside that subspace needs unbounded power); otherwise
+    the power is within ``tol * rho`` of rho. Newton starts from ``lam``,
+    the previous ridge, at one Cholesky factorization per step. A singular
+    or ill-conditioned ``cov`` at ``lam = 0``, or a ridge below what
+    ``cov + lam I`` resolves, hands the step to one ``eigh`` (``eigen``).
+    """
+    hi = np.linalg.norm(rhs) / np.sqrt(rho * (1.0 - 0.5 * tol))  # phi(hi) <= rho
+    eye = np.eye(cov.shape[0])
+    factorizations = 0
+
+    def cholesky_solve(lam):
+        nonlocal factorizations
+        chol, info = lapack.zpotrf(cov + lam * eye, lower=1, clean=0)
+        factorizations += 1
+        if info != 0 or lam == 0.0 and _ill_conditioned(cov, chol):
+            return None
+        x, _ = lapack.zpotrs(chol, rhs.T, lower=1)
+        z, _ = lapack.ztrtrs(chol, x, lower=1)
+        return np.vdot(x, x).real, np.vdot(z, z).real, x.T
+
+    resolution = 8.0 * np.finfo(float).eps * np.max(cov.diagonal().real)
+    found = _ridge_newton(cholesky_solve, rho, tol, lam, [0.0, hi], True,
+                          resolution)
+    if found is not None:
+        return *found, factorizations, False
+
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals = np.maximum(eigvals, 0.0)
+    coeffs = rhs @ eigvecs.conj()  # rows: b_j in the eigenbasis
+    coeffs_sq = np.abs(coeffs) ** 2
+    active = eigvals > max(eigvals[-1], 1e-300) * 1e-13
+    if (not np.any(coeffs_sq[:, ~active] > 1e-24 * max(coeffs_sq.sum(), 1e-300))
+            and np.sum(coeffs_sq[:, active] / eigvals[active] ** 2) <= rho):
+        inv = np.where(active, 1.0 / np.maximum(eigvals, 1e-300), 0.0)
+        return (coeffs * inv) @ eigvecs.T, 0.0, factorizations, True
+    weights = coeffs_sq.sum(axis=0)
+
+    def eigen_solve(lam):
+        inv = 1.0 / (eigvals + lam)
+        return weights @ inv ** 2, weights @ inv ** 3, None
+
+    bracket = [0.0, hi]
+    found = _ridge_newton(eigen_solve, rho, tol, lam, bracket, False, 0.0)
+    # no root when eigh leaks weight onto a null direction whose eigenvalue
+    # keeps phi(0+) <= rho: the least feasible ridge tried stands in
+    lam = bracket[1] if found is None else found[1]
+    return (coeffs / (eigvals + lam)) @ eigvecs.T, lam, factorizations, True
 
 
 def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
@@ -158,13 +257,15 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
     Per iteration t: draw one sample per user from its reported component,
     compute scalar MMSE receivers and clamped MSE weights on the samples,
     fold the weighted statistics into running averages with step size 1/t,
-    and re-solve the regularized system, bisecting the ridge whenever the
-    unconstrained solution exceeds the power budget. The trajectory metadata
-    records the per-iteration power, the sampled-channel objective, and the
-    precoder snapshots (used to evaluate sum-rate over iterations without
-    re-running).
+    and re-solve the regularized system with the least ridge that meets the
+    power budget (:func:`_power_step`, warm-started from the previous ridge).
+    The trajectory metadata records the per-iteration power, ridge,
+    sampled-channel objective and precoder snapshots (used to evaluate
+    sum-rate over iterations without re-running), the Cholesky factorizations
+    of each power step and the number of iterations that took the eigen path.
     """
     options = options or SwmmseOptions()
+    _check_rho(rho)
     if sigma_n2 <= 0:
         raise ValueError("sigma_n2 must be positive")
     n_users = len(reports)
@@ -176,17 +277,15 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
         if not 1 <= report.index <= model.n_components:
             raise ValueError(f"report index {report.index} out of range")
         comps.append(report.index - 1)
-    roots = {k: _component_sqrt(model.covariances[k]) for k in set(comps)}
-    means = np.vstack([model.means[k] for k in comps])
+    unique, inverse = np.unique(comps, return_inverse=True)
+    roots = np.stack([_component_sqrt(model.covariances[k]) for k in unique])[inverse]
+    means = model.means[comps]
     rng = np.random.default_rng(options.seed)
 
     def draw():
         white = (rng.standard_normal((n_users, dim))
                  + 1j * rng.standard_normal((n_users, dim))) / np.sqrt(2.0)
-        samples = np.empty((n_users, dim), dtype=np.complex128)
-        for j, k in enumerate(comps):
-            samples[j] = means[j] + roots[k] @ white[j]
-        return samples
+        return means + (roots @ white[:, :, None])[:, :, 0]
 
     init = draw()
     init_norms = np.linalg.norm(init, axis=1)
@@ -197,6 +296,9 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
     power_track = np.empty(options.max_iters)
     objective_track = np.empty(options.max_iters)
     lambda_track = np.empty(options.max_iters)
+    factorizations = np.empty(options.max_iters, dtype=np.int64)
+    eigen_iterations = 0
+    lam = 0.0
     snapshots = np.empty((options.max_iters, n_users, dim), dtype=np.complex128)
 
     for t in range(1, options.max_iters + 1):
@@ -214,40 +316,9 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
         avg_rhs = ((1.0 - gamma) * avg_rhs
                    + gamma * (weights * receivers.conj())[:, None] * samples.conj())
 
-        eigvals, eigvecs = np.linalg.eigh(avg_cov)
-        eigvals = np.maximum(eigvals, 0.0)
-        coeffs = avg_rhs @ eigvecs.conj()  # rows: b_j in the eigenbasis
-        coeffs_sq = np.abs(coeffs) ** 2
-        active = eigvals > max(eigvals[-1], 1e-300) * 1e-13
-
-        lam = 0.0
-        if _power_profile(eigvals, coeffs_sq, 0.0, active) > rho:
-            hi = np.sqrt(coeffs_sq.sum() / rho)
-            expansions = 0
-            while _power_profile(eigvals, coeffs_sq, hi, active) > rho:
-                hi *= 4.0
-                expansions += 1
-                if expansions > 200:
-                    raise RuntimeError("power bisection failed to bracket")
-            lo = 0.0
-            tol = options.power_tol * rho
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                power_mid = _power_profile(eigvals, coeffs_sq, mid, active)
-                if power_mid > rho:
-                    lo = mid
-                else:
-                    hi = mid
-                    if rho - power_mid <= tol:
-                        break
-            lam = hi
-
-        shifted = eigvals + lam
-        if lam == 0.0:
-            inv = np.where(active, 1.0 / np.maximum(shifted, 1e-300), 0.0)
-        else:
-            inv = 1.0 / shifted
-        vectors = (coeffs * inv) @ eigvecs.T
+        vectors, lam, factorizations[t - 1], eigen = _power_step(
+            avg_cov, avg_rhs, rho, options.power_tol, lam)
+        eigen_iterations += eigen
         if not np.all(np.isfinite(vectors)):
             raise RuntimeError(
                 f"stochastic WMMSE diverged at iteration {t} "
@@ -266,6 +337,8 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
         "power": power_track,
         "objective": objective_track,
         "ridge": lambda_track,
+        "factorizations": factorizations,
+        "eigen_iterations": eigen_iterations,
         "precoders": snapshots,
         "components": [c + 1 for c in comps],
     }

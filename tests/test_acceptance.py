@@ -21,6 +21,7 @@ from limfb.precoding import (PrecoderSet, SwmmseOptions,
                              directional_representative, swmmse_precoders)
 from limfb.scene import ArrayGeometry
 from limfb.toeplitz import check_structure
+from wmmse_oracle import deterministic_wmmse
 
 SNR_10_DB = 0.1  # sigma_n2 at rho=1
 
@@ -159,40 +160,6 @@ def test_criterion_3_oracle_equivalence(desk_geometry):
     assert _verdict(3, "oracle-equivalence suite", ok)
 
 
-def _deterministic_wmmse(channels, sigma_n2, rho, iters=300):
-    n_users = channels.shape[0]
-    vectors = np.sqrt(rho / n_users) * channels.conj() \
-        / np.linalg.norm(channels, axis=1, keepdims=True)
-    for _ in range(iters):
-        gains = channels @ vectors.T
-        denom = np.sum(np.abs(gains) ** 2, axis=1) + sigma_n2
-        direct = np.diagonal(gains)
-        receivers = direct.conj() / denom
-        weights = 1.0 / np.maximum(1.0 - (receivers * direct).real, 1e-12)
-        coef = weights * np.abs(receivers) ** 2
-        cov = (channels.conj().T * coef) @ channels
-        rhs = (weights * receivers.conj())[:, None] * channels.conj()
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        eigvals = np.maximum(eigvals, 0.0)
-        coeffs = rhs @ eigvecs.conj()
-
-        def power(lam):
-            return np.sum(np.abs(coeffs) ** 2 / (eigvals + lam) ** 2)
-
-        lam = 1e-14
-        if power(lam) > rho:
-            lo, hi = 0.0, np.sqrt(np.sum(np.abs(coeffs) ** 2) / rho) + 1.0
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if power(mid) > rho:
-                    lo = mid
-                else:
-                    hi = mid
-            lam = hi
-        vectors = (coeffs / (eigvals + lam)) @ eigvecs.T
-    return vectors
-
-
 def test_criterion_4_swmmse_sanity():
     """Single-user capacity, power feasibility, deterministic-WMMSE match."""
     rho, sigma_n2 = 1.0, SNR_10_DB
@@ -213,7 +180,7 @@ def test_criterion_4_swmmse_sanity():
     out2 = swmmse_precoders(two, [FeedbackReport(0, 1, "t"),
                                   FeedbackReport(1, 2, "t")], sigma_n2, rho,
                             SwmmseOptions(max_iters=300, seed=1))
-    oracle_vectors = _deterministic_wmmse(channels, sigma_n2, rho)
+    oracle_vectors = deterministic_wmmse(channels, sigma_n2, rho)
     oracle = sum_rate(channels, PrecoderSet(oracle_vectors, rho, "o"),
                       sigma_n2)
     got = sum_rate(channels, out2, sigma_n2)

@@ -514,6 +514,30 @@ def test_sampling_falls_back_to_eigen_root(caplog):
     assert np.max(np.abs(draws @ projector.T)) < 1e-6
 
 
+def test_component_sqrt_fallback_logs_exact_message(caplog):
+    import logging
+
+    # the benchmark tracer counts fallbacks by this message
+    cov = np.diag([1.0, -1e-3, 2.0]).astype(complex)
+    with caplog.at_level(logging.WARNING, logger="limfb.gmm"):
+        root = gmm._component_sqrt(cov)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "covariance Cholesky failed; using clipped eigen square root"]
+    np.testing.assert_allclose(root @ root.conj().T,
+                               np.diag([1.0, 0.0, 2.0]), atol=1e-12)
+
+
+def test_component_sqrt_rejects_non_finite_covariance(caplog):
+    import logging
+
+    cov = np.eye(3, dtype=complex)
+    cov[1, 1] = np.nan
+    with caplog.at_level(logging.WARNING, logger="limfb.gmm"):
+        with pytest.raises(ValueError):
+            gmm._component_sqrt(cov)
+    assert not caplog.records
+
+
 def test_sampling_validates_component_index():
     model = _random_model(2, 3, seed=13)
     with pytest.raises(ValueError):

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limfb.evaluate import sum_rate
 from limfb.feedback import FeedbackReport
 from limfb.gmm import GmmModel
-from limfb.precoding import (PrecoderSet, SwmmseOptions,
+from limfb.precoding import (PrecoderSet, SwmmseOptions, _power_step,
                              directional_representative,
                              directional_representatives, rci_precoders,
                              swmmse_precoders)
+from wmmse_oracle import (deterministic_wmmse, eigen_power_step,
+                          stochastic_wmmse)
 
 
 def _degenerate_model(means, eps=1e-12):
@@ -207,41 +211,18 @@ def test_swmmse_deterministic_given_seed():
     assert np.array_equal(a.vectors, b.vectors)
 
 
-def _deterministic_wmmse(channels, sigma_n2, rho, iters=300):
-    """Reference WMMSE on fixed channels: unit step, no sampling."""
-    n_users, dim = channels.shape
-    vectors = np.sqrt(rho / n_users) * channels.conj() \
-        / np.linalg.norm(channels, axis=1, keepdims=True)
-    for _ in range(iters):
-        gains = channels @ vectors.T
-        denom = np.sum(np.abs(gains) ** 2, axis=1) + sigma_n2
-        direct = np.diagonal(gains)
-        receivers = direct.conj() / denom
-        mse = 1.0 - (receivers * direct).real
-        weights = 1.0 / np.maximum(mse, 1e-12)
-        coef = weights * np.abs(receivers) ** 2
-        cov = (channels.conj().T * coef) @ channels
-        rhs = (weights * receivers.conj())[:, None] * channels.conj()
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        eigvals = np.maximum(eigvals, 0.0)
-        coeffs = rhs @ eigvecs.conj()
-        lo, hi = 0.0, np.sqrt(np.sum(np.abs(coeffs) ** 2) / rho) + 1.0
-
-        def power(lam):
-            return np.sum(np.abs(coeffs) ** 2 / (eigvals + lam) ** 2)
-
-        if power(1e-14) > rho:
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if power(mid) > rho:
-                    lo = mid
-                else:
-                    hi = mid
-            lam = hi
-        else:
-            lam = 1e-14
-        vectors = (coeffs / (eigvals + lam)) @ eigvecs.T
-    return vectors
+def test_swmmse_matches_per_user_reference(desk_model):
+    # distinct and repeated components pin each user's sampling root and
+    # the random stream; the power steps agree to their 1e-9 window
+    components = [2, 0, 2, 9]
+    reports = _reports([k + 1 for k in components])
+    for sigma_n2 in (1.0, 0.1, 0.01):
+        out = swmmse_precoders(desk_model, reports, sigma_n2, 1.0,
+                               SwmmseOptions(max_iters=40, seed=6))
+        expected = stochastic_wmmse(desk_model, components, sigma_n2, 1.0,
+                                    iters=40, seed=6)
+        assert (np.linalg.norm(out.vectors - expected)
+                <= 1e-6 * np.linalg.norm(expected))
 
 
 def test_swmmse_two_user_matches_deterministic_oracle():
@@ -254,7 +235,7 @@ def test_swmmse_two_user_matches_deterministic_oracle():
     out = swmmse_precoders(model, _reports([1, 2]), sigma_n2, rho,
                            SwmmseOptions(max_iters=300, seed=2))
     achieved = sum_rate(channels, out, sigma_n2)
-    oracle_vectors = _deterministic_wmmse(channels, sigma_n2, rho)
+    oracle_vectors = deterministic_wmmse(channels, sigma_n2, rho)
     oracle = sum_rate(channels,
                       PrecoderSet(oracle_vectors, rho, "oracle"), sigma_n2)
     assert abs(achieved - oracle) <= 0.02 * oracle
@@ -291,3 +272,98 @@ def test_swmmse_validates_reports():
         swmmse_precoders(model, _reports([2]), 0.1, 1.0)
     with pytest.raises(ValueError):
         swmmse_precoders(model, _reports([1]), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+def test_designers_reject_invalid_power_budget(rho):
+    model = _degenerate_model([[1.0 + 0j, 0.5j]])
+    with pytest.raises(ValueError, match="rho"):
+        swmmse_precoders(model, _reports([1]), 0.1, rho)
+    with pytest.raises(ValueError, match="rho"):
+        rci_precoders(np.array([[1.0 + 0j, 0.5j]]), 0.1, rho)
+
+
+def test_swmmse_power_step_work_at_desk_scale(desk_model):
+    # N=16, 8 users: the first iteration's statistics have rank 8, so the
+    # eigen path runs there; later steps are warm-started Newton steps
+    out = swmmse_precoders(desk_model, _reports([1, 3, 3, 5, 8, 11, 14, 16]),
+                           0.1, 1.0, SwmmseOptions(max_iters=300, seed=5))
+    factorizations = out.metadata["factorizations"]
+    assert factorizations.shape == (300,)
+    assert out.metadata["eigen_iterations"] >= 1
+    assert np.mean(factorizations) <= 6.0
+    positive = out.metadata["ridge"] > 0
+    assert np.all(out.metadata["power"] <= 1.0 + 1e-12)
+    assert np.all(1.0 - out.metadata["power"][positive] <= 1e-9 + 1e-12)
+
+
+def _complex_normal(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 10), users=st.integers(1, 4),
+       rank_cut=st.integers(0, 3), log_cond=st.floats(0.0, 6.0),
+       zero_feasible=st.booleans(), log_margin=st.floats(0.01, 3.0),
+       log_start=st.one_of(st.none(), st.floats(-3.0, 3.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_power_step_matches_eigen_oracle(dim, users, rank_cut, log_cond,
+                                         zero_feasible, log_margin,
+                                         log_start, seed):
+    # condition numbers up to 1e6 on the range of cov: beyond that any two
+    # solvers differ by about cond * eps, which the 1e-6 agreement would test
+    rng = np.random.default_rng(seed)
+    rank = max(1, dim - rank_cut)
+    basis, _ = np.linalg.qr(_complex_normal(rng, (dim, dim)))
+    eigvals = np.zeros(dim)
+    eigvals[:rank] = 10.0 ** -(log_cond * np.r_[0.0, rng.uniform(size=rank - 1)])
+    cov = (basis * eigvals) @ basis.conj().T
+    # the rows of rhs lie in the range of cov
+    rhs = (basis[:, :rank] @ _complex_normal(rng, (rank, users))).T
+    zero_power = np.sum(np.abs(eigen_power_step(cov, rhs, np.inf)[0]) ** 2)
+    rho = zero_power * np.exp(log_margin if zero_feasible else -log_margin)
+    expected, expected_lam = eigen_power_step(cov, rhs, rho)
+    start = 0.0 if log_start is None else np.exp(log_start) * rank / dim
+    tol = SwmmseOptions().power_tol
+
+    vectors, lam, _, eigen = _power_step(cov, rhs, rho, tol, start)
+
+    power = np.sum(np.abs(vectors) ** 2)
+    assert power <= rho * (1.0 + 1e-12)
+    assert (lam == 0.0) == (expected_lam == 0.0)
+    # the window is reachable unless eigh leaks weight onto a null direction
+    # of cov (see test_power_step_without_root_stays_feasible)
+    if lam > 0.0 and rho - np.sum(np.abs(expected) ** 2) <= tol * rho:
+        assert rho - power <= (tol + 1e-12) * rho
+    assert np.linalg.norm(vectors - expected) <= 1e-6 * np.linalg.norm(expected)
+    if start == 0.0 and rank < dim:  # cov is singular: only eigh decides
+        assert eigen
+    if rank == dim and lam == 0.0:  # certified well-conditioned: no eigh
+        assert not eigen
+
+
+def test_power_step_without_root_stays_feasible():
+    # weight on an eigenvalue below 1e-13 of the top rules lam = 0 out, yet
+    # the power stays below rho for every lam > 0: a feasible ridge returns
+    cov = np.diag([1.0, 1e-14]).astype(complex)
+    rhs = np.array([[1.0, 1e-11]], dtype=complex)  # phi(0+) = 1 + 1e6
+    vectors, lam, _, eigen = _power_step(cov, rhs, 1e7, 1e-9)
+    assert eigen and lam > 0.0
+    assert np.sum(np.abs(vectors) ** 2) <= 1e7
+
+
+def test_power_step_keeps_zero_ridge_inside_the_window():
+    # phi(0) lies inside the accepted window [rho (1 - tol), rho]: a warm
+    # start at lam > 0 must not settle on a small positive ridge
+    rng = np.random.default_rng(3)
+    raw = _complex_normal(rng, (6, 6))
+    cov = raw @ raw.conj().T + np.eye(6)
+    rhs = _complex_normal(rng, (2, 6))
+    zero_vectors, _ = eigen_power_step(cov, rhs, np.inf)
+    rho = np.sum(np.abs(zero_vectors) ** 2) * (1.0 + 2.5e-10)
+    # from just below the window, Newton lands inside it at lam > 0
+    _, near = eigen_power_step(cov, rhs, rho * (1.0 - 2e-9))
+    for start in (near, 1e-3, 0.1, 10.0):
+        vectors, lam, _, eigen = _power_step(cov, rhs, rho, 1e-9, start)
+        assert lam == 0.0 and not eigen
+        np.testing.assert_allclose(vectors, zero_vectors, rtol=1e-10)
