@@ -86,22 +86,25 @@ def _cmd_feedback(args):
 
     count = len(dataset) if args.count is None else min(args.count,
                                                         len(dataset))
-    lines = ["user,index,scheme"]
-    for j in range(count):
-        h = dataset.samples[j].astype(np.complex128)
-        y = observe(setup, h, [args.seed, j])
-        if args.scheme in ("gmm", "tgmm"):
-            index = int(np.argmax(obs.log_responsibilities(y))) + 1
+    channels = dataset.samples[:count].astype(np.complex128)
+    observations = np.array(
+        [observe(setup, h, [args.seed, j]) for j, h in enumerate(channels)],
+        dtype=np.complex128).reshape(count, setup.n_pilots)
+    if args.scheme in ("gmm", "tgmm"):
+        log_resp = obs.log_responsibilities(observations)
+        indices = np.argmax(log_resp, axis=1) + 1
+    else:
+        if args.scheme in ("dft:gmm", "dft:tgmm"):
+            h_hats = estimate_gmm(model, setup, observations, obs=obs)
+        elif args.scheme == "dft:lmmse":
+            h_hats = [estimate_lmmse(*lmmse_stats, setup, y)
+                      for y in observations]
         else:
-            estimator = args.scheme[4:]
-            if estimator in ("gmm", "tgmm"):
-                h_hat = estimate_gmm(model, setup, y, obs=obs)
-            elif estimator == "lmmse":
-                h_hat = estimate_lmmse(*lmmse_stats, setup, y)
-            else:
-                h_hat = estimate_omp(setup, omp_dict, y)
-            index = select_codebook_index(codebook, h_hat, user=j).index
-        lines.append(f"{j},{index},{args.scheme}")
+            h_hats = [estimate_omp(setup, omp_dict, y) for y in observations]
+        indices = [select_codebook_index(codebook, h_hat).index
+                   for h_hat in h_hats]
+    lines = ["user,index,scheme"] + [f"{j},{index},{args.scheme}"
+                                     for j, index in enumerate(indices)]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -156,8 +159,7 @@ def _cmd_report(args):
             line += f"{mean:.3f}+-{se:.3f}".rjust(width)
         print(line)
     if args.raw:
-        raw = load_dataset(args.raw)
-        values = raw.samples.real.astype(np.float64)
+        values = np.load(args.raw)
         n_rows = len(rows)
         n_const = values.shape[0] // n_rows
         print(f"\nrecomputed from {args.raw} ({n_const} constellations):")

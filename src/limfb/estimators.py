@@ -36,21 +36,20 @@ def estimate_gmm(model, setup, y, obs=None):
     """Convex combination of per-component LMMSE estimates.
 
     Component filters are weighted by the responsibilities of the pilot
-    observation. Pass a precomputed observation mixture via ``obs`` to reuse
-    its covariance factorizations across calls.
+    observation. ``y`` is one observation (n_p,) or the rows (J, n_p) of J
+    users, which gives (J, N) estimates. Pass the observation mixture of
+    ``project_to_observation(model, setup)`` via ``obs`` to reuse its
+    factors and precomputed filters across calls.
     """
     if obs is None:
         obs = project_to_observation(model, setup)
-    resp = obs.responsibilities(y)
-    y = np.asarray(y, dtype=np.complex128)
-    pilot = setup.pilot_matrix
-    h_hat = np.zeros(model.dim, dtype=np.complex128)
-    for k in range(model.n_components):
-        innovation = y - obs.means[k]
-        weight = obs.solve_innovation(k, innovation)
-        h_hat += resp[k] * (model.means[k]
-                            + model.covariances[k] @ (pilot.conj().T @ weight))
-    return h_hat
+    elif obs.filters is None:
+        raise ValueError("obs carries no filters; use project_to_observation")
+    resp = np.atleast_2d(obs.responsibilities(y))
+    innovation = np.atleast_2d(y) - obs.means[:, None, :]
+    h_hat = resp @ model.means + np.einsum(
+        "jk,knp,kjp->jn", resp, obs.filters, innovation, optimize=True)
+    return h_hat[0] if np.ndim(y) == 1 else h_hat
 
 
 def build_omp_dictionary(geometry, oversampling=2):

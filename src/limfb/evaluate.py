@@ -19,7 +19,7 @@ a DFT codebook entry from perfect or estimated CSI. An optional ``+rci`` or
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .feedback import (FeedbackReport, build_dft_codebook, build_pilot_matrix,
 from .gmm import fit_em, load_model, project_to_observation, sample_moments
 from .precoding import (SwmmseOptions, directional_representatives,
                         rci_precoders, swmmse_precoders)
-from .scene import ArrayGeometry, ChannelDataset, load_dataset, save_dataset
+from .scene import ArrayGeometry, load_dataset
 
 SWEEP_AXES = ("snr", "pilots", "bits", "users", "iterations")
 
@@ -308,45 +308,39 @@ class Experiment:
     def _feedback(self, tag, bits, setup, channels, observations):
         """Per-user feedback reports for one scheme on shared observations."""
         kind, detail, _ = parse_scheme(tag)
-        n_pilots, sigma_n2 = setup.n_pilots, setup.sigma_n2
-        reports = []
         if kind == "mixture":
             family, domain = detail
             constraint = _MIXTURE_FAMILIES[family]
             if domain == "obs":
-                obs = self.observation_model(constraint, bits, n_pilots, sigma_n2)
-                for j, y in enumerate(observations):
-                    idx = int(np.argmax(obs.log_responsibilities(y))) + 1
-                    reports.append(FeedbackReport(j, idx, tag))
+                mixture = self.observation_model(constraint, bits,
+                                                 setup.n_pilots, setup.sigma_n2)
+                points = observations
             else:
-                model = self.model_for(constraint, bits)
-                for j, h in enumerate(channels):
-                    idx = int(np.argmax(model.log_responsibilities(h))) + 1
-                    reports.append(FeedbackReport(j, idx, tag))
-            return reports
+                mixture, points = self.model_for(constraint, bits), channels
+            indices = np.argmax(mixture.log_responsibilities(points), axis=1)
+            return [FeedbackReport(j, int(idx) + 1, tag)
+                    for j, idx in enumerate(indices)]
         codebook = self.codebook(bits)
-        for j in range(len(channels)):
-            h_hat = self._estimate(detail, bits, setup, channels[j],
-                                   observations[j])
-            base = select_codebook_index(codebook, h_hat, user=j)
-            reports.append(FeedbackReport(j, base.index, tag,
-                                          degenerate=base.degenerate))
-        return reports
+        estimates = self._estimate(detail, bits, setup, channels, observations)
+        return [replace(select_codebook_index(codebook, h_hat, user=j),
+                        scheme=tag) for j, h_hat in enumerate(estimates)]
 
-    def _estimate(self, estimator, bits, setup, channel, observation):
+    def _estimate(self, estimator, bits, setup, channels, observations):
+        """Channel estimates of all users, one row each."""
         if estimator == "perfect":
-            return channel
+            return channels
         if estimator in ("gmm", "tgmm"):
             constraint = _MIXTURE_FAMILIES[estimator]
             model = self.model_for(constraint, bits)
             obs = self.observation_model(constraint, bits, setup.n_pilots,
                                          setup.sigma_n2)
-            return estimate_gmm(model, setup, observation, obs=obs)
+            return estimate_gmm(model, setup, observations, obs=obs)
         if estimator == "lmmse":
             mean, cov = self.train_stats()
-            return estimate_lmmse(mean, cov, setup, observation)
+            return [estimate_lmmse(mean, cov, setup, y) for y in observations]
         if estimator == "omp":
-            return estimate_omp(setup, self.omp_dictionary(), observation)
+            return [estimate_omp(setup, self.omp_dictionary(), y)
+                    for y in observations]
         raise ValueError(f"unknown estimator {estimator!r}")
 
     def _precoders(self, tag, bits, reports, sigma_n2, swmmse_seed, iters):
@@ -547,20 +541,20 @@ def read_sweep_csv(path):
 
 
 def dump_raw(result, path):
-    """Persist per-constellation rates in the dataset binary container.
+    """Persist per-constellation rates as a float64 ``.npy`` array at ``path``.
 
-    Each container "sample" is the vector of per-scheme rates for one
-    (axis value, constellation) pair; a JSON-lines sidecar ``<path>.jsonl``
-    maps rows to axis values and constellation indices and names the scheme
-    order.
+    Row ``v * C + i`` holds the per-scheme rates of axis value ``v`` and
+    constellation ``i`` (C constellations), one column per scheme; a
+    JSON-lines sidecar ``<path>.jsonl`` maps rows to axis values and
+    constellation indices and names the scheme order.
     """
     n_values = len(result.values)
     n_const = result.metadata["constellations"]
-    stacked = np.zeros((n_values * n_const, max(len(result.schemes), 1)),
-                       dtype=np.complex64)
+    stacked = np.zeros((n_values * n_const, max(len(result.schemes), 1)))
     for s_idx, tag in enumerate(result.schemes):
         stacked[:, s_idx] = result.per_constellation[tag].reshape(-1)
-    save_dataset(ChannelDataset(stacked), path)
+    with open(path, "wb") as fh:
+        np.save(fh, stacked)
     with open(str(path) + ".jsonl", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps({
             "schemes": result.schemes, "axis": result.axis,

@@ -14,9 +14,11 @@ import logging
 import struct
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import ztrtri
 from scipy.special import logsumexp
 
 from .formats import DimensionError, FileFormatError, expect_magic, read_exact
@@ -93,27 +95,96 @@ def log_density(x, mean, cov):
     return float(_log_gaussian_batch(x[None, :], mean, chol, logdet)[0])
 
 
-class GmmModel:
+def _inverse_factors(covariances):
+    """Inverse lower Cholesky factors (K, d, d) and log-determinants (K,)."""
+    if not np.all(np.isfinite(covariances)):
+        raise np.linalg.LinAlgError("covariance contains infs or NaNs")
+    chols = np.linalg.cholesky(covariances)
+    logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2).real),
+                           axis=1)
+    inv_chols = np.empty_like(chols)
+    for k, chol in enumerate(chols):
+        inv_chols[k] = ztrtri(chol, lower=1)[0]
+    return inv_chols, logdets
+
+
+class _Mixture:
+    """Weights, means and covariances of K complex Gaussians, scored at once.
+
+    The covariance factors are stacked as (K, d, d) inverse Cholesky factors
+    L_k^-1, so one batched product whitens every row against every
+    component: ``log CN(x; mu_k, C_k) = -d log(pi) - log det C_k
+    - ||L_k^-1 (x - mu_k)||^2``.
+    """
+
+    def __init__(self, weights, means, covariances):
+        self.weights = np.asarray(weights, dtype=float)
+        self.means = np.asarray(means, dtype=np.complex128)
+        self.covariances = np.asarray(covariances, dtype=np.complex128)
+
+    @property
+    def n_components(self):
+        return self.weights.shape[0]
+
+    @property
+    def dim(self):
+        return self.means.shape[1]
+
+    @cached_property
+    def _factors(self):
+        """Stacked L_k^-1 and log det C_k, factorized on first use."""
+        return _inverse_factors(self.covariances)
+
+    def component_log_densities(self, x):
+        """Per-component log densities: (K,) at a vector, (J, K) at J rows."""
+        x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
+        if x.ndim > 2 or x.shape[-1] != self.dim:
+            raise ValueError(f"expected a vector or rows of dimension "
+                             f"{self.dim}, got shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("input contains infs or NaNs")
+        inv_chols, logdets = self._factors
+        white = (np.atleast_2d(x) - self.means[:, None, :]) @ np.swapaxes(
+            inv_chols, 1, 2)
+        quad = np.einsum("kjd,kjd->jk", white.real, white.real) + np.einsum(
+            "kjd,kjd->jk", white.imag, white.imag)
+        out = -self.dim * np.log(np.pi) - logdets - quad
+        return out[0] if x.ndim == 1 else out
+
+    def responsibilities(self, x):
+        return np.exp(self.log_responsibilities(x))
+
+
+def _log_responsibilities(self, x):
+    """Log posterior component probabilities: (K,) at a vector, (J, K) at rows.
+
+    Assigned in each mixture class body, so either class's method can be
+    replaced on its own.
+    """
+    scores = np.log(self.weights) + self.component_log_densities(x)
+    return scores - logsumexp(scores, axis=-1, keepdims=True)
+
+
+class GmmModel(_Mixture):
     """K-component complex Gaussian mixture with realized covariances.
 
     ``constraint`` records how the covariances were produced; for
     ``"toeplitz"`` the defining nonnegative spectral vectors are kept in
     ``spectral`` (shape (K, 4N)) alongside the realized dense matrices.
     Instances are immutable after construction; density factorizations are
-    cached on first use.
+    stacked on first use.
     """
 
     def __init__(self, weights, means, covariances, constraint="full",
                  spectral=None, geometry=None):
-        weights = np.asarray(weights, dtype=float)
-        means = np.asarray(means, dtype=np.complex128)
-        covariances = np.asarray(covariances, dtype=np.complex128)
+        super().__init__(weights, means, covariances)
+        weights, covariances = self.weights, self.covariances
         if weights.ndim != 1:
             raise ValueError("weights must be a vector")
         n_comp = weights.shape[0]
-        if means.shape[0] != n_comp or covariances.shape[0] != n_comp:
+        if self.means.shape[0] != n_comp or covariances.shape[0] != n_comp:
             raise ValueError("component count mismatch")
-        dim = means.shape[1]
+        dim = self.means.shape[1]
         if covariances.shape[1:] != (dim, dim):
             raise ValueError("covariance shape mismatch")
         if np.any(weights <= 0):
@@ -128,110 +199,38 @@ class GmmModel:
             spectral = np.asarray(spectral, dtype=float)
             if spectral.shape != (n_comp, 4 * dim):
                 raise ValueError("spectral vectors must have shape (K, 4N)")
-        self.weights = weights
-        self.means = means
-        self.covariances = covariances
         self.constraint = constraint
         self.spectral = spectral
         self.geometry = geometry
         # populated by fit_em
         self.fit_log_likelihoods = None
         self.converged = None
-        self._chols = None
-        self._logdets = None
 
-    @property
-    def n_components(self):
-        return self.weights.shape[0]
-
-    @property
-    def dim(self):
-        return self.means.shape[1]
-
-    def _ensure_factors(self):
-        if self._chols is None:
-            chols = []
-            logdets = np.empty(self.n_components)
-            for k in range(self.n_components):
-                chol, logdets[k] = _chol_logdet(self.covariances[k])
-                chols.append(chol)
-            self._chols = chols
-            self._logdets = logdets
-
-    def component_log_densities(self, x):
-        """Vector of per-component log densities at ``x`` (length K)."""
-        self._ensure_factors()
-        x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected a vector of dimension {self.dim}")
-        out = np.empty(self.n_components)
-        for k in range(self.n_components):
-            out[k] = _log_gaussian_batch(x[None, :], self.means[k],
-                                         self._chols[k], self._logdets[k])[0]
-        return out
-
-    def log_responsibilities(self, x):
-        scores = np.log(self.weights) + self.component_log_densities(x)
-        return scores - logsumexp(scores)
-
-    def responsibilities(self, x):
-        return np.exp(self.log_responsibilities(x))
+    log_responsibilities = _log_responsibilities
 
 
-class ObservationGmm:
+class ObservationGmm(_Mixture):
     """Mixture of the pilot observations induced by a channel-domain mixture.
 
-    Component k has mean ``P mu_k`` and covariance ``P C_k P^H + sigma_n^2 I``;
-    the covariance factorizations are computed once here so that every later
-    responsibility evaluation costs O(n_p^2) per component and is independent
-    of the channel dimension.
+    Component k has mean ``P mu_k`` and covariance
+    ``S_k = P C_k P^H + sigma_n^2 I``. The covariance factors are stacked
+    here, so scoring costs O(n_p^2) per row and component whatever the
+    channel dimension. ``filters`` (K, N, n_p), set by
+    :func:`project_to_observation`, holds the LMMSE filters
+    ``C_k P^H S_k^-1`` of the channel-domain components.
     """
 
     def __init__(self, weights, means, covariances):
-        self.weights = np.asarray(weights, dtype=float)
-        self.means = np.asarray(means, dtype=np.complex128)
-        self.covariances = np.asarray(covariances, dtype=np.complex128)
-        self._chols = []
-        self._logdets = np.empty(len(self.weights))
-        for k in range(len(self.weights)):
-            try:
-                chol, logdet = _chol_logdet(self.covariances[k])
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(
-                    "observation covariance is not positive definite; "
-                    "use sigma_n2 > 0") from exc
-            self._chols.append(chol)
-            self._logdets[k] = logdet
+        super().__init__(weights, means, covariances)
+        try:
+            self._factors  # factorize now, so a singular projection fails here
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                "observation covariance is not positive definite; "
+                "use sigma_n2 > 0") from exc
+        self.filters = None
 
-    @property
-    def n_components(self):
-        return self.weights.shape[0]
-
-    @property
-    def dim(self):
-        return self.means.shape[1]
-
-    def component_log_densities(self, y):
-        y = np.atleast_1d(np.asarray(y, dtype=np.complex128))
-        if y.shape != (self.dim,):
-            raise ValueError(f"expected a vector of dimension {self.dim}")
-        out = np.empty(self.n_components)
-        for k in range(self.n_components):
-            out[k] = _log_gaussian_batch(y[None, :], self.means[k],
-                                         self._chols[k], self._logdets[k])[0]
-        return out
-
-    def log_responsibilities(self, y):
-        scores = np.log(self.weights) + self.component_log_densities(y)
-        return scores - logsumexp(scores)
-
-    def responsibilities(self, y):
-        return np.exp(self.log_responsibilities(y))
-
-    def solve_innovation(self, k, innovation):
-        """Apply the inverse observation covariance of component k (0-based)."""
-        white = solve_triangular(self._chols[k], innovation, lower=True)
-        return solve_triangular(self._chols[k].conj().T, white, lower=False)
+    log_responsibilities = _log_responsibilities
 
 
 def responsibilities(model, x):
@@ -240,7 +239,11 @@ def responsibilities(model, x):
 
 
 def project_to_observation(model, setup):
-    """Observation-domain mixture for a pilot setup (see ObservationGmm)."""
+    """Observation-domain mixture and LMMSE filters for a pilot setup.
+
+    All K projected covariances ``P C_k P^H + sigma_n^2 I`` come from one
+    stacked product; see ObservationGmm.
+    """
     sigma_n2 = setup.sigma_n2
     if sigma_n2 is None:
         raise ValueError("pilot setup has no noise variance set")
@@ -249,13 +252,13 @@ def project_to_observation(model, setup):
     pilot = setup.pilot_matrix
     if pilot.shape[1] != model.dim:
         raise ValueError("pilot matrix width does not match the model dimension")
-    means = model.means @ pilot.T
-    n_pilots = pilot.shape[0]
-    covs = np.empty((model.n_components, n_pilots, n_pilots), dtype=np.complex128)
-    eye = np.eye(n_pilots)
-    for k in range(model.n_components):
-        covs[k] = pilot @ model.covariances[k] @ pilot.conj().T + sigma_n2 * eye
-    return ObservationGmm(model.weights, means, covs)
+    projected = pilot @ model.covariances
+    covs = projected @ pilot.conj().T + sigma_n2 * np.eye(pilot.shape[0])
+    obs = ObservationGmm(model.weights, model.means @ pilot.T, covs)
+    # C_k P^H S_k^-1 = (L_k^-1 P C_k)^H L_k^-1, with S_k = L_k L_k^H
+    inv_chols = obs._factors[0]
+    obs.filters = np.swapaxes(inv_chols @ projected, 1, 2).conj() @ inv_chols
+    return obs
 
 
 def _component_sqrt(cov):

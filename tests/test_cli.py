@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from limfb.cli import main
-from limfb.scene import load_dataset
+from limfb.estimators import estimate_gmm
+from limfb.feedback import (build_dft_codebook, build_pilot_matrix,
+                            gmm_feedback_index, observe,
+                            select_codebook_index)
+from limfb.gmm import load_model, project_to_observation
+from limfb.scene import ArrayGeometry, load_dataset
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +70,32 @@ def test_feedback_command_dft_schemes(workspace, tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("scheme", ["gmm", "dft:gmm"])
+def test_feedback_command_matches_per_user_inference(workspace, tmp_path,
+                                                     scheme):
+    out_path = tmp_path / "fb.csv"
+    main(["feedback", "--model", str(workspace / "model.lfbm"),
+          "--scheme", scheme, "--pilots", "4", "--snr-db", "10",
+          "--data", str(workspace / "eval.lfbd"), "--geometry", "2x4",
+          "--count", "40", "--seed", "3", "--out", str(out_path)])
+    geometry = ArrayGeometry(2, 4)
+    model = load_model(workspace / "model.lfbm")
+    setup = build_pilot_matrix(geometry, 4).with_noise(0.1)
+    obs = project_to_observation(model, setup)
+    codebook = build_dft_codebook(geometry, 2)
+    expected = ["user,index,scheme"]
+    channels = load_dataset(workspace / "eval.lfbd").samples[:40]
+    for j, h in enumerate(channels.astype(np.complex128)):
+        y = observe(setup, h, [3, j])
+        if scheme == "gmm":
+            index = gmm_feedback_index(obs, y).index
+        else:
+            h_hat = estimate_gmm(model, setup, y, obs=obs)
+            index = select_codebook_index(codebook, h_hat).index
+        expected.append(f"{j},{index},{scheme}")
+    assert out_path.read_text().splitlines() == expected
+
+
 def test_sweep_and_report(workspace, tmp_path, capsys):
     exp_cfg = workspace / "exp.cfg"
     exp_cfg.write_text(
@@ -75,7 +106,7 @@ def test_sweep_and_report(workspace, tmp_path, capsys):
         "constellations = 4\nschemes = gmm-obs, dft:lmmse\nseed = 9\n"
         f"model.full = {workspace / 'model.lfbm'}\n")
     csv_path = tmp_path / "sweep.csv"
-    raw_path = tmp_path / "raw.lfbd"
+    raw_path = tmp_path / "raw.npy"
     main(["sweep", "--config", str(exp_cfg), "--axis", "pilots",
           "--values", "2,4", "--out", str(csv_path),
           "--dump-raw", str(raw_path)])

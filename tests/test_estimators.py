@@ -2,11 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import logsumexp
 
 from limfb.estimators import (build_omp_dictionary, estimate_gmm,
                               estimate_lmmse, estimate_omp, omp_support)
 from limfb.feedback import build_pilot_matrix, observe
-from limfb.gmm import GmmModel
+from limfb.gmm import (GmmModel, ObservationGmm, log_density,
+                       project_to_observation)
 from limfb.scene import ArrayGeometry
 
 
@@ -67,6 +72,81 @@ def test_gmm_estimate_matches_dense_oracle():
     oracle = resp[0] * parts[0] + resp[1] * parts[1]
     np.testing.assert_allclose(estimate_gmm(model, setup, y), oracle,
                                rtol=1e-10)
+
+
+def _loop_estimate_gmm(model, setup, y):
+    """Reference: one LMMSE solve per component for one observation."""
+    pilot, eye = setup.pilot_matrix, np.eye(setup.n_pilots)
+    obs_covs = [pilot @ cov @ pilot.conj().T + setup.sigma_n2 * eye
+                for cov in model.covariances]
+    scores = np.array([np.log(w) + log_density(y, pilot @ mean, obs_cov)
+                       for w, mean, obs_cov in zip(model.weights, model.means,
+                                                   obs_covs)])
+    resp = np.exp(scores - logsumexp(scores))
+    h_hat = np.zeros(model.dim, dtype=complex)
+    for k in range(model.n_components):
+        weight = cho_solve(cho_factor(obs_covs[k], lower=True),
+                           y - pilot @ model.means[k])
+        h_hat += resp[k] * (model.means[k] + model.covariances[k]
+                            @ (pilot.conj().T @ weight))
+    return h_hat
+
+
+def _random_mixture(rng, n_comp, dim):
+    weights = rng.uniform(0.5, 1.5, n_comp)
+    means = rng.standard_normal((n_comp, dim)) + 1j * rng.standard_normal(
+        (n_comp, dim))
+    raw = rng.standard_normal((n_comp, dim, dim)) + 1j * rng.standard_normal(
+        (n_comp, dim, dim))
+    covs = raw @ raw.conj().transpose(0, 2, 1) / dim + 1e-3 * np.eye(dim)
+    return GmmModel(weights / weights.sum(), means, covs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(1, 8), n_comp=st.integers(1, 5),
+       pilot_frac=st.floats(0.0, 1.0), users=st.integers(1, 6),
+       log_noise=st.floats(-3.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_batched_gmm_estimate_matches_component_loop(dim, n_comp, pilot_frac,
+                                                     users, log_noise, seed):
+    rng = np.random.default_rng(seed)
+    model = _random_mixture(rng, n_comp, dim)
+    n_pilots = 1 + int(pilot_frac * (dim - 1))
+    rows = _unit_rows(rng.standard_normal((n_pilots, dim))
+                      + 1j * rng.standard_normal((n_pilots, dim)))
+    setup = _setup_from_rows(rows, 10.0 ** log_noise)
+    obs = project_to_observation(model, setup)
+    y = 2.0 * (rng.standard_normal((users, n_pilots))
+               + 1j * rng.standard_normal((users, n_pilots)))
+    ref = np.array([_loop_estimate_gmm(model, setup, row) for row in y])
+    bound = 1e-10 * max(1.0, np.abs(ref).max())
+    batched = estimate_gmm(model, setup, y, obs=obs)
+    assert batched.shape == (users, dim)
+    assert np.abs(batched - ref).max() <= bound
+    assert np.abs(estimate_gmm(model, setup, y[0]) - ref[0]).max() <= bound
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_gmm_estimate_rejects_non_finite_observations(desk_geometry, value):
+    rng = np.random.default_rng(7)
+    model = _random_mixture(rng, 3, 16)
+    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.1)
+    obs = project_to_observation(model, setup)
+    y = np.ones((3, 4), dtype=complex)
+    y[2, 1] = value
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        estimate_gmm(model, setup, y, obs=obs)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        estimate_gmm(model, setup, y[2])
+
+
+def test_gmm_estimate_needs_projected_filters(desk_geometry):
+    model = _random_mixture(np.random.default_rng(8), 2, 16)
+    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.1)
+    projected = project_to_observation(model, setup)
+    bare = ObservationGmm(projected.weights, projected.means,
+                          projected.covariances)
+    with pytest.raises(ValueError, match="project_to_observation"):
+        estimate_gmm(model, setup, np.ones(4), obs=bare)
 
 
 # -- LMMSE ---------------------------------------------------------------------

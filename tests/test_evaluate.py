@@ -10,7 +10,6 @@ from limfb.gmm import GmmModel, project_to_observation
 from limfb.precoding import (PrecoderSet, SwmmseOptions,
                              directional_representatives, rci_precoders,
                              swmmse_precoders)
-from limfb.scene import load_dataset
 
 
 def _experiment(desk_train, desk_eval, desk_model, desk_tmodel=None,
@@ -257,14 +256,13 @@ def test_emit_csv_deterministic_bytes(tmp_path, desk_train, desk_eval,
 def test_dump_raw_round_trip(tmp_path, desk_train, desk_eval, desk_model):
     exp = _experiment(desk_train, desk_eval, desk_model, constellations=4)
     result = run_sweep(exp, "pilots", values=[4, 8])
-    path = tmp_path / "raw.lfbd"
+    path = tmp_path / "raw.npy"
     dump_raw(result, path)
-    container = load_dataset(path)
-    assert container.samples.shape == (8, len(result.schemes))
+    raw = np.load(path)
+    assert raw.shape == (8, len(result.schemes)) and raw.dtype == np.float64
     for s_idx, tag in enumerate(result.schemes):
-        np.testing.assert_allclose(
-            container.samples[:, s_idx].real,
-            result.per_constellation[tag].reshape(-1), rtol=1e-6)
+        np.testing.assert_array_equal(
+            raw[:, s_idx], result.per_constellation[tag].reshape(-1))
     sidecar = (str(path) + ".jsonl")
     import json
     with open(sidecar) as fh:

@@ -468,6 +468,103 @@ def test_single_component_observation_responsibility(desk_geometry):
         np.testing.assert_allclose(obs.responsibilities(y), [1.0])
 
 
+# -- batched scoring ---------------------------------------------------------
+# GmmModel and ObservationGmm score a (J, d) batch against the stacked
+# (K, d, d) factors; the per-row triangular solve of _log_gaussian_batch is
+# the reference.
+
+def _conditioned_mixtures(rng, n_comp, dim, cond):
+    weights = rng.uniform(0.5, 1.5, n_comp)
+    weights /= weights.sum()
+    means = 2.0 * _complex_normal(rng, (n_comp, dim))
+    covs = np.array([_conditioned_covariance(rng, dim, cond)
+                     for _ in range(n_comp)])
+    return (GmmModel(weights, means, covs),
+            gmm.ObservationGmm(weights, means, covs))
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(1, 8), n_comp=st.integers(1, 5),
+       rows=st.integers(1, 6), log_cond=st.floats(0.0, 6.0), seed=_SEEDS)
+def test_batched_scores_match_per_row_oracle(dim, n_comp, rows, log_cond,
+                                             seed):
+    rng = np.random.default_rng(seed)
+    model, obs = _conditioned_mixtures(rng, n_comp, dim, 10.0 ** log_cond)
+    near = model.means[0] + _complex_normal(rng, (rows, dim)) @ np.linalg.cholesky(
+        model.covariances[0]).T
+    x = np.concatenate([near, 3.0 * _complex_normal(rng, (rows, dim))])
+    ref = np.empty((len(x), n_comp))
+    for k in range(n_comp):
+        chol, logdet = gmm._chol_logdet(model.covariances[k])
+        ref[:, k] = gmm._log_gaussian_batch(x, model.means[k], chol, logdet)
+    bound = 1e-9 * np.maximum(1.0, np.abs(ref))
+    for mixture in (model, obs):
+        got = mixture.component_log_densities(x)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= bound)
+        single = np.array([mixture.component_log_densities(row) for row in x])
+        assert np.all(np.abs(single - ref) <= bound)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(1, 6), n_comp=st.integers(1, 6),
+       rows=st.integers(1, 5), seed=_SEEDS)
+def test_batched_responsibilities_are_permutation_equivariant(dim, n_comp,
+                                                              rows, seed):
+    rng = np.random.default_rng(seed)
+    model, obs = _conditioned_mixtures(rng, n_comp, dim, 100.0)
+    perm = rng.permutation(n_comp)
+    x = 3.0 * _complex_normal(rng, (rows, dim))
+    for mixture, cls in ((model, GmmModel), (obs, gmm.ObservationGmm)):
+        permuted = cls(mixture.weights[perm], mixture.means[perm],
+                       mixture.covariances[perm])
+        resp = mixture.responsibilities(x)
+        assert resp.shape == (rows, n_comp) and np.all(resp >= 0)
+        np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(permuted.log_responsibilities(x),
+                                   mixture.log_responsibilities(x)[:, perm],
+                                   rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(mixture.responsibilities(x[0]), resp[0],
+                                   rtol=1e-9, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (5,), (3, 5), (1, 3)])
+def test_scoring_rejects_wrong_shapes(shape):
+    model = _random_model(3, 4, seed=11)
+    obs = gmm.ObservationGmm(model.weights, model.means, model.covariances)
+    for mixture in (model, obs):
+        with pytest.raises(ValueError, match="dimension 4"):
+            mixture.log_responsibilities(np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_scoring_rejects_non_finite_input(value):
+    model = _random_model(3, 4, seed=12)
+    obs = gmm.ObservationGmm(model.weights, model.means, model.covariances)
+    x = np.ones((3, 4), dtype=complex)
+    x[1, 2] = value
+    for mixture in (model, obs):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            mixture.log_responsibilities(x)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            mixture.log_responsibilities(x[1])
+
+
+def test_projection_stores_lmmse_filters():
+    model = _random_model(3, 6, seed=13)
+    rng = np.random.default_rng(13)
+    pilot = _complex_normal(rng, (2, 6))
+    pilot /= np.linalg.norm(pilot, axis=1, keepdims=True)
+    setup = build_pilot_matrix(ArrayGeometry(2, 3), 2)
+    setup.pilot_matrix = pilot
+    obs = project_to_observation(model, setup.with_noise(0.2))
+    assert obs.filters.shape == (3, 6, 2)
+    for k in range(3):
+        oracle = model.covariances[k] @ pilot.conj().T @ np.linalg.inv(
+            obs.covariances[k])
+        np.testing.assert_allclose(obs.filters[k], oracle, rtol=1e-10)
+
+
 # -- sampling ----------------------------------------------------------------
 
 def test_sampling_degenerate_covariance_returns_mean():
