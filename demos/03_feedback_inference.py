@@ -12,10 +12,9 @@ import numpy as np
 from limfb import (ArrayGeometry, EmOptions, SceneConfig,
                    build_dft_codebook, build_omp_dictionary,
                    build_pilot_matrix, estimate_gmm, estimate_lmmse,
-                   estimate_omp, fit_em, generate_channels,
-                   gmm_feedback_index, gmm_feedback_index_perfect,
+                   estimate_omp, fit_em, generate_channels, mixture_feedback,
                    normalize_dataset, observe, project_to_observation,
-                   select_codebook_index)
+                   sample_moments, select_codebook_index)
 
 geometry = ArrayGeometry(2, 8, 1.0, 0.5)
 scene = SceneConfig(geometry, seed=7)
@@ -33,25 +32,22 @@ print(f"{n_pilots} pilots at {snr_db:.0f} dB SNR "
 observation_model = project_to_observation(model, setup)
 codebook = build_dft_codebook(geometry, 4)
 omp_grid = build_omp_dictionary(geometry)
-x = train.samples.astype(np.complex128)
-train_mean = x.mean(axis=0)
-train_cov = (x - train_mean).T @ (x - train_mean).conj() / len(x)
+train_mean, train_cov = sample_moments(train.samples)
 
-agree = 0
+channels = evalset.samples[:10].astype(np.complex128)
+observations = np.array([observe(setup, h, seed=[100, j])
+                         for j, h in enumerate(channels)])
+from_obs = mixture_feedback(observation_model, observations, "gmm-obs")
+from_csi = mixture_feedback(model, channels, "gmm-perfect")
+agree = sum(a.index == b.index for a, b in zip(from_obs, from_csi))
+h_gmm = estimate_gmm(model, setup, observations, obs=observation_model)
+
 rows = []
-for j in range(10):
-    h = evalset.samples[j].astype(np.complex128)
-    y = observe(setup, h, seed=[100, j])
-
-    from_obs = gmm_feedback_index(observation_model, y, user=j)
-    from_csi = gmm_feedback_index_perfect(model, h, user=j)
-    agree += from_obs.index == from_csi.index
-
+for j, y in enumerate(observations):
     h_lmmse = estimate_lmmse(train_mean, train_cov, setup, y)
-    h_gmm = estimate_gmm(model, setup, y, obs=observation_model)
     h_omp = estimate_omp(setup, omp_grid, y)
-    rows.append((j, from_obs.index, from_csi.index,
-                 select_codebook_index(codebook, h_gmm, user=j).index,
+    rows.append((j, from_obs[j].index, from_csi[j].index,
+                 select_codebook_index(codebook, h_gmm[j], user=j).index,
                  select_codebook_index(codebook, h_lmmse, user=j).index,
                  select_codebook_index(codebook, h_omp, user=j).index))
 

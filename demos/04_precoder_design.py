@@ -14,7 +14,7 @@ import numpy as np
 from limfb import (ArrayGeometry, EmOptions, SceneConfig, SwmmseOptions,
                    build_pilot_matrix, directional_representatives,
                    export_trajectory_csv, fit_em, generate_channels,
-                   gmm_feedback_index, normalize_dataset, observe,
+                   mixture_feedback, normalize_dataset, observe,
                    project_to_observation, rci_precoders, sum_rate,
                    swmmse_precoders)
 
@@ -31,10 +31,9 @@ observation_model = project_to_observation(model, setup)
 rng = np.random.default_rng(42)
 users = rng.choice(len(evalset), size=n_users, replace=False)
 channels = evalset.samples[users].astype(np.complex128)
-reports = [gmm_feedback_index(observation_model,
-                              observe(setup, channels[j], seed=[7, j]),
-                              user=j)
-           for j in range(n_users)]
+observations = np.array([observe(setup, h, seed=[7, j])
+                         for j, h in enumerate(channels)])
+reports = mixture_feedback(observation_model, observations, "gmm-obs")
 print("reported component indices:", [r.index for r in reports])
 
 representatives = directional_representatives(model)

@@ -10,15 +10,13 @@ inference, RCI and stochastic WMMSE precoding, and sum-rate sweeps.
 from .estimators import (build_omp_dictionary, estimate_gmm, estimate_lmmse,
                          estimate_omp)
 from .evaluate import (Experiment, ExperimentConfig, SweepResult, dump_raw,
-                       emit_csv, export_trajectory_csv, run_constellation,
-                       run_sweep, sum_rate)
+                       emit_csv, export_trajectory_csv, run_sweep, sum_rate)
 from .feedback import (Codebook, FeedbackReport, PilotSetup,
                        build_dft_codebook, build_pilot_matrix,
-                       gmm_feedback_index, gmm_feedback_index_perfect,
-                       observe, select_codebook_index)
+                       mixture_feedback, observe, select_codebook_index)
 from .gmm import (EmOptions, GmmModel, ObservationGmm, fit_em, load_model,
                   log_density, param_count, project_to_observation,
-                  responsibilities, sample_component, save_model)
+                  sample_component, sample_moments, save_model)
 from .precoding import (PrecoderSet, SwmmseOptions, directional_representative,
                         directional_representatives, rci_precoders,
                         swmmse_precoders)

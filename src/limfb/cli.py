@@ -2,17 +2,14 @@
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .estimators import build_omp_dictionary, estimate_gmm, estimate_lmmse, \
-    estimate_omp
 from .evaluate import (Experiment, ExperimentConfig, dump_raw, emit_csv,
                        read_sweep_csv, run_sweep)
-from .feedback import (build_dft_codebook, build_pilot_matrix, observe,
-                       select_codebook_index)
-from .gmm import (EmOptions, fit_em, load_model, project_to_observation,
-                  sample_moments, save_model)
+from .feedback import observe
+from .gmm import EmOptions, fit_em, load_model, save_model
 from .scene import (ArrayGeometry, generate_channels, load_dataset,
                     load_scene_config, normalize_dataset, save_dataset)
 
@@ -55,56 +52,37 @@ def _cmd_train(args):
 
 
 def _cmd_feedback(args):
-    dataset = load_dataset(args.data)
-    geometry = args.geometry
-    if geometry is None:
-        raise SystemExit("--geometry is required (dataset files carry no "
-                         "array shape)")
-    if geometry.n != dataset.dim:
-        raise SystemExit("geometry does not match the dataset dimension")
-    model = load_model(args.model, geometry=geometry)
+    model = load_model(args.model, geometry=args.geometry)
+    bits = int(round(np.log2(model.n_components)))
+    config = ExperimentConfig(
+        geometry=args.geometry, train_data=args.train_data,
+        eval_data=args.data, bits=bits, users=1, pilots=args.pilots)
+    # The model file serves the family the scheme names, whatever constraint
+    # it was fitted under, so the experiment never fits a model on demand.
+    constraint = "toeplitz" if args.scheme.endswith("tgmm") else "full"
+    try:
+        experiment = Experiment(config, models={(constraint, bits): model})
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    tag = (args.scheme if args.scheme.startswith("dft:")
+           else f"{args.scheme}-obs")
+    # With the model registered, only a missing training set can block.
+    blocker = experiment.scheme_blocker(tag, bits)
+    if blocker:
+        raise SystemExit(f"{args.scheme}: {blocker}; pass --train-data")
     sigma_n2 = 1.0 / 10.0 ** (args.snr_db / 10.0)
-    setup = build_pilot_matrix(geometry, args.pilots).with_noise(sigma_n2)
+    setup = experiment.pilot_setup(args.pilots, sigma_n2)
 
-    needs_codebook = args.scheme.startswith("dft:")
-    codebook = None
-    obs = None
-    lmmse_stats = None
-    omp_dict = None
-    if needs_codebook:
-        bits = int(round(np.log2(model.n_components)))
-        codebook = build_dft_codebook(geometry, bits)
-    if args.scheme in ("gmm", "tgmm", "dft:gmm", "dft:tgmm"):
-        obs = project_to_observation(model, setup)
-    if args.scheme == "dft:lmmse":
-        if not args.train_data:
-            raise SystemExit("dft:lmmse needs --train-data for the sample "
-                             "statistics")
-        lmmse_stats = sample_moments(load_dataset(args.train_data).samples)
-    if args.scheme == "dft:omp":
-        omp_dict = build_omp_dictionary(geometry)
-
+    dataset = experiment.eval
     count = len(dataset) if args.count is None else min(args.count,
                                                         len(dataset))
     channels = dataset.samples[:count].astype(np.complex128)
     observations = np.array(
         [observe(setup, h, [args.seed, j]) for j, h in enumerate(channels)],
         dtype=np.complex128).reshape(count, setup.n_pilots)
-    if args.scheme in ("gmm", "tgmm"):
-        log_resp = obs.log_responsibilities(observations)
-        indices = np.argmax(log_resp, axis=1) + 1
-    else:
-        if args.scheme in ("dft:gmm", "dft:tgmm"):
-            h_hats = estimate_gmm(model, setup, observations, obs=obs)
-        elif args.scheme == "dft:lmmse":
-            h_hats = [estimate_lmmse(*lmmse_stats, setup, y)
-                      for y in observations]
-        else:
-            h_hats = [estimate_omp(setup, omp_dict, y) for y in observations]
-        indices = [select_codebook_index(codebook, h_hat).index
-                   for h_hat in h_hats]
-    lines = ["user,index,scheme"] + [f"{j},{index},{args.scheme}"
-                                     for j, index in enumerate(indices)]
+    reports = experiment.feedback(tag, bits, setup, channels, observations)
+    lines = ["user,index,scheme"] + [f"{r.user},{r.index},{args.scheme}"
+                                     for r in reports]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -123,10 +101,7 @@ def _cmd_sweep(args):
         overrides["iters"] = args.iters
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        fields = dict(config.__dict__)
-        fields.update(overrides)
-        config = ExperimentConfig(**fields)
+    config = replace(config, **overrides)
     experiment = Experiment(config)
     values = None
     if args.values:

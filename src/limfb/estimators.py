@@ -82,11 +82,13 @@ def omp_support(setup, dictionary, y, max_atoms=None):
     the largest normalized residual correlation, with a least-squares re-fit
     on the support each round. Iteration stops when the residual drops to
     the noise level sqrt(n_p)*sigma_n or the support reaches
-    min(n_p, max_atoms).
+    min(n_p, max_atoms). An observation with an inf or NaN raises ValueError.
     """
     if setup.sigma_n2 is None:
         raise ValueError("pilot setup has no noise variance set")
     y = np.asarray(y, dtype=np.complex128)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observation contains infs or NaNs")
     sensing = setup.pilot_matrix @ np.asarray(dictionary, dtype=np.complex128)
     norms = np.linalg.norm(sensing, axis=0)
     usable = norms > 0.0

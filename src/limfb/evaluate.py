@@ -18,6 +18,7 @@ a DFT codebook entry from perfect or estimated CSI. An optional ``+rci`` or
 
 import hashlib
 import json
+import logging
 import time
 from dataclasses import dataclass, field, replace
 
@@ -26,12 +27,14 @@ import numpy as np
 from .config import read_kv
 from .estimators import (build_omp_dictionary, estimate_gmm, estimate_lmmse,
                          estimate_omp)
-from .feedback import (FeedbackReport, build_dft_codebook, build_pilot_matrix,
-                       select_codebook_index)
+from .feedback import (build_dft_codebook, build_pilot_matrix,
+                       mixture_feedback, select_codebook_index)
 from .gmm import fit_em, load_model, project_to_observation, sample_moments
 from .precoding import (SwmmseOptions, directional_representatives,
                         rci_precoders, swmmse_precoders)
 from .scene import ArrayGeometry, load_dataset
+
+logger = logging.getLogger(__name__)
 
 SWEEP_AXES = ("snr", "pilots", "bits", "users", "iterations")
 
@@ -195,7 +198,7 @@ class Experiment:
 
     Models are keyed by (constraint, bits). Missing models are loaded from
     ``config.model_paths`` (keys ``full``/``toeplitz`` or ``full.<bits>``)
-    or, when training data is available, fitted on demand.
+    or, when training data is available, fitted on demand (logged at INFO).
     """
 
     def __init__(self, config, train_dataset=None, eval_dataset=None,
@@ -234,6 +237,9 @@ class Experiment:
         if path:
             model = load_model(path, geometry=self.geometry)
         elif self.train is not None:
+            logger.info("no %s model for B=%d on file: fitting K=%d on %d "
+                        "training channels", constraint, bits, 2 ** bits,
+                        len(self.train))
             model = fit_em(self.train, 2 ** bits, constraint=constraint,
                            geometry=self.geometry)
         else:
@@ -280,7 +286,7 @@ class Experiment:
             self._omp_dictionary = build_omp_dictionary(self.geometry)
         return self._omp_dictionary
 
-    def _scheme_blocker(self, tag, bits):
+    def scheme_blocker(self, tag, bits):
         """Reason this scheme cannot run under the current resources, or None."""
         kind, detail, designer = parse_scheme(tag)
         if kind == "mixture":
@@ -299,14 +305,13 @@ class Experiment:
 
     # -- pipeline ----------------------------------------------------------
 
-    def _designer_for(self, tag):
-        kind, _, designer = parse_scheme(tag)
-        if designer:
-            return designer
-        return "rci" if kind == "codebook" else self.config.precoder
+    def feedback(self, tag, bits, setup, channels, observations):
+        """Per-user feedback reports of one scheme, one per channel row.
 
-    def _feedback(self, tag, bits, setup, channels, observations):
-        """Per-user feedback reports for one scheme on shared observations."""
+        ``observations`` holds the users' pilot observations under
+        ``setup``, one row per channel; every scheme of a constellation sees
+        the same rows. The scheme must be runnable (see scheme_blocker).
+        """
         kind, detail, _ = parse_scheme(tag)
         if kind == "mixture":
             family, domain = detail
@@ -317,9 +322,7 @@ class Experiment:
                 points = observations
             else:
                 mixture, points = self.model_for(constraint, bits), channels
-            indices = np.argmax(mixture.log_responsibilities(points), axis=1)
-            return [FeedbackReport(j, int(idx) + 1, tag)
-                    for j, idx in enumerate(indices)]
+            return mixture_feedback(mixture, points, tag)
         codebook = self.codebook(bits)
         estimates = self._estimate(detail, bits, setup, channels, observations)
         return [replace(select_codebook_index(codebook, h_hat, user=j),
@@ -344,8 +347,9 @@ class Experiment:
         raise ValueError(f"unknown estimator {estimator!r}")
 
     def _precoders(self, tag, bits, reports, sigma_n2, swmmse_seed, iters):
-        kind, detail, _ = parse_scheme(tag)
-        designer = self._designer_for(tag)
+        kind, detail, designer = parse_scheme(tag)
+        if designer is None:
+            designer = "rci" if kind == "codebook" else self.config.precoder
         rho = self.config.rho
         if designer == "swmmse":
             family = detail[0]
@@ -391,11 +395,11 @@ class Experiment:
         rates = {}
         skipped = {}
         for tag in cfg.schemes:
-            blocker = self._scheme_blocker(tag, bits)
+            blocker = self.scheme_blocker(tag, bits)
             if blocker:
                 skipped[tag] = blocker
                 continue
-            reports = self._feedback(tag, bits, setup, channels, observations)
+            reports = self.feedback(tag, bits, setup, channels, observations)
             precoders = self._precoders(tag, bits, reports, sigma_n2,
                                         swmmse_seed, iters)
             if want_trajectory and precoders.designer == "swmmse":
@@ -406,11 +410,6 @@ class Experiment:
             else:
                 rates[tag] = sum_rate(channels, precoders, sigma_n2)
         return rates, skipped
-
-
-def run_constellation(experiment, seed, **point):
-    """Module-level convenience wrapper around Experiment.run_constellation."""
-    return experiment.run_constellation(seed, **point)
 
 
 def _default_axis_values(experiment, axis):

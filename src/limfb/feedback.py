@@ -170,20 +170,12 @@ def select_codebook_index(codebook, h_hat, user=0):
                           scheme="dft")
 
 
-def _scheme_prefix(model):
-    return "tgmm" if model.constraint == "toeplitz" else "gmm"
+def mixture_feedback(mixture, points, scheme):
+    """One report per row of ``points``: its most responsible component.
 
-
-def gmm_feedback_index(obs_model, y, user=0, scheme=None):
-    """Component with the highest responsibility of the pilot observation."""
-    log_resp = obs_model.log_responsibilities(y)
-    tag = scheme or "gmm-obs"
-    return FeedbackReport(user=user, index=int(np.argmax(log_resp)) + 1,
-                          scheme=tag)
-
-
-def gmm_feedback_index_perfect(model, h, user=0):
-    """Component with the highest responsibility of the true channel."""
-    log_resp = model.log_responsibilities(h)
-    return FeedbackReport(user=user, index=int(np.argmax(log_resp)) + 1,
-                          scheme=f"{_scheme_prefix(model)}-perfect")
+    ``mixture`` scores the rows in one call: an observation mixture scores
+    pilot observations, a channel-domain model scores channels.
+    """
+    log_resp = mixture.log_responsibilities(np.atleast_2d(points))
+    return [FeedbackReport(user=j, index=int(k) + 1, scheme=scheme)
+            for j, k in enumerate(np.argmax(log_resp, axis=1))]

@@ -233,11 +233,6 @@ class ObservationGmm(_Mixture):
     log_responsibilities = _log_responsibilities
 
 
-def responsibilities(model, x):
-    """Posterior component probabilities of ``x`` under a (observation) mixture."""
-    return model.responsibilities(x)
-
-
 def project_to_observation(model, setup):
     """Observation-domain mixture and LMMSE filters for a pilot setup.
 

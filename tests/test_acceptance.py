@@ -15,8 +15,7 @@ from limfb.evaluate import (Experiment, ExperimentConfig, emit_csv, run_sweep,
                             sum_rate)
 from limfb.feedback import (FeedbackReport, build_dft_codebook,
                             build_pilot_matrix, select_codebook_index)
-from limfb.gmm import (GmmModel, param_count, project_to_observation,
-                       responsibilities)
+from limfb.gmm import GmmModel, param_count, project_to_observation
 from limfb.precoding import (PrecoderSet, SwmmseOptions,
                              directional_representative, swmmse_precoders)
 from limfb.scene import ArrayGeometry
@@ -90,7 +89,7 @@ def test_criterion_2_probabilistic_soundness(desk_model, desk_tmodel,
         model = _random_mixture(n_comp, 8, seed=n_comp)
         for _ in range(1000):
             x = 10.0 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-            resp = responsibilities(model, x)
+            resp = model.responsibilities(x)
             simplex_ok &= abs(resp.sum() - 1.0) < 1e-9 and np.all(resp >= 0)
 
     lls = np.asarray(desk_model.fit_log_likelihoods)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from limfb import evaluate
 from limfb.cli import main
-from limfb.estimators import estimate_gmm
-from limfb.feedback import (build_dft_codebook, build_pilot_matrix,
-                            gmm_feedback_index, observe,
+from limfb.estimators import (build_omp_dictionary, estimate_gmm,
+                              estimate_lmmse, estimate_omp)
+from limfb.feedback import (build_dft_codebook, build_pilot_matrix, observe,
                             select_codebook_index)
-from limfb.gmm import load_model, project_to_observation
+from limfb.gmm import load_model, project_to_observation, sample_moments
 from limfb.scene import ArrayGeometry, load_dataset
 
 
@@ -70,27 +71,45 @@ def test_feedback_command_dft_schemes(workspace, tmp_path):
     assert len(lines) == 6
 
 
-@pytest.mark.parametrize("scheme", ["gmm", "dft:gmm"])
+@pytest.mark.parametrize("scheme, model_file", [
+    pytest.param(scheme, model_file, id=scheme + suffix)
+    for model_file, suffix in (("model.lfbm", ""), ("tmodel.lfbm", "+tmodel"))
+    for scheme in ("gmm", "tgmm", "dft:gmm", "dft:tgmm", "dft:lmmse",
+                   "dft:omp")])
 def test_feedback_command_matches_per_user_inference(workspace, tmp_path,
-                                                     scheme):
+                                                     monkeypatch, scheme,
+                                                     model_file):
+    """Either model file serves every scheme; nothing is fitted on demand."""
+    def no_fit(*args, **kwargs):
+        raise AssertionError("limfb feedback must not fit a model")
+
+    monkeypatch.setattr(evaluate, "fit_em", no_fit)
     out_path = tmp_path / "fb.csv"
-    main(["feedback", "--model", str(workspace / "model.lfbm"),
+    main(["feedback", "--model", str(workspace / model_file),
           "--scheme", scheme, "--pilots", "4", "--snr-db", "10",
           "--data", str(workspace / "eval.lfbd"), "--geometry", "2x4",
+          "--train-data", str(workspace / "train.lfbd"),
           "--count", "40", "--seed", "3", "--out", str(out_path)])
     geometry = ArrayGeometry(2, 4)
-    model = load_model(workspace / "model.lfbm")
+    model = load_model(workspace / model_file, geometry=geometry)
     setup = build_pilot_matrix(geometry, 4).with_noise(0.1)
     obs = project_to_observation(model, setup)
     codebook = build_dft_codebook(geometry, 2)
+    mean, cov = sample_moments(load_dataset(workspace / "train.lfbd").samples)
+    dictionary = build_omp_dictionary(geometry)
     expected = ["user,index,scheme"]
     channels = load_dataset(workspace / "eval.lfbd").samples[:40]
     for j, h in enumerate(channels.astype(np.complex128)):
         y = observe(setup, h, [3, j])
-        if scheme == "gmm":
-            index = gmm_feedback_index(obs, y).index
+        if scheme in ("gmm", "tgmm"):
+            index = int(np.argmax(obs.log_responsibilities(y))) + 1
         else:
-            h_hat = estimate_gmm(model, setup, y, obs=obs)
+            if scheme in ("dft:gmm", "dft:tgmm"):
+                h_hat = estimate_gmm(model, setup, y, obs=obs)
+            elif scheme == "dft:lmmse":
+                h_hat = estimate_lmmse(mean, cov, setup, y)
+            else:
+                h_hat = estimate_omp(setup, dictionary, y)
             index = select_codebook_index(codebook, h_hat).index
         expected.append(f"{j},{index},{scheme}")
     assert out_path.read_text().splitlines() == expected

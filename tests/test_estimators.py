@@ -243,3 +243,13 @@ def test_omp_requires_noise_variance(desk_geometry):
     setup = build_pilot_matrix(desk_geometry, 4)
     with pytest.raises(ValueError):
         estimate_omp(setup, dictionary, np.zeros(4))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_omp_rejects_non_finite_observations(desk_geometry, value):
+    dictionary = build_omp_dictionary(desk_geometry)
+    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.1)
+    y = np.ones(4, dtype=complex)
+    y[1] = value
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        estimate_omp(setup, dictionary, y)

@@ -1,10 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from limfb.evaluate import (Experiment, ExperimentConfig, SweepResult,
                             dump_raw, emit_csv, export_trajectory_csv,
-                            parse_scheme, read_sweep_csv, run_constellation,
-                            run_sweep, sum_rate)
+                            parse_scheme, read_sweep_csv, run_sweep, sum_rate)
 from limfb.feedback import FeedbackReport
 from limfb.gmm import GmmModel, project_to_observation
 from limfb.precoding import (PrecoderSet, SwmmseOptions,
@@ -132,13 +133,6 @@ def test_skipped_schemes_are_reported(desk_eval, desk_model):
     rates, skipped = exp.run_constellation([1, 0])
     assert "gmm-obs" in rates
     assert set(skipped) == {"tgmm-obs", "dft:lmmse"}
-
-
-def test_module_level_wrapper(desk_train, desk_eval, desk_model):
-    exp = _experiment(desk_train, desk_eval, desk_model)
-    a, _ = run_constellation(exp, [17, 1])
-    b, _ = exp.run_constellation([17, 1])
-    assert a == b
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -319,6 +313,22 @@ def test_config_hash_tracks_fields():
     c = ExperimentConfig.desk_profile(seed=2)
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
+
+
+def test_on_demand_fit_is_logged(desk_train, desk_eval, desk_model, caplog):
+    config = ExperimentConfig.desk_profile(constellations=1)
+    exp = Experiment(config, train_dataset=desk_train, eval_dataset=desk_eval,
+                     models={("full", 4): desk_model})
+    with caplog.at_level(logging.INFO, logger="limfb.evaluate"):
+        assert exp.model_for("full", 4) is desk_model
+        assert not caplog.records
+        model = exp.model_for("full", 1)
+    assert model.n_components == 2
+    [record] = [r for r in caplog.records if r.name == "limfb.evaluate"]
+    assert record.levelno == logging.INFO
+    message = record.getMessage()
+    assert "full" in message and "K=2" in message
+    assert f"{len(desk_train)} training channels" in message
 
 
 def test_experiment_validates_eval_size(desk_eval, desk_model):

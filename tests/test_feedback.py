@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import dft
 
-from limfb.feedback import (build_dft_codebook, build_pilot_matrix,
-                            gmm_feedback_index, gmm_feedback_index_perfect,
-                            observe, select_codebook_index)
+from limfb.feedback import (FeedbackReport, build_dft_codebook,
+                            build_pilot_matrix, mixture_feedback, observe,
+                            select_codebook_index)
 from limfb.gmm import GmmModel, project_to_observation
 from limfb.scene import ArrayGeometry
 
@@ -164,7 +164,7 @@ def test_gmm_feedback_single_component(desk_geometry):
     setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.1)
     obs = project_to_observation(model, setup)
     y = np.ones(4, dtype=complex)
-    assert gmm_feedback_index(obs, y).index == 1
+    assert mixture_feedback(obs, y, "gmm-obs")[0].index == 1
 
 
 def test_gmm_feedback_recovers_separated_component(desk_geometry):
@@ -172,14 +172,15 @@ def test_gmm_feedback_recovers_separated_component(desk_geometry):
     setup = build_pilot_matrix(desk_geometry, 8).with_noise(0.05)
     obs = project_to_observation(model, setup)
     rng = np.random.default_rng(6)
-    hits = 0
     trials = 10_000
     root = np.sqrt(0.05)
+    y = []
     for _ in range(trials):
         h = model.means[1] + root * (rng.standard_normal(16)
                                      + 1j * rng.standard_normal(16)) / np.sqrt(2)
-        y = observe(setup, h, rng)
-        hits += gmm_feedback_index(obs, y).index == 2
+        y.append(observe(setup, h, rng))
+    reports = mixture_feedback(obs, np.array(y), "gmm-obs")
+    hits = sum(report.index == 2 for report in reports)
     assert hits / trials >= 0.99
 
 
@@ -192,8 +193,11 @@ def test_gmm_feedback_matches_dense_posterior_oracle(desk_geometry):
     setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.2)
     obs = project_to_observation(model, setup)
     pilot = setup.pilot_matrix
-    for _ in range(20):
-        y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    rows = np.array([rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                     for _ in range(20)])
+    reports = mixture_feedback(obs, rows, "gmm-obs")
+    assert len(reports) == 20
+    for j, (y, report) in enumerate(zip(rows, reports)):
         scores = []
         for k in range(4):
             cov = pilot @ covs[k] @ pilot.conj().T + 0.2 * np.eye(4)
@@ -201,7 +205,8 @@ def test_gmm_feedback_matches_dense_posterior_oracle(desk_geometry):
             quad = (diff.conj() @ np.linalg.inv(cov) @ diff).real
             scores.append(np.log(weights[k]) - quad
                           - np.log(np.linalg.det(cov).real))
-        assert gmm_feedback_index(obs, y).index == int(np.argmax(scores)) + 1
+        assert report == FeedbackReport(j, int(np.argmax(scores)) + 1,
+                                        "gmm-obs")
 
 
 def test_perfect_and_observed_feedback_agree_with_invertible_pilots(
@@ -210,16 +215,12 @@ def test_perfect_and_observed_feedback_agree_with_invertible_pilots(
     setup = build_pilot_matrix(desk_geometry, 16).with_noise(1e-12)
     obs = project_to_observation(model, setup)
     rng = np.random.default_rng(8)
+    channels, y = [], []
     for _ in range(50):
         k = rng.integers(2)
-        h = model.means[k] + 0.2 * (rng.standard_normal(16)
-                                    + 1j * rng.standard_normal(16))
-        y = observe(setup, h, rng)
-        assert gmm_feedback_index(obs, y).index == \
-            gmm_feedback_index_perfect(model, h).index
-
-
-def test_scheme_tags(desk_geometry, desk_tmodel):
-    h = desk_tmodel.means[0]
-    report = gmm_feedback_index_perfect(desk_tmodel, h)
-    assert report.scheme == "tgmm-perfect"
+        channels.append(model.means[k] + 0.2 * (
+            rng.standard_normal(16) + 1j * rng.standard_normal(16)))
+        y.append(observe(setup, channels[-1], rng))
+    from_obs = mixture_feedback(obs, np.array(y), "gmm-obs")
+    from_csi = mixture_feedback(model, np.array(channels), "gmm-perfect")
+    assert [r.index for r in from_obs] == [r.index for r in from_csi]

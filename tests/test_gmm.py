@@ -9,8 +9,8 @@ from limfb import gmm
 from limfb.feedback import build_pilot_matrix
 from limfb.formats import BadMagicError
 from limfb.gmm import (EmOptions, GmmModel, fit_em, load_model, log_density,
-                       param_count, project_to_observation, responsibilities,
-                       sample_component, sample_moments, save_model)
+                       param_count, project_to_observation, sample_component,
+                       sample_moments, save_model)
 from limfb.scene import (ArrayGeometry, ChannelDataset, SceneConfig,
                          generate_channels, normalize_dataset)
 from limfb.toeplitz import check_structure, realize_spectral, toeplitz_mstep
@@ -63,7 +63,7 @@ def test_log_density_rejects_non_pd():
 def test_responsibilities_single_component():
     model = _random_model(1, 3, seed=1)
     x = np.ones(3) + 0j
-    np.testing.assert_allclose(responsibilities(model, x), [1.0])
+    np.testing.assert_allclose(model.responsibilities(x), [1.0])
 
 
 def test_responsibilities_identical_components_reduce_to_weights():
@@ -72,7 +72,7 @@ def test_responsibilities_identical_components_reduce_to_weights():
     cov = np.eye(2) * 0.7
     model = GmmModel([0.3, 0.7], [mean, mean], [cov, cov])
     x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    np.testing.assert_allclose(responsibilities(model, x), [0.3, 0.7],
+    np.testing.assert_allclose(model.responsibilities(x), [0.3, 0.7],
                                atol=1e-12)
 
 
@@ -85,7 +85,7 @@ def test_responsibilities_match_scalar_bayes_oracle():
 
     num = np.array([0.4 * scalar_density(x[0], 0.0, 1.0),
                     0.6 * scalar_density(x[0], 2.0, 2.0)])
-    np.testing.assert_allclose(responsibilities(model, x), num / num.sum(),
+    np.testing.assert_allclose(model.responsibilities(x), num / num.sum(),
                                rtol=1e-12)
 
 
@@ -95,7 +95,7 @@ def test_responsibilities_form_a_simplex():
         model = _random_model(n_comp, 4, seed=n_comp)
         for _ in range(50):
             x = 10 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-            r = responsibilities(model, x)
+            r = model.responsibilities(x)
             assert abs(r.sum() - 1.0) < 1e-9
             assert np.all(r >= 0)
 
@@ -113,9 +113,9 @@ def test_responsibilities_invariant_to_common_score_scale():
         return e / e.sum()
 
     np.testing.assert_allclose(softmax(scores), softmax(shifted), rtol=1e-12)
-    np.testing.assert_allclose(responsibilities(model, x), softmax(scores),
+    np.testing.assert_allclose(model.responsibilities(x), softmax(scores),
                                rtol=1e-9)
-    assert np.argmax(softmax(shifted)) == np.argmax(responsibilities(model, x))
+    assert np.argmax(softmax(shifted)) == np.argmax(model.responsibilities(x))
 
 
 # -- EM ----------------------------------------------------------------------
