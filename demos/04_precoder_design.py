@@ -36,8 +36,7 @@ observations = np.array([observe(setup, h, seed=[7, j])
 reports = mixture_feedback(observation_model, observations, "gmm-obs")
 print("reported component indices:", [r.index for r in reports])
 
-representatives = directional_representatives(model)
-chosen = np.vstack([representatives[r.index - 1] for r in reports])
+chosen = directional_representatives(model, [r.index for r in reports])
 rci = rci_precoders(chosen, sigma_n2, rho)
 print(f"\nRCI: power {rci.power:.6f} (budget {rho}), "
       f"sum-rate {sum_rate(channels, rci, sigma_n2):.3f} bps/Hz")

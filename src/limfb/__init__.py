@@ -17,7 +17,7 @@ from .feedback import (Codebook, FeedbackReport, PilotSetup,
 from .gmm import (EmOptions, GmmModel, ObservationGmm, fit_em, load_model,
                   log_density, param_count, project_to_observation,
                   sample_component, sample_moments, save_model)
-from .precoding import (PrecoderSet, SwmmseOptions, directional_representative,
+from .precoding import (PrecoderSet, SwmmseOptions,
                         directional_representatives, rci_precoders,
                         swmmse_precoders)
 from .scene import (ArrayGeometry, ChannelDataset, SceneConfig,

@@ -52,15 +52,17 @@ def _cmd_train(args):
 
 
 def _cmd_feedback(args):
+    if args.count is not None and args.count < 1:
+        raise SystemExit(f"--count must be >= 1, got {args.count}")
     model = load_model(args.model, geometry=args.geometry)
     bits = int(round(np.log2(model.n_components)))
-    config = ExperimentConfig(
-        geometry=args.geometry, train_data=args.train_data,
-        eval_data=args.data, bits=bits, users=1, pilots=args.pilots)
     # The model file serves the family the scheme names, whatever constraint
     # it was fitted under, so the experiment never fits a model on demand.
     constraint = "toeplitz" if args.scheme.endswith("tgmm") else "full"
     try:
+        config = ExperimentConfig(
+            geometry=args.geometry, train_data=args.train_data,
+            eval_data=args.data, bits=bits, users=1, pilots=args.pilots)
         experiment = Experiment(config, models={(constraint, bits): model})
     except ValueError as exc:
         raise SystemExit(str(exc))

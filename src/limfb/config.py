@@ -22,9 +22,3 @@ def read_kv(path):
             out[key] = value.strip()
     return out
 
-
-def write_kv(path, mapping):
-    """Write a mapping as a flat key-value file (keys in insertion order)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in mapping.items():
-            fh.write(f"{key} = {value}\n")

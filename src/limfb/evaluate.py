@@ -30,8 +30,9 @@ from .estimators import (build_omp_dictionary, estimate_gmm, estimate_lmmse,
 from .feedback import (build_dft_codebook, build_pilot_matrix,
                        mixture_feedback, select_codebook_index)
 from .gmm import fit_em, load_model, project_to_observation, sample_moments
-from .precoding import (SwmmseOptions, directional_representatives,
-                        rci_precoders, swmmse_precoders)
+from .precoding import (SwmmseOptions, _sum_rate_matrix,
+                        directional_representatives, rci_precoders,
+                        swmmse_precoders)
 from .scene import ArrayGeometry, load_dataset
 
 logger = logging.getLogger(__name__)
@@ -56,13 +57,6 @@ def sum_rate(channels, precoders, sigma_n2):
     if channels.shape[0] != np.asarray(vectors).shape[0]:
         raise ValueError("need one precoder per channel")
     return _sum_rate_matrix(channels, np.asarray(vectors), sigma_n2)
-
-
-def _sum_rate_matrix(channels, vectors, sigma_n2):
-    gains = channels @ vectors.T
-    signal = np.abs(np.diagonal(gains)) ** 2
-    interference = np.sum(np.abs(gains) ** 2, axis=1) - signal
-    return float(np.sum(np.log2(1.0 + signal / (interference + sigma_n2))))
 
 
 def parse_scheme(tag):
@@ -111,6 +105,9 @@ class ExperimentConfig:
             raise ValueError("need at least one constellation")
         if self.users < 1:
             raise ValueError("need at least one user")
+        if not 1 <= self.pilots <= self.geometry.n:
+            raise ValueError(f"pilots must lie in 1..{self.geometry.n}, "
+                             f"got {self.pilots}")
         if self.precoder not in ("rci", "swmmse"):
             raise ValueError(f"unknown precoder {self.precoder!r}")
         for tag in self.schemes:
@@ -199,6 +196,8 @@ class Experiment:
     Models are keyed by (constraint, bits). Missing models are loaded from
     ``config.model_paths`` (keys ``full``/``toeplitz`` or ``full.<bits>``)
     or, when training data is available, fitted on demand (logged at INFO).
+    A mixture component's directional representative is computed on first
+    use, when a report first names it, and cached.
     """
 
     def __init__(self, config, train_dataset=None, eval_dataset=None,
@@ -274,12 +273,14 @@ class Experiment:
             self._codebooks[bits] = build_dft_codebook(self.geometry, bits)
         return self._codebooks[bits]
 
-    def representatives(self, constraint, bits):
-        key = (constraint, bits)
-        if key not in self._representatives:
+    def representatives(self, constraint, bits, indices):
+        """Rows for the 1-based component ``indices``, each computed once."""
+        cache = self._representatives.setdefault((constraint, bits), {})
+        missing = [k for k in dict.fromkeys(indices) if k not in cache]
+        if missing:
             model = self.model_for(constraint, bits)
-            self._representatives[key] = directional_representatives(model)
-        return self._representatives[key]
+            cache.update(zip(missing, directional_representatives(model, missing)))
+        return np.vstack([cache[k] for k in indices])
 
     def omp_dictionary(self):
         if self._omp_dictionary is None:
@@ -357,10 +358,10 @@ class Experiment:
             options = SwmmseOptions(max_iters=iters, seed=swmmse_seed)
             return swmmse_precoders(model, reports, sigma_n2, rho, options)
         if kind == "mixture":
-            reps = self.representatives(_MIXTURE_FAMILIES[detail[0]], bits)
+            chosen = self.representatives(_MIXTURE_FAMILIES[detail[0]], bits,
+                                          [r.index for r in reports])
         else:
-            reps = self.codebook(bits).entries
-        chosen = np.vstack([reps[r.index - 1] for r in reports])
+            chosen = self.codebook(bits).entries[[r.index - 1 for r in reports]]
         return rci_precoders(chosen, sigma_n2, rho)
 
     def run_constellation(self, seed, n_pilots=None, sigma_n2=None, bits=None,

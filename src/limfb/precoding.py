@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 
 _POWER_SLACK = 1e-6
 _EIGEN_GAP_TIE = 1e-10
+_EPS = np.finfo(float).eps
 _WEIGHT_CLAMP = 1e6
 _NEWTON_STEPS = 100
 
@@ -39,7 +40,6 @@ class SwmmseOptions:
     step_exponent: float = 1.0
     power_tol: float = 1e-9
     seed: int = 0
-    averaging_window: int | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -76,33 +76,31 @@ class PrecoderSet:
         return float(np.sum(np.abs(self.vectors) ** 2))
 
 
-def directional_representative(model, k):
-    """Unit dominant eigenvector of the component correlation matrix.
+def directional_representatives(model, indices=None):
+    """Unit dominant eigenvectors of ``C_k + mu_k mu_k^H`` for the 1-based
+    ``indices`` (repeats allowed; all K when None), from one stacked ``eigh``.
 
-    The correlation matrix of component k (1-based) is ``C_k + mu_k mu_k^H``.
-    The global phase is fixed by making the largest-magnitude entry real
-    positive. Near-degenerate top eigenvalues are logged; any maximizer is
-    returned in that case. Representatives for all components can be
-    precomputed offline, see :func:`directional_representatives`.
+    The largest-magnitude entry is made real positive. Near-degenerate top
+    eigenvalues are logged; any maximizer is returned in that case.
     """
-    if not 1 <= k <= model.n_components:
-        raise ValueError(f"component index {k} outside 1..{model.n_components}")
-    mean = model.means[k - 1]
-    corr = model.covariances[k - 1] + np.outer(mean, mean.conj())
+    n_comp = model.n_components
+    indices = (np.arange(1, n_comp + 1) if indices is None
+               else np.asarray(indices, dtype=np.intp).reshape(-1))
+    if np.any((indices < 1) | (indices > n_comp)):
+        raise ValueError(f"component indices outside 1..{n_comp}")
+    means = model.means[indices - 1]
+    corr = (model.covariances[indices - 1]
+            + means[:, :, None] * means[:, None, :].conj())
     eigvals, eigvecs = np.linalg.eigh(corr)
-    if model.dim > 1 and eigvals[-1] - eigvals[-2] < _EIGEN_GAP_TIE:
-        logger.warning("component %d has a near-degenerate dominant eigenvalue", k)
-    vec = eigvecs[:, -1]
-    pivot = np.argmax(np.abs(vec))
-    phase = vec[pivot] / abs(vec[pivot])
-    vec = vec * phase.conj()
-    return vec / np.linalg.norm(vec)
-
-
-def directional_representatives(model):
-    """(K, N) matrix of all directional representatives (offline phase)."""
-    return np.vstack([directional_representative(model, k + 1)
-                      for k in range(model.n_components)])
+    reps = np.empty((len(indices), model.dim), dtype=np.complex128)
+    for row, k in enumerate(indices):
+        if model.dim > 1 and eigvals[row, -1] - eigvals[row, -2] < _EIGEN_GAP_TIE:
+            logger.warning("component %d has a near-degenerate dominant eigenvalue", k)
+        vec = eigvecs[row, :, -1]
+        pivot = np.argmax(np.abs(vec))
+        vec = vec * (vec[pivot] / abs(vec[pivot])).conj()
+        reps[row] = vec / np.linalg.norm(vec)
+    return reps
 
 
 def rci_precoders(representatives, sigma_n2, rho):
@@ -144,6 +142,13 @@ def rci_precoders(representatives, sigma_n2, rho):
     return PrecoderSet(vectors, rho, "rci",
                        metadata={"regularizer": regularizer, "beta": beta,
                                  "ridged": flagged})
+
+
+def _sum_rate_matrix(channels, vectors, sigma_n2):
+    gains = channels @ vectors.T
+    signal = np.abs(np.diagonal(gains)) ** 2
+    interference = np.sum(np.abs(gains) ** 2, axis=1) - signal
+    return float(np.sum(np.log2(1.0 + signal / (interference + sigma_n2))))
 
 
 def _check_rho(rho):
@@ -202,27 +207,33 @@ def _power_step(cov, rhs, rho, tol, lam=0.0):
 
     Returns ``(vectors, lam, factorizations, eigen)``. The ridge is 0 when
     the pseudo-inverse over the eigenvalues above 1e-13 of the top fits the
-    budget (weight outside that subspace needs unbounded power); otherwise
-    the power is within ``tol * rho`` of rho. Newton starts from ``lam``,
+    budget (weight outside that subspace needs unbounded power, unless it is
+    no more than ``eigh`` leaks there); otherwise the power is within
+    ``tol * rho`` of rho. Newton starts from ``lam``,
     the previous ridge, at one Cholesky factorization per step. A singular
     or ill-conditioned ``cov`` at ``lam = 0``, or a ridge below what
     ``cov + lam I`` resolves, hands the step to one ``eigh`` (``eigen``).
     """
     hi = np.linalg.norm(rhs) / np.sqrt(rho * (1.0 - 0.5 * tol))  # phi(hi) <= rho
-    eye = np.eye(cov.shape[0])
+    dim = cov.shape[0]
+    shifted = np.empty((dim, dim), dtype=np.complex128, order="F")
+    diagonal = shifted.T.reshape(-1)[::dim + 1]  # a view: shifted.T is C-order
+    rhs_t = np.asfortranarray(rhs.T)
     factorizations = 0
 
     def cholesky_solve(lam):
         nonlocal factorizations
-        chol, info = lapack.zpotrf(cov + lam * eye, lower=1, clean=0)
+        shifted[...] = cov
+        np.add(diagonal, lam, out=diagonal)
+        chol, info = lapack.zpotrf(shifted, lower=1, clean=0, overwrite_a=1)
         factorizations += 1
         if info != 0 or lam == 0.0 and _ill_conditioned(cov, chol):
             return None
-        x, _ = lapack.zpotrs(chol, rhs.T, lower=1)
+        x, _ = lapack.zpotrs(chol, rhs_t, lower=1)
         z, _ = lapack.ztrtrs(chol, x, lower=1)
         return np.vdot(x, x).real, np.vdot(z, z).real, x.T
 
-    resolution = 8.0 * np.finfo(float).eps * np.max(cov.diagonal().real)
+    resolution = 8.0 * _EPS * np.max(cov.diagonal().real)
     found = _ridge_newton(cholesky_solve, rho, tol, lam, [0.0, hi], True,
                           resolution)
     if found is not None:
@@ -233,7 +244,11 @@ def _power_step(cov, rhs, rho, tol, lam=0.0):
     coeffs = rhs @ eigvecs.conj()  # rows: b_j in the eigenbasis
     coeffs_sq = np.abs(coeffs) ** 2
     active = eigvals > max(eigvals[-1], 1e-300) * 1e-13
-    if (not np.any(coeffs_sq[:, ~active] > 1e-24 * max(coeffs_sq.sum(), 1e-300))
+    # eigh leaks ~(eps |A| / gap)^2 of the weight onto inactive directions
+    gap = (np.min(eigvals[active], initial=np.inf)
+           - np.max(eigvals[~active], initial=0.0))
+    leak = max(1e-24, (10.0 * _EPS * eigvals[-1] / gap) ** 2)
+    if (not np.any(coeffs_sq[:, ~active] > leak * max(coeffs_sq.sum(), 1e-300))
             and np.sum(coeffs_sq[:, active] / eigvals[active] ** 2) <= rho):
         inv = np.where(active, 1.0 / np.maximum(eigvals, 1e-300), 0.0)
         return (coeffs * inv) @ eigvecs.T, 0.0, factorizations, True
@@ -245,8 +260,9 @@ def _power_step(cov, rhs, rho, tol, lam=0.0):
 
     bracket = [0.0, hi]
     found = _ridge_newton(eigen_solve, rho, tol, lam, bracket, False, 0.0)
-    # no root when eigh leaks weight onto a null direction whose eigenvalue
-    # keeps phi(0+) <= rho: the least feasible ridge tried stands in
+    # no root when weight on an inactive direction rules lam = 0 out while
+    # its eigenvalue keeps phi(0+) <= rho: the least feasible ridge tried
+    # stands in
     lam = bracket[1] if found is None else found[1]
     return (coeffs / (eigvals + lam)) @ eigvecs.T, lam, factorizations, True
 
@@ -279,17 +295,17 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
         comps.append(report.index - 1)
     unique, inverse = np.unique(comps, return_inverse=True)
     roots = np.stack([_component_sqrt(model.covariances[k]) for k in unique])[inverse]
-    means = model.means[comps]
-    rng = np.random.default_rng(options.seed)
+    # the draws of all T + 1 rounds (real, then imaginary parts, round by
+    # round) in one call: the same random stream as one call per round
+    noise = np.random.default_rng(options.seed).standard_normal(
+        (options.max_iters + 1, 2, n_users, dim))
+    white = (noise[:, 0] + 1j * noise[:, 1]) / np.sqrt(2.0)
+    samples = (roots @ white[..., None])[..., 0]
+    samples += model.means[comps]
+    del noise, white
 
-    def draw():
-        white = (rng.standard_normal((n_users, dim))
-                 + 1j * rng.standard_normal((n_users, dim))) / np.sqrt(2.0)
-        return means + (roots @ white[:, :, None])[:, :, 0]
-
-    init = draw()
-    init_norms = np.linalg.norm(init, axis=1)
-    vectors = np.sqrt(rho / n_users) * init.conj() / init_norms[:, None]
+    init_norms = np.linalg.norm(samples[0], axis=1)
+    vectors = np.sqrt(rho / n_users) * samples[0].conj() / init_norms[:, None]
 
     avg_cov = np.zeros((dim, dim), dtype=np.complex128)
     avg_rhs = np.zeros((n_users, dim), dtype=np.complex128)
@@ -302,8 +318,8 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
     snapshots = np.empty((options.max_iters, n_users, dim), dtype=np.complex128)
 
     for t in range(1, options.max_iters + 1):
-        samples = draw()
-        gains = samples @ vectors.T  # gains[j, m] = h_j^T v_m
+        sample = samples[t]
+        gains = sample @ vectors.T  # gains[j, m] = h_j^T v_m
         denom = np.sum(np.abs(gains) ** 2, axis=1) + sigma_n2
         direct = np.diagonal(gains)
         receivers = direct.conj() / denom
@@ -312,9 +328,10 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
 
         gamma = t ** (-options.step_exponent)
         coef = weights * np.abs(receivers) ** 2
-        avg_cov = (1.0 - gamma) * avg_cov + gamma * (samples.conj().T * coef) @ samples
-        avg_rhs = ((1.0 - gamma) * avg_rhs
-                   + gamma * (weights * receivers.conj())[:, None] * samples.conj())
+        avg_cov *= 1.0 - gamma
+        avg_cov += gamma * (sample.conj().T * coef) @ sample
+        avg_rhs *= 1.0 - gamma
+        avg_rhs += gamma * (weights * receivers.conj())[:, None] * sample.conj()
 
         vectors, lam, factorizations[t - 1], eigen = _power_step(
             avg_cov, avg_rhs, rho, options.power_tol, lam)
@@ -324,11 +341,7 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
                 f"stochastic WMMSE diverged at iteration {t} "
                 f"(lambda={lam}, power={np.sum(np.abs(vectors) ** 2)})")
 
-        gains = samples @ vectors.T
-        signal = np.abs(np.diagonal(gains)) ** 2
-        interference = np.sum(np.abs(gains) ** 2, axis=1) - signal
-        objective_track[t - 1] = np.sum(np.log2(1.0 + signal
-                                                / (interference + sigma_n2)))
+        objective_track[t - 1] = _sum_rate_matrix(sample, vectors, sigma_n2)
         power_track[t - 1] = np.sum(np.abs(vectors) ** 2)
         lambda_track[t - 1] = lam
         snapshots[t - 1] = vectors
@@ -342,9 +355,4 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
         "precoders": snapshots,
         "components": [c + 1 for c in comps],
     }
-    if options.averaging_window:
-        window = int(options.averaging_window)
-        kernel = np.ones(window) / window
-        metadata["objective_smoothed"] = np.convolve(objective_track, kernel,
-                                                     mode="valid")
     return PrecoderSet(vectors, rho, "swmmse", metadata=metadata)

@@ -107,11 +107,6 @@ class ChannelDataset:
     def dim(self):
         return self.samples.shape[1]
 
-    def subset(self, index):
-        """New dataset holding ``samples[index]`` with the same metadata."""
-        return ChannelDataset(self.samples[index], scene=self.scene,
-                              normalized=self.normalized)
-
 
 def steering_vector(geometry, elevation, azimuth):
     """URA plane-wave response, Kronecker of the vertical and horizontal factors.

@@ -17,7 +17,7 @@ from limfb.feedback import (FeedbackReport, build_dft_codebook,
                             build_pilot_matrix, select_codebook_index)
 from limfb.gmm import GmmModel, param_count, project_to_observation
 from limfb.precoding import (PrecoderSet, SwmmseOptions,
-                             directional_representative, swmmse_precoders)
+                             directional_representatives, swmmse_precoders)
 from limfb.scene import ArrayGeometry
 from limfb.toeplitz import check_structure
 from wmmse_oracle import deterministic_wmmse
@@ -135,7 +135,7 @@ def test_criterion_3_oracle_equivalence(desk_geometry):
         cov = raw @ raw.conj().T
         mean = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         model = GmmModel([1.0], [mean], [cov + np.eye(6)])
-        got = directional_representative(model, 1)
+        got = directional_representatives(model, [1])[0]
         _, vecs = np.linalg.eigh(cov + np.eye(6) + np.outer(mean, mean.conj()))
         ref = vecs[:, -1]
         phase = np.vdot(ref, got)

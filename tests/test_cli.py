@@ -160,3 +160,25 @@ def test_cli_rejects_bad_geometry(workspace):
         main(["train", "--data", str(workspace / "train.lfbd"), "--bits", "2",
               "--constraint", "toeplitz", "--out", "/tmp/x.lfbm",
               "--geometry", "banana"])
+
+
+def _feedback_args(workspace, *extra):
+    return ["feedback", "--model", str(workspace / "model.lfbm"),
+            "--scheme", "gmm", "--snr-db", "10",
+            "--data", str(workspace / "eval.lfbd"), "--geometry", "2x4",
+            *extra]
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_feedback_rejects_count_below_one(workspace, capsys, count):
+    with pytest.raises(SystemExit, match=f"--count must be >= 1, got {count}"):
+        main(_feedback_args(workspace, "--pilots", "4", "--count", count))
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("pilots", ["0", "9"])
+def test_feedback_rejects_pilots_outside_the_array(workspace, capsys, pilots):
+    with pytest.raises(SystemExit,
+                       match=f"pilots must lie in 1..8, got {pilots}"):
+        main(_feedback_args(workspace, "--pilots", pilots))
+    assert capsys.readouterr().out == ""

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from limfb import evaluate
 from limfb.evaluate import (Experiment, ExperimentConfig, SweepResult,
                             dump_raw, emit_csv, export_trajectory_csv,
                             parse_scheme, read_sweep_csv, run_sweep, sum_rate)
@@ -114,6 +115,47 @@ def test_run_constellation_matches_hand_driven_pipeline(
         chosen.append(reps[idx])
     precoders = rci_precoders(np.vstack(chosen), sigma_n2, cfg.rho)
     assert rates["gmm-obs"] == sum_rate(channels, precoders, sigma_n2)
+
+
+def test_representatives_are_computed_once_per_used_component(
+        desk_train, desk_eval, desk_model, desk_tmodel, monkeypatch):
+    exp = _experiment(desk_train, desk_eval, desk_model, desk_tmodel,
+                      schemes=("gmm-obs", "gmm-perfect", "tgmm-obs"))
+    used = {"full": set(), "toeplitz": set()}
+    feedback = evaluate.mixture_feedback
+
+    def recording_feedback(mixture, points, scheme):
+        reports = feedback(mixture, points, scheme)
+        used["toeplitz" if scheme.startswith("t") else "full"].update(
+            r.index for r in reports)
+        return reports
+
+    eigh_rows = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(matrices):
+        eigh_rows.append(len(matrices))
+        return eigh(matrices)
+
+    monkeypatch.setattr(evaluate, "mixture_feedback", recording_feedback)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    first, _ = exp.run_constellation([17, 0])
+    assert sum(eigh_rows) == len(used["full"]) + len(used["toeplitz"])
+    for constraint in ("full", "toeplitz"):
+        assert set(exp._representatives[(constraint, 4)]) == used[constraint]
+
+    # the same constellation again: every representative comes from the cache
+    eigh_rows.clear()
+    again, _ = exp.run_constellation([17, 0])
+    assert again == first and eigh_rows == []
+    # a new constellation computes only the components not seen before
+    seen = len(used["full"]) + len(used["toeplitz"])
+    exp.run_constellation([17, 1])
+    assert sum(eigh_rows) == len(used["full"]) + len(used["toeplitz"]) - seen
+    # cached rows are the rows of the full matrix, bit for bit
+    full = directional_representatives(desk_model)
+    for k, row in exp._representatives[("full", 4)].items():
+        assert row.tobytes() == full[k - 1].tobytes()
 
 
 def test_perfect_equals_observed_with_invertible_noiseless_pilots(

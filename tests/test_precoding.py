@@ -7,11 +7,10 @@ from limfb.evaluate import sum_rate
 from limfb.feedback import FeedbackReport
 from limfb.gmm import GmmModel
 from limfb.precoding import (PrecoderSet, SwmmseOptions, _power_step,
-                             directional_representative,
                              directional_representatives, rci_precoders,
                              swmmse_precoders)
 from wmmse_oracle import (deterministic_wmmse, eigen_power_step,
-                          stochastic_wmmse)
+                          reference_swmmse, stochastic_wmmse)
 
 
 def _degenerate_model(means, eps=1e-12):
@@ -30,14 +29,14 @@ def _reports(indices):
 
 def test_representative_diagonal_dominant_axis():
     model = GmmModel([1.0], np.zeros((1, 2)), [np.diag([2.0, 1.0]) + 0j])
-    np.testing.assert_allclose(directional_representative(model, 1),
+    np.testing.assert_allclose(directional_representatives(model, [1])[0],
                                [1.0, 0.0], atol=1e-12)
 
 
 def test_representative_rank_one_bump():
     mean = np.array([0.0, 2.0], dtype=complex)
     model = GmmModel([1.0], [mean], [np.eye(2)])
-    np.testing.assert_allclose(directional_representative(model, 1),
+    np.testing.assert_allclose(directional_representatives(model, [1])[0],
                                [0.0, 1.0], atol=1e-12)
 
 
@@ -47,7 +46,7 @@ def test_representative_matches_dense_eigensolver():
     cov = raw @ raw.conj().T
     mean = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     model = GmmModel([1.0], [mean], [cov])
-    got = directional_representative(model, 1)
+    got = directional_representatives(model, [1])[0]
     eigvals, eigvecs = np.linalg.eigh(cov + np.outer(mean, mean.conj()))
     expected = eigvecs[:, -1]
     phase = np.vdot(expected, got)
@@ -62,8 +61,8 @@ def test_representative_scale_invariance():
     alpha = 7.3
     a = GmmModel([1.0], [mean], [cov])
     b = GmmModel([1.0], [np.sqrt(alpha) * mean], [alpha * cov])
-    np.testing.assert_allclose(directional_representative(a, 1),
-                               directional_representative(b, 1), atol=1e-10)
+    np.testing.assert_allclose(directional_representatives(a, [1])[0],
+                               directional_representatives(b, [1])[0], atol=1e-10)
 
 
 def test_representatives_matrix(desk_model):
@@ -71,6 +70,22 @@ def test_representatives_matrix(desk_model):
     assert reps.shape == (16, 16)
     np.testing.assert_allclose(np.linalg.norm(reps, axis=1), np.ones(16),
                                atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(indices=st.lists(st.integers(1, 16), max_size=40))
+def test_representative_rows_match_the_full_matrix(desk_model, indices):
+    # any subset, order or repeats: the same eigh per component, bit for bit
+    full = directional_representatives(desk_model)
+    rows = directional_representatives(desk_model, indices)
+    assert rows.shape == (len(indices), 16)
+    assert rows.tobytes() == full[np.array(indices, dtype=int) - 1].tobytes()
+
+
+def test_representatives_reject_indices_out_of_range(desk_model):
+    for bad in ([0], [17], [3, -1]):
+        with pytest.raises(ValueError, match="outside 1..16"):
+            directional_representatives(desk_model, bad)
 
 
 # -- RCI -----------------------------------------------------------------------
@@ -154,7 +169,7 @@ def test_representative_tie_is_flagged(caplog):
 
     model = GmmModel([1.0], np.zeros((1, 3)), [np.eye(3)])
     with caplog.at_level(logging.WARNING, logger="limfb.precoding"):
-        vec = directional_representative(model, 1)
+        vec = directional_representatives(model, [1])[0]
     assert any("degenerate" in rec.message for rec in caplog.records)
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
 
@@ -225,6 +240,23 @@ def test_swmmse_matches_per_user_reference(desk_model):
                 <= 1e-6 * np.linalg.norm(expected))
 
 
+@pytest.mark.parametrize("seed", [0, 6, 21])
+@pytest.mark.parametrize("sigma_n2", [1.0, 0.1, 0.001])
+def test_swmmse_matches_reference_loop_bit_for_bit(desk_model, seed, sigma_n2):
+    # 8 users on 16 antennas: the first iterations take the eigen path
+    components = [2, 0, 2, 9, 15, 4, 4, 11]
+    options = SwmmseOptions(max_iters=60, seed=seed)
+    out = swmmse_precoders(desk_model, _reports([k + 1 for k in components]),
+                           sigma_n2, 1.0, options)
+    vectors, objective, ridge, factorizations, eigen = reference_swmmse(
+        desk_model, components, sigma_n2, 1.0, options)
+    assert out.vectors.tobytes() == vectors.tobytes()
+    assert out.metadata["objective"].tobytes() == objective.tobytes()
+    assert out.metadata["ridge"].tobytes() == ridge.tobytes()
+    assert np.array_equal(out.metadata["factorizations"], factorizations)
+    assert out.metadata["eigen_iterations"] == eigen
+
+
 def test_swmmse_two_user_matches_deterministic_oracle():
     # moderately correlated pair: both users stay active at the optimum
     # (the 1/t averaging approaches user-shutdown solutions only slowly)
@@ -258,11 +290,10 @@ def test_swmmse_trajectory_metadata():
     rng = np.random.default_rng(12)
     means = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     model = _degenerate_model(means, eps=0.02)
-    opts = SwmmseOptions(max_iters=25, seed=4, averaging_window=5)
+    opts = SwmmseOptions(max_iters=25, seed=4)
     out = swmmse_precoders(model, _reports([1, 2]), 0.1, 1.0, opts)
     assert out.metadata["precoders"].shape == (25, 2, 3)
     assert len(out.metadata["objective"]) == 25
-    assert len(out.metadata["objective_smoothed"]) == 21
     assert out.designer == "swmmse"
 
 
@@ -350,6 +381,28 @@ def test_power_step_without_root_stays_feasible():
     vectors, lam, _, eigen = _power_step(cov, rhs, 1e7, 1e-9)
     assert eigen and lam > 0.0
     assert np.sum(np.abs(vectors) ** 2) <= 1e7
+
+
+def test_power_step_ignores_what_eigh_leaks_onto_null_directions():
+    # rank 6 of 7 at condition 10^5.6, rhs in the range: eigh leaks up to
+    # about (eps |A| / gap)^2 = 8e-21 of the weight onto the null direction;
+    # a fixed 1e-24 cut rules lam = 0 out here and ends on a ridge near
+    # 1e-306 at 64 % of rho
+    rng = np.random.default_rng(0)
+    basis, _ = np.linalg.qr(_complex_normal(rng, (7, 7)))
+    cov = (basis * np.r_[np.logspace(0.0, -5.6, 6), 0.0]) @ basis.conj().T
+    rhs = (basis[:, :6] @ _complex_normal(rng, (6, 2))).T
+    pinv = rhs @ np.linalg.pinv(cov, rcond=1e-10, hermitian=True).T
+    zero_power = np.sum(np.abs(pinv) ** 2)
+    tol = SwmmseOptions().power_tol
+    vectors, lam, _, eigen = _power_step(cov, rhs, 2.0 * zero_power, tol)
+    assert eigen and lam == 0.0
+    np.testing.assert_allclose(vectors, pinv, rtol=1e-6)
+    # below the pseudo-inverse's power the ridge brings the power to rho
+    rho = 0.5 * zero_power
+    vectors, lam, _, eigen = _power_step(cov, rhs, rho, tol)
+    assert eigen and lam > 0.0
+    assert 0.0 <= rho - np.sum(np.abs(vectors) ** 2) <= tol * rho
 
 
 def test_power_step_keeps_zero_ridge_inside_the_window():
