@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .feedback import _dft_beams
-from .gmm import project_to_observation
+from .gmm import GmmModel, project_to_observation
 
 _REFIT_RIDGE = 1e-10
 
@@ -19,17 +19,10 @@ def estimate_lmmse(mean, cov, setup, y):
     """LMMSE channel estimate from first and second order statistics.
 
     ``h_hat = m + S P^H (P S P^H + sigma_n2 I)^-1 (y - P m)`` with ``m`` and
-    ``S`` the supplied mean and covariance.
+    ``S`` the supplied mean and covariance: :func:`estimate_gmm` with one
+    component, so ``y`` is (n_p,) or (J, n_p) as there.
     """
-    if setup.sigma_n2 is None:
-        raise ValueError("pilot setup has no noise variance set")
-    mean = np.asarray(mean, dtype=np.complex128)
-    cov = np.asarray(cov, dtype=np.complex128)
-    pilot = setup.pilot_matrix
-    obs_cov = pilot @ cov @ pilot.conj().T + setup.sigma_n2 * np.eye(setup.n_pilots)
-    innovation = np.asarray(y, dtype=np.complex128) - pilot @ mean
-    weight = cho_solve(cho_factor(obs_cov), innovation)
-    return mean + cov @ (pilot.conj().T @ weight)
+    return estimate_gmm(GmmModel([1.0], [mean], [cov]), setup, y)
 
 
 def estimate_gmm(model, setup, y, obs=None):

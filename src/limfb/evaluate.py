@@ -340,8 +340,7 @@ class Experiment:
                                          setup.sigma_n2)
             return estimate_gmm(model, setup, observations, obs=obs)
         if estimator == "lmmse":
-            mean, cov = self.train_stats()
-            return [estimate_lmmse(mean, cov, setup, y) for y in observations]
+            return estimate_lmmse(*self.train_stats(), setup, observations)
         if estimator == "omp":
             return [estimate_omp(setup, self.omp_dictionary(), y)
                     for y in observations]

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg.lapack import ztrtri
+from scipy.linalg.lapack import ztrtrs
 from scipy.special import logsumexp
 
 from .formats import DimensionError, FileFormatError, expect_magic, read_exact
@@ -40,12 +40,12 @@ class EmOptions:
     ``floor_scale`` sets the covariance regularization floor as a fraction of
     the average eigenvalue of the global sample covariance; the floor is
     applied to eigenvalues (full constraint) or spectral entries (toeplitz).
+    ``seed`` drives the k-means++ seeding and the re-seeding draws.
     """
 
     max_iters: int = 100
     rel_loglik_tol: float = 1e-6
     floor_scale: float = 1e-6
-    init: str = "kmeans++"
     seed: int = 0
 
     def __post_init__(self):
@@ -55,8 +55,6 @@ class EmOptions:
             raise ValueError("rel_loglik_tol must be >= 0")
         if self.floor_scale <= 0:
             raise ValueError("floor_scale must be > 0")
-        if self.init not in ("kmeans++", "random"):
-            raise ValueError(f"unknown init strategy {self.init!r}")
 
 
 def _chol_logdet(cov):
@@ -96,15 +94,18 @@ def log_density(x, mean, cov):
 
 
 def _inverse_factors(covariances):
-    """Inverse lower Cholesky factors (K, d, d) and log-determinants (K,)."""
+    """Inverse lower Cholesky factors (K, d, d) and log-determinants (K,).
+
+    The one factorization behind EM, both mixtures and the LMMSE filters;
+    ``ztrtrs`` makes it match ``cholesky`` + ``solve_triangular`` bitwise.
+    """
     if not np.all(np.isfinite(covariances)):
         raise np.linalg.LinAlgError("covariance contains infs or NaNs")
     chols = np.linalg.cholesky(covariances)
     logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2).real),
                            axis=1)
-    inv_chols = np.empty_like(chols)
-    for k, chol in enumerate(chols):
-        inv_chols[k] = ztrtri(chol, lower=1)[0]
+    eye = np.eye(chols.shape[-1])
+    inv_chols = np.array([ztrtrs(chol, eye, lower=1)[0] for chol in chols])
     return inv_chols, logdets
 
 
@@ -187,7 +188,10 @@ class GmmModel(_Mixture):
         dim = self.means.shape[1]
         if covariances.shape[1:] != (dim, dim):
             raise ValueError("covariance shape mismatch")
-        if np.any(weights <= 0):
+        if not (np.isfinite(self.means).all()
+                and np.isfinite(covariances).all()):
+            raise ValueError("means and covariances must be finite")
+        if not np.all(weights > 0):  # also rejects NaN
             raise ValueError("all mixture weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to one")
@@ -197,8 +201,9 @@ class GmmModel(_Mixture):
             if spectral is None:
                 raise ValueError("toeplitz models require spectral vectors")
             spectral = np.asarray(spectral, dtype=float)
-            if spectral.shape != (n_comp, 4 * dim):
-                raise ValueError("spectral vectors must have shape (K, 4N)")
+            if (spectral.shape != (n_comp, 4 * dim)
+                    or not np.all(np.isfinite(spectral))):
+                raise ValueError("need finite spectral vectors of shape (K, 4N)")
         self.constraint = constraint
         self.spectral = spectral
         self.geometry = geometry
@@ -403,21 +408,17 @@ def _unpack_second_moments(packed, dim):
     return out
 
 
-def _precision_logdet(cov):
-    """Inverse and real log-determinant of a Hermitian PD matrix."""
-    chol, logdet = _chol_logdet(cov)
-    inv_chol = solve_triangular(chol, np.eye(cov.shape[0]), lower=True)
-    return inv_chol.conj().T @ inv_chol, logdet
-
-
-def _score_matrix(weights, means, precisions, logdets):
+def _score_matrix(weights, means, inv_chols, logdets):
     """(N^2+2N+1, K) matrix W with ``phi(x) @ W`` the weighted log densities.
 
-    Column k packs -P_k, the linear term 2 P_k mu_k and the constant
+    Takes the factors of :func:`_inverse_factors` and forms the precisions
+    ``P_k = L_k^-H L_k^-1`` in one batched product. Column k packs -P_k, the
+    linear term 2 P_k mu_k and the constant
     ``-mu_k^H P_k mu_k - log det C_k - N log(pi) + log w_k``, so that entry k
     of ``phi(x) @ W`` is ``log w_k + log CN(x; mu_k, C_k)``.
     """
     dim = means.shape[1]
+    precisions = np.swapaxes(inv_chols.conj(), 1, 2) @ inv_chols
     linear = np.einsum("kij,kj->ki", precisions, means)
     const = (np.log(weights) - logdets - dim * np.log(np.pi)
              - np.einsum("ki,ki->k", means.conj(), linear).real)
@@ -455,7 +456,8 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
     once (see :func:`_lift`), scored against all components with one real
     GEMM (E-step), and its responsibility-weighted lift is accumulated into
     the (K, N^2+2N+1) sums that give the weights, means and second moments
-    of the M-step, about 4*L*K*N^2 flops per iteration.
+    of the M-step, about 4*L*K*N^2 flops per iteration. The covariances are
+    factored by :func:`_inverse_factors`, as in the mixture classes.
 
     For ``constraint="toeplitz"`` the M-step projects each weighted scatter
     matrix onto the block-Toeplitz cone (see :mod:`limfb.toeplitz`), which is
@@ -487,37 +489,27 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
     _, global_cov = sample_moments(x)
     floor = options.floor_scale * np.trace(global_cov).real / dim
 
-    def structured(scatter):
-        spectrum = toeplitz_mstep(scatter, geometry, floor=floor)
-        return spectrum, realize_spectral(spectrum, geometry)
+    def project(scatter):
+        """(spectrum or None, covariance) of the constrained M-step."""
+        if constraint == "toeplitz":
+            spectrum = toeplitz_mstep(scatter, geometry, floor=floor)
+            return spectrum, realize_spectral(spectrum, geometry)
+        return None, _floor_eigenvalues(scatter, floor)
 
-    if options.init == "kmeans++":
-        seeds = _kmeanspp_indices(x, n_components, rng)
-    else:
-        seeds = rng.choice(n_samples, size=n_components, replace=False)
-    means = x[np.asarray(seeds)].copy()
+    means = x[_kmeanspp_indices(x, n_components, rng)]
     weights = np.full(n_components, 1.0 / n_components)
-    spectral = None
-    if constraint == "toeplitz":
-        init_spectrum, init_cov = structured(global_cov)
-        spectral = np.tile(init_spectrum, (n_components, 1))
-        covariances = np.tile(init_cov, (n_components, 1, 1))
-    else:
-        init_cov = _floor_eigenvalues(global_cov, floor)
-        covariances = np.tile(init_cov, (n_components, 1, 1))
-
-    precisions = np.empty_like(covariances)
-    logdets = np.empty(n_components)
-    for k in range(n_components):
-        precisions[k], logdets[k] = _precision_logdet(covariances[k])
+    init_spectrum, init_cov = project(global_cov)
+    covariances = np.tile(init_cov, (n_components, 1, 1))
+    spectral = (None if init_spectrum is None
+                else np.tile(init_spectrum, (n_components, 1)))
 
     n_quad = dim * dim
     log_likelihoods = []
     converged = False
     for iteration in range(options.max_iters):
         started = time.perf_counter()
-        log_norm, sums = _em_pass(
-            x, _score_matrix(weights, means, precisions, logdets))
+        log_norm, sums = _em_pass(x, _score_matrix(
+            weights, means, *_inverse_factors(covariances)))
         avg_ll = float(log_norm.mean())
         delta = avg_ll - log_likelihoods[-1] if log_likelihoods else np.nan
         log_likelihoods.append(avg_ll)
@@ -529,7 +521,7 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
                     "(%.6f -> %.6f)", iteration, prev, avg_ll)
             converged = abs(delta) <= options.rel_loglik_tol * abs(prev)
 
-        # M-step (skipped once converged)
+        # M-step (skipped once converged); collapsed components re-seed
         collapsed = []
         if not converged:
             mass = sums[:, -1]
@@ -538,30 +530,23 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
             safe_mass = np.maximum(mass, 1e-300)
             weights = mass / n_samples
             means = sums[:, n_quad:-1].view(np.complex128) / safe_mass[:, None]
+            second_moments = _unpack_second_moments(sums[:, :n_quad], dim)
             for k in range(n_components):
                 if k in collapsed:
-                    continue
-                second = _unpack_second_moments(sums[k, :n_quad], dim)
-                scatter = (second / safe_mass[k]
-                           - np.outer(means[k], means[k].conj()))
-                if constraint == "toeplitz":
-                    spectral[k], covariances[k] = structured(scatter)
+                    logger.warning(
+                        "re-seeding collapsed component %d at iteration %d",
+                        k, iteration)
+                    means[k] = x[rng.integers(n_samples)]
+                    weights[k] = 1.0 / n_samples
+                    spectrum, covariances[k] = init_spectrum, init_cov
                 else:
-                    covariances[k] = _floor_eigenvalues(scatter, floor)
-            for k in collapsed:
-                logger.warning(
-                    "re-seeding collapsed component %d at iteration %d",
-                    k, iteration)
-                means[k] = x[rng.integers(n_samples)]
-                if constraint == "toeplitz":
-                    spectral[k], covariances[k] = structured(global_cov)
-                else:
-                    covariances[k] = _floor_eigenvalues(global_cov, floor)
-                weights[k] = 1.0 / n_samples
+                    spectrum, covariances[k] = project(
+                        second_moments[k] / safe_mass[k]
+                        - np.outer(means[k], means[k].conj()))
+                if spectral is not None:
+                    spectral[k] = spectrum
             weights = np.maximum(weights, 1e-300)
             weights /= weights.sum()
-            for k in range(n_components):
-                precisions[k], logdets[k] = _precision_logdet(covariances[k])
         logger.info("EM iteration %d: average log-likelihood %.6f "
                     "(change %.3e), %.3f s, %d re-seeded", iteration, avg_ll,
                     delta, time.perf_counter() - started, len(collapsed))
@@ -640,14 +625,11 @@ def load_model(path, geometry=None):
             mean_bytes = read_exact(fh, 16 * dim, f"mean of component {k}")
             means[k] = np.frombuffer(mean_bytes, dtype="<c16")
             if constraint == "full":
-                n_tri = dim * (dim + 1) // 2
-                tri_bytes = read_exact(fh, 16 * n_tri,
+                tri_bytes = read_exact(fh, 16 * len(iu[0]),
                                        f"covariance of component {k}")
-                tri = np.frombuffer(tri_bytes, dtype="<c16")
                 cov = np.zeros((dim, dim), dtype=np.complex128)
-                cov[iu] = tri
-                cov = cov + np.triu(cov, 1).conj().T
-                covariances[k] = cov
+                cov[iu] = np.frombuffer(tri_bytes, dtype="<c16")
+                covariances[k] = cov + np.triu(cov, 1).conj().T
             else:
                 spec_bytes = read_exact(fh, 8 * 4 * dim,
                                         f"spectrum of component {k}")

@@ -137,6 +137,9 @@ def test_gmm_estimate_rejects_non_finite_observations(desk_geometry, value):
         estimate_gmm(model, setup, y, obs=obs)
     with pytest.raises(ValueError, match="infs or NaNs"):
         estimate_gmm(model, setup, y[2])
+    for rows in (y, y[2]):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            estimate_lmmse(model.means[0], model.covariances[0], setup, rows)
 
 
 def test_gmm_estimate_needs_projected_filters(desk_geometry):
@@ -181,13 +184,18 @@ def test_lmmse_matches_dense_oracle():
     rows = _unit_rows(rng.standard_normal((n_pilots, dim))
                       + 1j * rng.standard_normal((n_pilots, dim)))
     setup = _setup_from_rows(rows, sigma_n2)
-    y = rng.standard_normal(n_pilots) + 1j * rng.standard_normal(n_pilots)
+    y = rng.standard_normal((5, n_pilots)) + 1j * rng.standard_normal(
+        (5, n_pilots))
     pilot = setup.pilot_matrix
     gain = cov @ pilot.conj().T @ np.linalg.inv(
         pilot @ cov @ pilot.conj().T + sigma_n2 * np.eye(n_pilots))
-    oracle = mean + gain @ (y - pilot @ mean)
-    np.testing.assert_allclose(estimate_lmmse(mean, cov, setup, y), oracle,
-                               rtol=1e-10)
+    oracle = mean + (y - pilot @ mean) @ gain.T
+    batched = estimate_lmmse(mean, cov, setup, y)
+    assert batched.shape == (5, dim)
+    np.testing.assert_allclose(batched, oracle, rtol=1e-10)
+    for row, h_hat in zip(y, batched):
+        np.testing.assert_allclose(estimate_lmmse(mean, cov, setup, row),
+                                   h_hat, rtol=1e-12, atol=1e-14)
 
 
 # -- OMP -----------------------------------------------------------------------

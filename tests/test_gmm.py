@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cholesky, solve_triangular
 
 from limfb import gmm
 from limfb.feedback import build_pilot_matrix
@@ -199,9 +200,26 @@ def test_fit_em_reseeds_collapsed_components(caplog):
     with caplog.at_level(logging.WARNING, logger="limfb.gmm"):
         model = fit_em(ds, 8, constraint="toeplitz",
                        options=EmOptions(max_iters=20, seed=0))
-    assert any("re-seeding" in rec.message for rec in caplog.records)
+    reseeds = [rec.args for rec in caplog.records
+               if rec.getMessage().startswith("re-seeding")]
+    assert reseeds
     assert abs(model.weights.sum() - 1.0) < 1e-12
     assert np.all(model.weights > 0)
+
+    # stopped right after the first re-seeding M-step, every component it
+    # re-seeded holds the projection of the global sample covariance
+    first = reseeds[0][1]
+    stopped = fit_em(ds, 8, constraint="toeplitz",
+                     options=EmOptions(max_iters=first + 1, seed=0))
+    x = ds.samples.astype(complex)
+    _, global_cov = sample_moments(x)
+    floor = EmOptions().floor_scale * np.trace(global_cov).real / geom.n
+    spectrum = toeplitz_mstep(global_cov, geom, floor=floor)
+    for k in [k for k, it in reseeds if it == first]:
+        np.testing.assert_array_equal(stopped.spectral[k], spectrum)
+        np.testing.assert_array_equal(stopped.covariances[k],
+                                      realize_spectral(spectrum, geom))
+        assert np.any(np.all(x == stopped.means[k], axis=1))
 
 
 def test_fit_em_validates_inputs(desk_train):
@@ -265,9 +283,8 @@ def test_lift_sums_unpack_to_weighted_moments(dim, n_comp, n_samples, seed):
     rng = np.random.default_rng(seed)
     model = _random_model(n_comp, dim, seed=seed)
     x = 2.0 * _complex_normal(rng, (n_samples, dim))
-    precisions, logdets = zip(*map(gmm._precision_logdet, model.covariances))
     score_matrix = gmm._score_matrix(model.weights, model.means,
-                                     np.array(precisions), np.array(logdets))
+                                     *gmm._inverse_factors(model.covariances))
     log_norm, sums = gmm._em_pass(x, score_matrix)
 
     # direct evaluation: per-component densities and weighted scatters
@@ -303,9 +320,8 @@ def test_lifted_scores_match_log_density(dim, log_cond, seed):
     means = 2.0 * _complex_normal(rng, (2, dim))
     covs = np.array([_conditioned_covariance(rng, dim, 10.0 ** log_cond)
                      for _ in range(2)])
-    precisions, logdets = zip(*map(gmm._precision_logdet, covs))
-    score_matrix = gmm._score_matrix(weights, means, np.array(precisions),
-                                     np.array(logdets))
+    score_matrix = gmm._score_matrix(weights, means,
+                                     *gmm._inverse_factors(covs))
     # points drawn from the first component and unit-power points
     near = means[0] + _complex_normal(rng, (3, dim)) @ np.linalg.cholesky(
         covs[0]).T
@@ -317,11 +333,36 @@ def test_lifted_scores_match_log_density(dim, log_cond, seed):
             assert abs(got[j, k] - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(1, 8), n_comp=st.integers(1, 4),
+       log_cond=st.floats(0.0, 8.0), seed=_SEEDS)
+def test_inverse_factors_match_per_matrix_triangular_solve(dim, n_comp,
+                                                           log_cond, seed):
+    # fitted models and their log-likelihood traces are pinned to the
+    # rounding of cholesky + solve_triangular; the stacked factors, and the
+    # precisions EM scores with, must reproduce it bit for bit
+    rng = np.random.default_rng(seed)
+    weights = np.full(n_comp, 1.0 / n_comp)
+    means = _complex_normal(rng, (n_comp, dim))
+    covs = np.array([_conditioned_covariance(rng, dim, 10.0 ** log_cond)
+                     for _ in range(n_comp)])
+    inv_chols, logdets = gmm._inverse_factors(covs)
+    precisions = np.empty_like(covs)
+    for k, cov in enumerate(covs):
+        chol = cholesky(cov, lower=True)
+        inv_chol = solve_triangular(chol, np.eye(dim), lower=True)
+        np.testing.assert_array_equal(inv_chols[k], inv_chol)
+        assert logdets[k] == 2.0 * np.sum(np.log(np.diag(chol).real))
+        precisions[k] = inv_chol.conj().T @ inv_chol
+    score_matrix = gmm._score_matrix(weights, means, inv_chols, logdets)
+    np.testing.assert_array_equal(score_matrix[:dim * dim].T,
+                                  -gmm._pack_hermitian(precisions))
+
+
 def _naive_em_step(x, n_comp, constraint, geometry, options):
     """One EM iteration from fit_em's initialisation, scored per sample."""
     rng = np.random.default_rng(options.seed)
-    seeds = rng.choice(len(x), size=n_comp, replace=False)
-    means = x[seeds]
+    means = x[_exact_kmeanspp_indices(x, n_comp, rng)]
     mean = x.mean(axis=0)
     global_cov = (x - mean).T @ (x - mean).conj() / len(x)
     floor = options.floor_scale * np.trace(global_cov).real / x.shape[1]
@@ -352,8 +393,7 @@ def test_fit_em_iteration_matches_naive_em_step(constraint):
     geometry = ArrayGeometry(2, 2)
     scene = SceneConfig(geometry, seed=3)
     ds = normalize_dataset(generate_channels(scene, 300, sample_seed=4))
-    options = EmOptions(max_iters=1, rel_loglik_tol=0.0, init="random",
-                        seed=5)
+    options = EmOptions(max_iters=1, rel_loglik_tol=0.0, seed=5)
     model = fit_em(ds, 3, constraint, options, geometry=geometry)
     x = ds.samples.astype(complex)
     avg_ll, weights, means, covs = _naive_em_step(x, 3, constraint, geometry,
@@ -722,8 +762,41 @@ def test_model_truncation_detected(tmp_path):
         load_model(clipped)
 
 
-def test_model_validation():
+def test_model_validation(desk_geometry):
     with pytest.raises(ValueError):
         GmmModel([0.5, 0.6], np.zeros((2, 2)), np.stack([np.eye(2)] * 2))
     with pytest.raises(ValueError):
         GmmModel([1.0], np.zeros((1, 2)), [np.eye(2)], constraint="toeplitz")
+    eyes = np.stack([np.eye(2, dtype=complex)] * 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            GmmModel([bad, 0.5], np.zeros((2, 2)), eyes)
+        means = np.zeros((2, 2), dtype=complex)
+        means[1, 0] = complex(0.0, bad)
+        with pytest.raises(ValueError):
+            GmmModel([0.5, 0.5], means, eyes)
+        covs = eyes.copy()
+        covs[0, 0, 1] = bad
+        with pytest.raises(ValueError):
+            GmmModel([0.5, 0.5], np.zeros((2, 2)), covs)
+        spectral = np.ones((1, 4 * desk_geometry.n))
+        covs = [realize_spectral(spectral[0], desk_geometry)]
+        spectral[0, 3] = bad
+        with pytest.raises(ValueError):
+            GmmModel([1.0], np.zeros((1, desk_geometry.n)), covs,
+                     constraint="toeplitz", spectral=spectral,
+                     geometry=desk_geometry)
+
+
+def test_load_model_rejects_nan_weight(tmp_path):
+    # hand-written LFBM container: K = 2^1 full components of dimension 2,
+    # each a weight, a mean and the upper triangle of an identity covariance
+    tri = np.array([1.0, 0.0, 1.0], dtype="<c16").tobytes()
+    payload = b"".join(struct.pack("<d", weight)
+                       + np.zeros(2, dtype="<c16").tobytes() + tri
+                       for weight in (np.nan, 1.0))
+    path = tmp_path / "nan.lfbm"
+    path.write_bytes(gmm.MODEL_MAGIC + struct.pack("<HBIB", gmm.MODEL_VERSION,
+                                                   1, 2, 0) + payload)
+    with pytest.raises(ValueError, match="positive"):
+        load_model(path)
