@@ -1,20 +1,24 @@
 """Command line interface: generate / train / feedback / sweep / report."""
 
 import argparse
+import json
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .evaluate import (Experiment, ExperimentConfig, dump_raw, emit_csv,
-                       read_sweep_csv, run_sweep)
+from .evaluate import (DFT_ESTIMATORS, MIXTURE_FAMILIES, SWEEP_AXES,
+                       Experiment, ExperimentConfig, dump_raw, emit_csv,
+                       mean_and_se, parse_scheme, read_sweep_csv, run_sweep)
 from .feedback import observe
 from .gmm import EmOptions, fit_em, load_model, save_model
 from .scene import (ArrayGeometry, generate_channels, load_dataset,
                     load_scene_config, normalize_dataset, save_dataset)
 
-FEEDBACK_SCHEMES = ("gmm", "tgmm", "dft:gmm", "dft:tgmm", "dft:lmmse",
-                    "dft:omp")
+# feedback from pilot observations: every scheme but dft:perfect, as tags
+FEEDBACK_SCHEMES = (*MIXTURE_FAMILIES, *(f"dft:{name}" for name in DFT_ESTIMATORS
+                                         if name != "perfect"))
 
 
 def _parse_geometry(text):
@@ -56,9 +60,11 @@ def _cmd_feedback(args):
         raise SystemExit(f"--count must be >= 1, got {args.count}")
     model = load_model(args.model, geometry=args.geometry)
     bits = int(round(np.log2(model.n_components)))
+    tag = (f"{args.scheme}-obs" if args.scheme in MIXTURE_FAMILIES
+           else args.scheme)
     # The model file serves the family the scheme names, whatever constraint
     # it was fitted under, so the experiment never fits a model on demand.
-    constraint = "toeplitz" if args.scheme.endswith("tgmm") else "full"
+    constraint = parse_scheme(tag)[1] or "full"
     try:
         config = ExperimentConfig(
             geometry=args.geometry, train_data=args.train_data,
@@ -66,8 +72,6 @@ def _cmd_feedback(args):
         experiment = Experiment(config, models={(constraint, bits): model})
     except ValueError as exc:
         raise SystemExit(str(exc))
-    tag = (args.scheme if args.scheme.startswith("dft:")
-           else f"{args.scheme}-obs")
     # With the model registered, only a missing training set can block.
     blocker = experiment.scheme_blocker(tag, bits)
     if blocker:
@@ -95,25 +99,23 @@ def _cmd_feedback(args):
 
 
 def _cmd_sweep(args):
-    config = ExperimentConfig.from_file(args.config)
     overrides = {}
-    if args.precoder:
-        overrides["precoder"] = args.precoder
-    if args.iters is not None:
-        overrides["iters"] = args.iters
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    config = replace(config, **overrides)
-    experiment = Experiment(config)
+    for name in ("precoder", "iters", "seed"):
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
     values = None
-    if args.values:
-        caster = float if args.axis == "snr" else int
-        values = [caster(v) for v in args.values.split(",")]
+    try:
+        config = replace(ExperimentConfig.from_file(args.config), **overrides)
+        experiment = Experiment(config)
+        if args.values:
+            caster = float if args.axis == "snr" else int
+            values = [caster(v) for v in args.values.split(",")]
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     result = run_sweep(experiment, args.axis, values=values)
     emit_csv(result, args.out)
-    if result.metadata["skipped"]:
-        for tag, reason in result.metadata["skipped"].items():
-            print(f"skipped {tag}: {reason}")
+    for tag, reason in result.metadata["skipped"].items():
+        print(f"skipped {tag}: {reason}")
     if args.dump_raw:
         dump_raw(result, args.dump_raw)
     print(f"wrote {len(result.values)} axis points x "
@@ -130,24 +132,40 @@ def _cmd_report(args):
         line += scheme.rjust(width)
     print(line)
     for row in rows:
-        line = f"{row[0]:g}".ljust(widths[0])
-        for s_idx, width in enumerate(widths[1:]):
-            mean, se = row[1 + 2 * s_idx], row[2 + 2 * s_idx]
-            line += f"{mean:.3f}+-{se:.3f}".rjust(width)
-        print(line)
+        _print_row(widths, row[0], row[1::2], row[2::2])
     if args.raw:
-        values = np.load(args.raw)
-        n_rows = len(rows)
-        n_const = values.shape[0] // n_rows
+        raw = _load_raw(args.raw, axis, schemes, len(rows))
+        n_const = raw.shape[0] // len(rows)
         print(f"\nrecomputed from {args.raw} ({n_const} constellations):")
-        for v_idx in range(n_rows):
-            block = values[v_idx * n_const:(v_idx + 1) * n_const]
-            means = block.mean(axis=0)
-            ses = block.std(axis=0, ddof=1) / np.sqrt(n_const)
-            line = f"{rows[v_idx][0]:g}".ljust(widths[0])
-            for s_idx, width in enumerate(widths[1:]):
-                line += f"{means[s_idx]:.3f}+-{ses[s_idx]:.3f}".rjust(width)
-            print(line)
+        # row v * C + i of the dump -> [axis value v, scheme, constellation i]
+        means, ses = mean_and_se(
+            raw.reshape(len(rows), n_const, -1).transpose(0, 2, 1))
+        for row, row_means, row_ses in zip(rows, means, ses):
+            _print_row(widths, row[0], row_means, row_ses)
+
+
+def _print_row(widths, value, means, ses):
+    line = f"{value:g}".ljust(widths[0])
+    for width, mean, se in zip(widths[1:], means, ses):
+        line += f"{mean:.3f}+-{se:.3f}".rjust(width)
+    print(line)
+
+
+def _load_raw(path, axis, schemes, n_values):
+    """The raw dump of the sweep in the CSV; exits on a dump of another."""
+    raw = np.load(path)
+    head = {"axis": axis, "schemes": schemes}  # unless a sidecar says
+    if os.path.exists(f"{path}.jsonl"):
+        with open(f"{path}.jsonl", "r", encoding="utf-8") as fh:
+            head = json.loads(fh.readline())
+    if (raw.ndim != 2 or raw.shape[1] != len(schemes) or not raw.shape[0]
+            or not n_values or raw.shape[0] % n_values
+            or head["axis"] != axis or head["schemes"] != schemes):
+        raise SystemExit(
+            f"{path} is not a dump of the CSV's {axis} sweep of {schemes} "
+            f"at {n_values} points: it holds {raw.shape} rates of a "
+            f"{head['axis']} sweep of {head['schemes']}")
+    return raw
 
 
 def main(argv=None):
@@ -198,9 +216,7 @@ def main(argv=None):
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep")
     p_sweep.add_argument("--config", required=True,
                          help="experiment config file (flat key = value)")
-    p_sweep.add_argument("--axis", required=True,
-                         choices=("snr", "pilots", "bits", "users",
-                                  "iterations"))
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--values", default=None,
                          help="comma-separated axis values")

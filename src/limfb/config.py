@@ -4,6 +4,8 @@ One assignment per line, ``#`` starts a comment, whitespace around the key
 and value is ignored. Values stay strings; callers convert.
 """
 
+from dataclasses import fields
+
 
 def read_kv(path):
     """Parse a flat key-value file into a dict of strings."""
@@ -22,3 +24,20 @@ def read_kv(path):
             out[key] = value.strip()
     return out
 
+
+_PARSERS_BY_TYPE = {int: int, float: float, str: str, str | None: str}
+
+
+def read_fields(cls, kv, parsers=None):
+    """Pop the keys of ``kv`` that name fields of the dataclass ``cls``.
+
+    A value is converted by ``parsers[name]``, else by the parser of its
+    field's type (int, float or str); keys naming fields of any other type
+    stay in ``kv``.
+    """
+    values = {}
+    for f in fields(cls):
+        parse = (parsers or {}).get(f.name, _PARSERS_BY_TYPE.get(f.type))
+        if f.name in kv and parse:
+            values[f.name] = parse(kv.pop(f.name))
+    return values

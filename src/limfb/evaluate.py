@@ -20,30 +20,39 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .config import read_kv
+from .config import read_fields, read_kv
 from .estimators import (build_omp_dictionary, estimate_gmm, estimate_lmmse,
                          estimate_omp)
 from .feedback import (build_dft_codebook, build_pilot_matrix,
                        mixture_feedback, select_codebook_index)
 from .gmm import fit_em, load_model, project_to_observation, sample_moments
-from .precoding import (SwmmseOptions, _sum_rate_matrix,
+from .precoding import (SwmmseOptions, _check_rho, _sum_rate_matrix,
                         directional_representatives, rci_precoders,
                         swmmse_precoders)
-from .scene import ArrayGeometry, load_dataset
+from .scene import ArrayGeometry, load_dataset, read_geometry
 
 logger = logging.getLogger(__name__)
 
 SWEEP_AXES = ("snr", "pilots", "bits", "users", "iterations")
 
-_MIXTURE_FAMILIES = {"gmm": "full", "tgmm": "toeplitz"}
-_DFT_ESTIMATORS = ("perfect", "gmm", "tgmm", "lmmse", "omp")
+# mixture family of a tag -> the covariance constraint of its model
+MIXTURE_FAMILIES = {"gmm": "full", "tgmm": "toeplitz"}
+DFT_ESTIMATORS = ("perfect", "gmm", "tgmm", "lmmse", "omp")
 
 DEFAULT_SCHEMES = ("gmm-obs", "tgmm-obs", "dft:gmm", "dft:tgmm",
                    "dft:lmmse", "dft:omp")
+
+# named config presets: desk for CI-scale runs, full for the paper's scale
+PROFILES = {
+    "desk": dict(geometry=ArrayGeometry(2, 8, 1.0, 0.5), bits=4, users=4,
+                 pilots=8, constellations=100),
+    "full": dict(geometry=ArrayGeometry(4, 16, 1.0, 0.5), bits=6, users=8,
+                 pilots=8, constellations=500),
+}
 
 
 def sum_rate(channels, precoders, sigma_n2):
@@ -60,24 +69,22 @@ def sum_rate(channels, precoders, sigma_n2):
 
 
 def parse_scheme(tag):
-    """Split a scheme tag into (kind, detail, designer_override).
+    """Split a scheme tag into (source, constraint, designer).
 
-    ``kind`` is "mixture" or "codebook"; ``detail`` is (family, domain) for
-    mixtures and the estimator name for codebook schemes.
+    ``source`` is "obs" or "perfect" for mixture feedback and
+    "dft:<estimator>" for codebook feedback. ``constraint`` ("full" or
+    "toeplitz") names the mixture model the scheme needs, None when it needs
+    none. ``designer`` is the precoder suffix, None without one.
     """
     base, _, suffix = tag.partition("+")
     designer = suffix or None
     if designer not in (None, "rci", "swmmse"):
         raise ValueError(f"unknown precoder suffix in scheme {tag!r}")
-    if base.startswith("dft:"):
-        estimator = base[4:]
-        if estimator not in _DFT_ESTIMATORS:
-            raise ValueError(f"unknown estimator in scheme {tag!r}")
-        return "codebook", estimator, designer
-    parts = base.split("-")
-    if len(parts) == 2 and parts[0] in _MIXTURE_FAMILIES \
-            and parts[1] in ("obs", "perfect"):
-        return "mixture", (parts[0], parts[1]), designer
+    if base.startswith("dft:") and base[4:] in DFT_ESTIMATORS:
+        return base, MIXTURE_FAMILIES.get(base[4:]), designer
+    family, _, source = base.partition("-")
+    if family in MIXTURE_FAMILIES and source in ("obs", "perfect"):
+        return source, MIXTURE_FAMILIES[family], designer
     raise ValueError(f"unknown scheme tag {tag!r}")
 
 
@@ -101,75 +108,43 @@ class ExperimentConfig:
     model_paths: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.constellations < 1:
-            raise ValueError("need at least one constellation")
-        if self.users < 1:
-            raise ValueError("need at least one user")
+        for name in ("constellations", "users", "iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 1 <= self.pilots <= self.geometry.n:
             raise ValueError(f"pilots must lie in 1..{self.geometry.n}, "
                              f"got {self.pilots}")
         if self.precoder not in ("rci", "swmmse"):
             raise ValueError(f"unknown precoder {self.precoder!r}")
+        _check_rho(self.rho)
+        if not self.snr_db:
+            raise ValueError("need at least one snr_db point")
         for tag in self.schemes:
             parse_scheme(tag)
 
     @classmethod
     def desk_profile(cls, **overrides):
         """Small profile for CI-scale runs: N=16, B=4, 100 constellations."""
-        base = dict(geometry=ArrayGeometry(2, 8, 1.0, 0.5), bits=4, users=4,
-                    pilots=8, constellations=100)
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def full_profile(cls, **overrides):
-        """Full-scale profile: N=64, B=6, 500 constellations."""
-        base = dict(geometry=ArrayGeometry(4, 16, 1.0, 0.5), bits=6, users=8,
-                    pilots=8, constellations=500)
-        base.update(overrides)
-        return cls(**base)
+        return cls(**{**PROFILES["desk"], **overrides})
 
     @classmethod
     def from_file(cls, path):
+        """Read a flat config file; see the README for its keys."""
         kv = read_kv(path)
         profile = kv.pop("profile", None)
-        maker = {"desk": cls.desk_profile, "full": cls.full_profile,
-                 None: cls}.get(profile)
-        if maker is None:
+        if profile is not None and profile not in PROFILES:
             raise ValueError(f"unknown profile {profile!r}")
-        kwargs = {}
-        geom_keys = ("n_vert", "n_horiz", "spacing_vert", "spacing_horiz")
-        if any(k in kv for k in geom_keys) or maker is cls:
-            kwargs["geometry"] = ArrayGeometry(
-                n_vert=int(kv.pop("n_vert", 4)),
-                n_horiz=int(kv.pop("n_horiz", 16)),
-                spacing_vert=float(kv.pop("spacing_vert", 1.0)),
-                spacing_horiz=float(kv.pop("spacing_horiz", 0.5)),
-            )
-        for key in ("train_data", "eval_data", "precoder"):
-            if key in kv:
-                kwargs[key] = kv.pop(key)
-        for key in ("bits", "users", "pilots", "constellations", "iters", "seed"):
-            if key in kv:
-                kwargs[key] = int(kv.pop(key))
-        if "rho" in kv:
-            kwargs["rho"] = float(kv.pop("rho"))
-        if "snr_db" in kv:
-            kwargs["snr_db"] = tuple(float(v) for v in
-                                     kv.pop("snr_db").split(","))
-        if "schemes" in kv:
-            kwargs["schemes"] = tuple(s.strip() for s in
-                                      kv.pop("schemes").split(","))
-        model_paths = {k[len("model."):]: v for k, v in kv.items()
-                       if k.startswith("model.")}
-        for k in list(kv):
-            if k.startswith("model."):
-                kv.pop(k)
+        kwargs = read_fields(cls, kv, {
+            "snr_db": lambda text: tuple(float(v) for v in text.split(",")),
+            "schemes": lambda text: tuple(s.strip() for s in text.split(","))})
+        # without a profile the array keys give the geometry
+        if profile is None or kv.keys() & {f.name for f in fields(ArrayGeometry)}:
+            kwargs["geometry"] = read_geometry(kv)
+        kwargs["model_paths"] = {key[len("model."):]: kv.pop(key)
+                                 for key in list(kv) if key.startswith("model.")}
         if kv:
             raise ValueError(f"unknown config keys: {sorted(kv)}")
-        if model_paths:
-            kwargs["model_paths"] = model_paths
-        return maker(**kwargs)
+        return cls(**{**PROFILES.get(profile, {}), **kwargs})
 
     def config_hash(self):
         """Stable hash over every field that influences the results."""
@@ -196,8 +171,8 @@ class Experiment:
     Models are keyed by (constraint, bits). Missing models are loaded from
     ``config.model_paths`` (keys ``full``/``toeplitz`` or ``full.<bits>``)
     or, when training data is available, fitted on demand (logged at INFO).
-    A mixture component's directional representative is computed on first
-    use, when a report first names it, and cached.
+    Everything derived from them is made on first use and kept in one dict;
+    a component's representative is made when a report first names it.
     """
 
     def __init__(self, config, train_dataset=None, eval_dataset=None,
@@ -217,14 +192,15 @@ class Experiment:
         if config.users > len(self.eval):
             raise ValueError("more users than evaluation channels")
         self.models = dict(models) if models else {}
-        self._train_stats = None
-        self._pilots = {}
-        self._observations = {}
-        self._codebooks = {}
-        self._representatives = {}
-        self._omp_dictionary = None
+        self._cache = {}
 
     # -- resources ---------------------------------------------------------
+
+    def _memo(self, key, make):
+        """The value cached under ``key``, made by ``make()`` on first use."""
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
 
     def model_for(self, constraint, bits):
         key = (constraint, bits)
@@ -247,61 +223,43 @@ class Experiment:
         return model
 
     def train_stats(self):
-        if self._train_stats is None:
-            if self.train is None:
-                return None
-            self._train_stats = sample_moments(self.train.samples)
-        return self._train_stats
+        return self._memo("train_stats",
+                          lambda: sample_moments(self.train.samples))
 
     def pilot_setup(self, n_pilots, sigma_n2):
-        key = (n_pilots, sigma_n2)
-        if key not in self._pilots:
-            base = build_pilot_matrix(self.geometry, n_pilots, self.config.rho)
-            self._pilots[key] = base.with_noise(sigma_n2)
-        return self._pilots[key]
+        return self._memo(
+            ("pilots", n_pilots, sigma_n2),
+            lambda: build_pilot_matrix(self.geometry, n_pilots,
+                                       self.config.rho).with_noise(sigma_n2))
 
     def observation_model(self, constraint, bits, n_pilots, sigma_n2):
-        key = (constraint, bits, n_pilots, sigma_n2)
-        if key not in self._observations:
-            model = self.model_for(constraint, bits)
-            setup = self.pilot_setup(n_pilots, sigma_n2)
-            self._observations[key] = project_to_observation(model, setup)
-        return self._observations[key]
+        return self._memo(
+            ("observation", constraint, bits, n_pilots, sigma_n2),
+            lambda: project_to_observation(self.model_for(constraint, bits),
+                                           self.pilot_setup(n_pilots, sigma_n2)))
 
     def codebook(self, bits):
-        if bits not in self._codebooks:
-            self._codebooks[bits] = build_dft_codebook(self.geometry, bits)
-        return self._codebooks[bits]
+        return self._memo(("codebook", bits),
+                          lambda: build_dft_codebook(self.geometry, bits))
 
     def representatives(self, constraint, bits, indices):
         """Rows for the 1-based component ``indices``, each computed once."""
-        cache = self._representatives.setdefault((constraint, bits), {})
+        cache = self._memo(("representatives", constraint, bits), dict)
         missing = [k for k in dict.fromkeys(indices) if k not in cache]
         if missing:
             model = self.model_for(constraint, bits)
             cache.update(zip(missing, directional_representatives(model, missing)))
         return np.vstack([cache[k] for k in indices])
 
-    def omp_dictionary(self):
-        if self._omp_dictionary is None:
-            self._omp_dictionary = build_omp_dictionary(self.geometry)
-        return self._omp_dictionary
-
     def scheme_blocker(self, tag, bits):
         """Reason this scheme cannot run under the current resources, or None."""
-        kind, detail, designer = parse_scheme(tag)
-        if kind == "mixture":
-            family, _ = detail
-            if self.model_for(_MIXTURE_FAMILIES[family], bits) is None:
-                return f"no {family} model for B={bits}"
-        else:
-            if designer == "swmmse":
-                return "codebook schemes have no generative model to sample"
-            if detail in ("gmm", "tgmm"):
-                if self.model_for(_MIXTURE_FAMILIES[detail], bits) is None:
-                    return f"no {detail} model for B={bits}"
-            if detail == "lmmse" and self.train_stats() is None:
-                return "LMMSE needs a training dataset"
+        source, constraint, designer = parse_scheme(tag)
+        if designer == "swmmse" and source.startswith("dft:"):
+            return "codebook schemes have no generative model to sample"
+        if constraint and self.model_for(constraint, bits) is None:
+            return f"no {constraint} model for B={bits}"
+        if source == "dft:lmmse" and self.train is None:
+            return "LMMSE needs a training dataset"
         return None
 
     # -- pipeline ----------------------------------------------------------
@@ -313,65 +271,58 @@ class Experiment:
         ``setup``, one row per channel; every scheme of a constellation sees
         the same rows. The scheme must be runnable (see scheme_blocker).
         """
-        kind, detail, _ = parse_scheme(tag)
-        if kind == "mixture":
-            family, domain = detail
-            constraint = _MIXTURE_FAMILIES[family]
-            if domain == "obs":
-                mixture = self.observation_model(constraint, bits,
-                                                 setup.n_pilots, setup.sigma_n2)
-                points = observations
-            else:
-                mixture, points = self.model_for(constraint, bits), channels
-            return mixture_feedback(mixture, points, tag)
+        source, constraint, _ = parse_scheme(tag)
+        if source == "obs":
+            mixture = self.observation_model(constraint, bits, setup.n_pilots,
+                                             setup.sigma_n2)
+            return mixture_feedback(mixture, observations, tag)
+        if source == "perfect":
+            return mixture_feedback(self.model_for(constraint, bits), channels,
+                                    tag)
         codebook = self.codebook(bits)
-        estimates = self._estimate(detail, bits, setup, channels, observations)
-        return [replace(select_codebook_index(codebook, h_hat, user=j),
-                        scheme=tag) for j, h_hat in enumerate(estimates)]
-
-    def _estimate(self, estimator, bits, setup, channels, observations):
-        """Channel estimates of all users, one row each."""
-        if estimator == "perfect":
-            return channels
-        if estimator in ("gmm", "tgmm"):
-            constraint = _MIXTURE_FAMILIES[estimator]
+        if source == "dft:perfect":
+            estimates = channels
+        elif constraint:
             model = self.model_for(constraint, bits)
             obs = self.observation_model(constraint, bits, setup.n_pilots,
                                          setup.sigma_n2)
-            return estimate_gmm(model, setup, observations, obs=obs)
-        if estimator == "lmmse":
-            return estimate_lmmse(*self.train_stats(), setup, observations)
-        if estimator == "omp":
-            return [estimate_omp(setup, self.omp_dictionary(), y)
-                    for y in observations]
-        raise ValueError(f"unknown estimator {estimator!r}")
+            estimates = estimate_gmm(model, setup, observations, obs=obs)
+        elif source == "dft:lmmse":
+            estimates = estimate_lmmse(*self.train_stats(), setup, observations)
+        else:
+            dictionary = self._memo("omp_dictionary",
+                                    lambda: build_omp_dictionary(self.geometry))
+            estimates = [estimate_omp(setup, dictionary, y)
+                         for y in observations]
+        return [replace(select_codebook_index(codebook, h_hat, user=j),
+                        scheme=tag) for j, h_hat in enumerate(estimates)]
 
     def _precoders(self, tag, bits, reports, sigma_n2, swmmse_seed, iters):
-        kind, detail, designer = parse_scheme(tag)
+        source, constraint, designer = parse_scheme(tag)
+        codebook = source.startswith("dft:")
         if designer is None:
-            designer = "rci" if kind == "codebook" else self.config.precoder
+            designer = "rci" if codebook else self.config.precoder
         rho = self.config.rho
         if designer == "swmmse":
-            family = detail[0]
-            model = self.model_for(_MIXTURE_FAMILIES[family], bits)
+            model = self.model_for(constraint, bits)
             options = SwmmseOptions(max_iters=iters, seed=swmmse_seed)
             return swmmse_precoders(model, reports, sigma_n2, rho, options)
-        if kind == "mixture":
-            chosen = self.representatives(_MIXTURE_FAMILIES[detail[0]], bits,
-                                          [r.index for r in reports])
-        else:
+        if codebook:
             chosen = self.codebook(bits).entries[[r.index - 1 for r in reports]]
+        else:
+            chosen = self.representatives(constraint, bits,
+                                          [r.index for r in reports])
         return rci_precoders(chosen, sigma_n2, rho)
 
     def run_constellation(self, seed, n_pilots=None, sigma_n2=None, bits=None,
-                          users=None, iters=None, want_trajectory=False):
+                          users=None, iters=None, at_iterations=None):
         """Rates per scheme for one constellation draw.
 
         All schemes see the same user channels and the same unit pilot noise
-        (common random numbers). Returns (rates, skipped); with
-        ``want_trajectory`` the rates of SWMMSE-designed schemes are arrays
-        over iterations (evaluated from the precoder snapshots) instead of
-        scalars.
+        (common random numbers). Returns (rates, skipped). With
+        ``at_iterations`` (1-based, at most ``iters``) the rate of an
+        SWMMSE-designed scheme is an array, one rate per listed iteration,
+        evaluated from that iteration's precoder snapshot.
         """
         cfg = self.config
         n_pilots = cfg.pilots if n_pilots is None else n_pilots
@@ -402,11 +353,10 @@ class Experiment:
             reports = self.feedback(tag, bits, setup, channels, observations)
             precoders = self._precoders(tag, bits, reports, sigma_n2,
                                         swmmse_seed, iters)
-            if want_trajectory and precoders.designer == "swmmse":
+            if at_iterations is not None and precoders.designer == "swmmse":
                 snaps = precoders.metadata["precoders"]
-                rates[tag] = np.array([
-                    _sum_rate_matrix(channels, snaps[t], sigma_n2)
-                    for t in range(snaps.shape[0])])
+                rates[tag] = np.array([sum_rate(channels, snaps[t - 1], sigma_n2)
+                                       for t in at_iterations])
             else:
                 rates[tag] = sum_rate(channels, precoders, sigma_n2)
         return rates, skipped
@@ -414,31 +364,36 @@ class Experiment:
 
 def _default_axis_values(experiment, axis):
     cfg = experiment.config
-    n = experiment.geometry.n
     if axis == "snr":
         return list(cfg.snr_db)
     if axis == "pilots":
-        return [v for v in (2, 4, 6, 8, 12, 16) if v <= n]
+        return [v for v in (2, 4, 6, 8, 12, 16) if v <= experiment.geometry.n]
     if axis == "bits":
         return sorted({b for (_, b) in experiment.models} or {cfg.bits})
     if axis == "users":
         return [v for v in (2, 4, 8, 12, 16) if v <= len(experiment.eval)]
-    if axis == "iterations":
-        return list(range(1, cfg.iters + 1))
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    return list(range(1, cfg.iters + 1))  # iterations
+
+
+def mean_and_se(rates):
+    """Mean and standard error (0 for one sample) over the last axis."""
+    n_const = rates.shape[-1]
+    if n_const > 1:
+        se = rates.std(axis=-1, ddof=1) / np.sqrt(n_const)
+    else:
+        se = np.zeros(rates.shape[:-1])
+    return rates.mean(axis=-1), se
 
 
 def run_sweep(experiment, axis, values=None):
-    """Monte-Carlo sweep along one axis; see SWEEP_AXES.
+    """Monte-Carlo sweep of an :class:`Experiment` along one axis.
 
-    Constellation i reuses the seed [master_seed, i] at every axis point, so
-    extending the grid or the constellation count leaves earlier
-    per-constellation values unchanged. The iterations axis runs one SWMMSE
-    trajectory per constellation and reads the rates off the precoder
-    snapshots instead of re-running per point.
+    ``axis`` is one of SWEEP_AXES. Constellation i reuses the seed
+    [master_seed, i] at every axis point, so extending the grid or the
+    constellation count leaves earlier per-constellation values unchanged.
+    The iterations axis runs one SWMMSE trajectory per constellation and
+    evaluates the rates at the requested checkpoints only.
     """
-    if isinstance(experiment, ExperimentConfig):
-        experiment = Experiment(experiment)
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r} (one of {SWEEP_AXES})")
     cfg = experiment.config
@@ -447,49 +402,33 @@ def run_sweep(experiment, axis, values=None):
     values = list(values)
     started = time.time()
 
+    # (rows of the result, run_constellation arguments) per sweep point
+    if axis == "iterations":
+        points = [(slice(None), {"iters": max(values), "at_iterations": values})]
+    elif axis == "snr":
+        points = [(row, {"sigma_n2": cfg.rho / 10.0 ** (value / 10.0)})
+                  for row, value in enumerate(values)]
+    else:
+        name = {"pilots": "n_pilots", "bits": "bits", "users": "users"}[axis]
+        points = [(row, {name: int(value)}) for row, value in enumerate(values)]
+
     n_const = cfg.constellations
-    seeds = [[cfg.seed, i] for i in range(n_const)]
     collected = {}
     skipped_all = {}
-
-    if axis == "iterations":
-        for i, seed in enumerate(seeds):
-            rates, skipped = experiment.run_constellation(
-                seed, iters=max(values), want_trajectory=True)
+    for row, kwargs in points:
+        for i in range(n_const):
+            rates, skipped = experiment.run_constellation([cfg.seed, i],
+                                                          **kwargs)
             skipped_all.update(skipped)
             for tag, rate in rates.items():
                 store = collected.setdefault(
                     tag, np.empty((len(values), n_const)))
-                if np.ndim(rate) == 0:
-                    store[:, i] = rate
-                else:
-                    store[:, i] = [rate[v - 1] for v in values]
-    else:
-        point_kwargs = []
-        for value in values:
-            kw = {}
-            if axis == "snr":
-                kw["sigma_n2"] = cfg.rho / 10.0 ** (value / 10.0)
-            elif axis == "pilots":
-                kw["n_pilots"] = int(value)
-            elif axis == "bits":
-                kw["bits"] = int(value)
-            elif axis == "users":
-                kw["users"] = int(value)
-            point_kwargs.append(kw)
-        for v_idx, kw in enumerate(point_kwargs):
-            for i, seed in enumerate(seeds):
-                rates, skipped = experiment.run_constellation(seed, **kw)
-                skipped_all.update(skipped)
-                for tag, rate in rates.items():
-                    store = collected.setdefault(
-                        tag, np.empty((len(values), n_const)))
-                    store[v_idx, i] = rate
+                store[row, i] = rate
 
     schemes = [tag for tag in cfg.schemes if tag in collected]
-    means = {tag: collected[tag].mean(axis=1) for tag in schemes}
-    sem = {tag: collected[tag].std(axis=1, ddof=1) / np.sqrt(n_const)
-           if n_const > 1 else np.zeros(len(values)) for tag in schemes}
+    means, std_errors = {}, {}
+    for tag in schemes:
+        means[tag], std_errors[tag] = mean_and_se(collected[tag])
     metadata = {
         "config_hash": cfg.config_hash(),
         "master_seed": cfg.seed,
@@ -498,14 +437,12 @@ def run_sweep(experiment, axis, values=None):
         "runtime_s": time.time() - started,
     }
     return SweepResult(axis=axis, values=values, schemes=schemes, means=means,
-                       std_errors=sem, per_constellation=collected,
+                       std_errors=std_errors, per_constellation=collected,
                        metadata=metadata)
 
 
 def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     return repr(float(value))
 

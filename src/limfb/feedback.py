@@ -33,8 +33,8 @@ class PilotSetup:
         n_pilots, dim = pilot_matrix.shape
         if n_pilots > dim:
             raise ValueError("cannot use more pilots than antennas")
-        if rho <= 0:
-            raise ValueError("rho must be positive")
+        if not (np.isfinite(rho) and rho > 0):
+            raise ValueError(f"rho must be finite and > 0, got {rho}")
         row_energy = np.sum(np.abs(pilot_matrix) ** 2, axis=1)
         if np.max(np.abs(row_energy - rho)) > 1e-8 * rho:
             raise ValueError("every pilot row must carry energy rho")

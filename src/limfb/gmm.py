@@ -464,9 +464,11 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
     approximate: the fit tracks the log-likelihood sequence and logs any
     decrease beyond the expected projection tolerance. The achieved
     per-iteration average log-likelihoods are stored on the returned model as
-    ``fit_log_likelihoods``; each iteration is logged at INFO. On convergence
-    the parameters that achieved the last log-likelihood are returned.
-    Deterministic for a given ``options.seed``.
+    ``fit_log_likelihoods``; each iteration is logged at INFO. A converged
+    fit returns the parameters that achieved the last log-likelihood. Any
+    other fit returns the M-step after the last evaluated log-likelihood;
+    that step's likelihood is never evaluated, so a collapse in it goes
+    unseen. Deterministic for a given ``options.seed``.
     """
     options = options or EmOptions()
     if constraint not in _CONSTRAINTS:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_kv
+from .config import read_fields, read_kv
 from .formats import DimensionError, FileFormatError, expect_magic, read_exact
 
 DATASET_MAGIC = b"LFBD"
@@ -35,8 +35,8 @@ _GENERATION_BLOCK = 8192
 class ArrayGeometry:
     """Uniform rectangular array: counts and element spacings in wavelengths."""
 
-    n_vert: int
-    n_horiz: int
+    n_vert: int = 4
+    n_horiz: int = 16
     spacing_vert: float = 1.0
     spacing_horiz: float = 0.5
 
@@ -118,15 +118,8 @@ def steering_vector(geometry, elevation, azimuth):
     """
     if not (np.isfinite(elevation) and np.isfinite(azimuth)):
         raise ValueError("angles must be finite")
-    u_vert = np.sin(elevation)
-    u_horiz = np.cos(elevation) * np.sin(azimuth)
-    a_vert = np.exp(
-        2j * np.pi * geometry.spacing_vert * np.arange(geometry.n_vert) * u_vert
-    )
-    a_horiz = np.exp(
-        2j * np.pi * geometry.spacing_horiz * np.arange(geometry.n_horiz) * u_horiz
-    )
-    return np.kron(a_vert, a_horiz)
+    return _steering_block(geometry, np.array([elevation]),
+                           np.array([azimuth]))[0]
 
 
 def _steering_block(geometry, elevations, azimuths):
@@ -249,29 +242,22 @@ def load_dataset(path):
     return ChannelDataset(samples, scene=None, normalized=bool(norm_flag))
 
 
+def read_geometry(kv):
+    """ArrayGeometry from the array keys it pops off a config dict."""
+    return ArrayGeometry(**read_fields(ArrayGeometry, kv))
+
+
 def load_scene_config(path):
     """Build a SceneConfig from a flat ``key = value`` file.
 
-    Recognized keys: n_vert, n_horiz, spacing_vert, spacing_horiz,
-    num_clusters, paths_per_cluster, azimuth_spread, elevation_spread, seed.
-    Missing keys fall back to the dataclass defaults.
+    Recognized keys: the array keys of :func:`read_geometry`, num_clusters,
+    paths_per_cluster, azimuth_spread, elevation_spread, diffuse_power,
+    seed. Missing keys fall back to the dataclass defaults; an unknown key
+    raises ValueError.
     """
     kv = read_kv(path)
-    geometry = ArrayGeometry(
-        n_vert=int(kv.get("n_vert", 4)),
-        n_horiz=int(kv.get("n_horiz", 16)),
-        spacing_vert=float(kv.get("spacing_vert", 1.0)),
-        spacing_horiz=float(kv.get("spacing_horiz", 0.5)),
-    )
-    defaults = SceneConfig(geometry)
-    return SceneConfig(
-        geometry=geometry,
-        num_clusters=int(kv.get("num_clusters", defaults.num_clusters)),
-        paths_per_cluster=int(kv.get("paths_per_cluster",
-                                     defaults.paths_per_cluster)),
-        azimuth_spread=float(kv.get("azimuth_spread", defaults.azimuth_spread)),
-        elevation_spread=float(kv.get("elevation_spread",
-                                      defaults.elevation_spread)),
-        diffuse_power=float(kv.get("diffuse_power", defaults.diffuse_power)),
-        seed=int(kv.get("seed", defaults.seed)),
-    )
+    geometry = read_geometry(kv)
+    values = read_fields(SceneConfig, kv)
+    if kv:
+        raise ValueError(f"unknown scene config keys: {sorted(kv)}")
+    return SceneConfig(geometry, **values)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,99 @@ def test_sweep_and_report(workspace, tmp_path, capsys):
     main(["report", "--csv", str(csv_path), "--raw", str(raw_path)])
     out = capsys.readouterr().out
     assert "gmm-obs" in out and "recomputed" in out
+
+
+def _sweep_config(workspace, path, **overrides):
+    keys = {"n_vert": 2, "n_horiz": 4,
+            "train_data": workspace / "train.lfbd",
+            "eval_data": workspace / "eval.lfbd", "bits": 2, "users": 2,
+            "pilots": 4, "snr_db": "0,10", "constellations": 3,
+            "schemes": "gmm-obs, dft:lmmse", "seed": 9,
+            "model.full": workspace / "model.lfbm", **overrides}
+    path.write_text("".join(f"{key} = {value}\n"
+                            for key, value in keys.items()))
+    return path
+
+
+@pytest.mark.parametrize("overrides, extra, match", [
+    (dict(rho="nan"), [], "rho must be finite and > 0, got nan"),
+    (dict(rho="0"), [], "rho must be finite and > 0"),
+    (dict(iters=0), [], "iters must be >= 1"),
+    ({}, ["--iters", "0"], "iters must be >= 1"),
+    (dict(num_cluster=4), [], "unknown config keys"),
+    ({}, ["--values", "2,x"], "invalid literal"),
+], ids=["rho-nan", "rho-zero", "iters-key", "iters-flag", "unknown-key",
+        "bad-values"])
+def test_sweep_exits_with_the_message_on_a_bad_config(
+        workspace, tmp_path, capsys, overrides, extra, match):
+    cfg = _sweep_config(workspace, tmp_path / "bad.cfg", **overrides)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit, match=match):
+        main(["sweep", "--config", str(cfg), "--axis", "pilots",
+              "--out", str(out), *extra])
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
+def test_report_of_one_constellation_has_zero_standard_error(
+        workspace, tmp_path, capsys):
+    cfg = _sweep_config(workspace, tmp_path / "one.cfg", constellations=1)
+    csv_path, raw_path = tmp_path / "one.csv", tmp_path / "one.npy"
+    main(["sweep", "--config", str(cfg), "--axis", "snr",
+          "--out", str(csv_path), "--dump-raw", str(raw_path)])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        main(["report", "--csv", str(csv_path), "--raw", str(raw_path)])
+    table, recomputed = capsys.readouterr().out.split("\nrecomputed")
+    assert "(1 constellations)" in recomputed and "nan" not in recomputed
+    # the recomputed rows repeat the CSV's rows, +-0.000 included
+    assert table.splitlines()[1:] == recomputed.splitlines()[1:]
+    assert "+-0.000" in table
+
+
+@pytest.fixture(scope="module")
+def pilots_and_snr_dumps(workspace, tmp_path_factory):
+    root = tmp_path_factory.mktemp("dumps")
+    cfg = _sweep_config(workspace, root / "exp.cfg")
+    paths = {}
+    for axis, values in (("pilots", "2,4"), ("snr", "0,10")):
+        paths[axis] = (root / f"{axis}.csv", root / f"{axis}.npy")
+        main(["sweep", "--config", str(cfg), "--axis", axis,
+              "--values", values, "--out", str(paths[axis][0]),
+              "--dump-raw", str(paths[axis][1])])
+    return paths
+
+
+def test_report_refuses_a_dump_of_another_sweep(pilots_and_snr_dumps,
+                                                 capsys):
+    snr_csv, _ = pilots_and_snr_dumps["snr"]
+    _, pilots_raw = pilots_and_snr_dumps["pilots"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit, match="pilots sweep"):
+        main(["report", "--csv", str(snr_csv), "--raw", str(pilots_raw)])
+    assert "recomputed" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (6, 3), (5, 2), (0, 2), (6,)])
+def test_report_refuses_a_dump_of_the_wrong_shape(pilots_and_snr_dumps,
+                                                  tmp_path, capsys, shape):
+    snr_csv, _ = pilots_and_snr_dumps["snr"]
+    raw_path = tmp_path / "raw.npy"  # no sidecar: the shape alone decides
+    np.save(raw_path, np.ones(shape))
+    capsys.readouterr()
+    with pytest.raises(SystemExit, match="not a dump of the CSV's snr sweep"):
+        main(["report", "--csv", str(snr_csv), "--raw", str(raw_path)])
+    assert "recomputed" not in capsys.readouterr().out
+
+
+def test_report_accepts_a_matching_dump_without_sidecar(
+        pilots_and_snr_dumps, tmp_path, capsys):
+    snr_csv, snr_raw = pilots_and_snr_dumps["snr"]
+    raw_path = tmp_path / "raw.npy"
+    raw_path.write_bytes(snr_raw.read_bytes())
+    capsys.readouterr()
+    main(["report", "--csv", str(snr_csv), "--raw", str(raw_path)])
+    assert "recomputed from" in capsys.readouterr().out
 
 
 def test_sweep_determinism(workspace, tmp_path, capsys):

@@ -1,9 +1,12 @@
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from limfb import evaluate
+from limfb.config import read_kv
 from limfb.evaluate import (Experiment, ExperimentConfig, SweepResult,
                             dump_raw, emit_csv, export_trajectory_csv,
                             parse_scheme, read_sweep_csv, run_sweep, sum_rate)
@@ -12,6 +15,9 @@ from limfb.gmm import GmmModel, project_to_observation
 from limfb.precoding import (PrecoderSet, SwmmseOptions,
                              directional_representatives, rci_precoders,
                              swmmse_precoders)
+from limfb.scene import load_scene_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _experiment(desk_train, desk_eval, desk_model, desk_tmodel=None,
@@ -71,11 +77,16 @@ def test_sum_rate_invariant_to_user_phase():
 # -- scheme parsing --------------------------------------------------------------
 
 def test_parse_scheme_variants():
-    assert parse_scheme("gmm-obs") == ("mixture", ("gmm", "obs"), None)
-    assert parse_scheme("tgmm-perfect+rci") == \
-        ("mixture", ("tgmm", "perfect"), "rci")
-    assert parse_scheme("dft:omp") == ("codebook", "omp", None)
-    for bad in ("gmm", "dft:fancy", "gmm-obs+zf"):
+    assert parse_scheme("gmm-obs") == ("obs", "full", None)
+    assert parse_scheme("tgmm-perfect+rci") == ("perfect", "toeplitz", "rci")
+    assert parse_scheme("gmm-obs+swmmse") == ("obs", "full", "swmmse")
+    assert parse_scheme("dft:omp") == ("dft:omp", None, None)
+    assert parse_scheme("dft:perfect") == ("dft:perfect", None, None)
+    assert parse_scheme("dft:lmmse") == ("dft:lmmse", None, None)
+    assert parse_scheme("dft:gmm") == ("dft:gmm", "full", None)
+    assert parse_scheme("dft:tgmm+rci") == ("dft:tgmm", "toeplitz", "rci")
+    for bad in ("gmm", "dft:fancy", "gmm-obs+zf", "dft-obs", "dft:gmm-obs",
+                "gmm-obs-perfect", "tgmm:obs", "lmmse-obs", "dft:", "obs"):
         with pytest.raises(ValueError):
             parse_scheme(bad)
 
@@ -142,7 +153,8 @@ def test_representatives_are_computed_once_per_used_component(
     first, _ = exp.run_constellation([17, 0])
     assert sum(eigh_rows) == len(used["full"]) + len(used["toeplitz"])
     for constraint in ("full", "toeplitz"):
-        assert set(exp._representatives[(constraint, 4)]) == used[constraint]
+        assert (set(exp._cache[("representatives", constraint, 4)])
+                == used[constraint])
 
     # the same constellation again: every representative comes from the cache
     eigh_rows.clear()
@@ -154,7 +166,7 @@ def test_representatives_are_computed_once_per_used_component(
     assert sum(eigh_rows) == len(used["full"]) + len(used["toeplitz"]) - seen
     # cached rows are the rows of the full matrix, bit for bit
     full = directional_representatives(desk_model)
-    for k, row in exp._representatives[("full", 4)].items():
+    for k, row in exp._cache[("representatives", "full", 4)].items():
         assert row.tobytes() == full[k - 1].tobytes()
 
 
@@ -238,6 +250,30 @@ def test_iterations_axis_reuses_trajectory(desk_train, desk_eval, desk_model):
     # the RCI designer does not iterate: identical value at every checkpoint
     assert np.all(rci == rci[0])
     assert not np.all(swmmse == swmmse[0])
+
+
+def test_at_iterations_evaluates_only_the_requested_snapshots(
+        desk_train, desk_eval, desk_model, monkeypatch):
+    exp = _experiment(desk_train, desk_eval, desk_model, constellations=1,
+                      schemes=("gmm-obs+swmmse", "gmm-obs"), iters=12)
+    calls = []
+    real_sum_rate = evaluate.sum_rate
+
+    def counting_sum_rate(*args):
+        calls.append(args)
+        return real_sum_rate(*args)
+
+    monkeypatch.setattr(evaluate, "sum_rate", counting_sum_rate)
+    rates, _ = exp.run_constellation([17, 0], iters=12,
+                                     at_iterations=[3, 12, 1])
+    # three SWMMSE snapshots and one RCI design, not all 12 iterations
+    assert len(calls) == 4
+    assert np.ndim(rates["gmm-obs"]) == 0
+    # the SWMMSE draws are a prefix-stable stream, so snapshot t is the
+    # design of a run stopped after t iterations
+    expected = [exp.run_constellation([17, 0], iters=t)[0]["gmm-obs+swmmse"]
+                for t in (3, 12, 1)]
+    assert rates["gmm-obs+swmmse"].tolist() == expected
 
 
 def test_monotone_snr_for_perfect_feedback(desk_train, desk_eval, desk_model):
@@ -347,6 +383,70 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
     path.write_text("profile = desk\nnonsense = 1\n")
     with pytest.raises(ValueError, match="nonsense"):
         ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize("line, match", [
+    ("geometry = 4x16", "geometry"), ("model_paths = m.lfbm", "model_paths"),
+    ("num_clusters = 4", "num_clusters"), ("profile = huge", "huge")])
+def test_experiment_config_rejects_keys_of_no_field(tmp_path, line, match):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"eval_data = eval.lfbd\n{line}\n")
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_file(path)
+
+
+def test_experiment_config_without_profile_reads_the_array_keys(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("n_vert = 2\nn_horiz = 4\nspacing_horiz = 0.25\n"
+                    "pilots = 3\nrho = 2.5\n")
+    config = ExperimentConfig.from_file(path)
+    assert (config.geometry.n_vert, config.geometry.n_horiz) == (2, 4)
+    assert config.geometry.spacing_horiz == 0.25
+    assert config.pilots == 3 and config.rho == 2.5 and config.bits == 6
+    assert config.model_paths == {}
+
+
+@pytest.mark.parametrize("overrides, match", [
+    (dict(rho=np.nan), "rho"), (dict(rho=np.inf), "rho"),
+    (dict(rho=0.0), "rho"), (dict(rho=-1.0), "rho"),
+    (dict(iters=0), "iters"), (dict(snr_db=()), "snr_db"),
+    (dict(constellations=0), "constellations"), (dict(users=0), "users")],
+    ids=["rho-nan", "rho-inf", "rho-zero", "rho-negative", "iters",
+         "snr_db", "constellations", "users"])
+def test_experiment_config_rejects_bad_values(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.desk_profile(**overrides)
+
+
+def _readme_config_blocks():
+    section = README.read_text().split("### Config files", 1)[1]
+    return re.findall(r"```\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+
+
+def test_readme_config_blocks_are_read_field_by_field(tmp_path):
+    scene_block, experiment_block = _readme_config_blocks()
+    scene_path = tmp_path / "scene.cfg"
+    scene_path.write_text(scene_block)
+    scene = load_scene_config(scene_path)
+    for key, text in read_kv(scene_path).items():
+        owner = scene.geometry if hasattr(scene.geometry, key) else scene
+        assert getattr(owner, key) == type(getattr(owner, key))(text), key
+
+    experiment_path = tmp_path / "exp.cfg"
+    experiment_path.write_text(experiment_block)
+    config = ExperimentConfig.from_file(experiment_path)
+    for key, text in read_kv(experiment_path).items():
+        if key.startswith("model."):
+            assert config.model_paths[key[len("model."):]] == text
+        elif hasattr(config.geometry, key):
+            assert getattr(config.geometry, key) == float(text), key
+        elif key == "snr_db":
+            assert config.snr_db == tuple(map(float, text.split(",")))
+        elif key == "schemes":
+            assert config.schemes == tuple(text.replace(" ", "").split(","))
+        elif key != "profile":
+            value = getattr(config, key)
+            assert value == type(value)(text), key
 
 
 def test_config_hash_tracks_fields():

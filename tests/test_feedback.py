@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import dft
 
-from limfb.feedback import (FeedbackReport, build_dft_codebook,
+from limfb.feedback import (FeedbackReport, PilotSetup, build_dft_codebook,
                             build_pilot_matrix, mixture_feedback, observe,
                             select_codebook_index)
 from limfb.gmm import GmmModel, project_to_observation
@@ -37,6 +37,13 @@ def test_pilot_count_bounds(desk_geometry):
         build_pilot_matrix(desk_geometry, desk_geometry.n + 1)
     with pytest.raises(ValueError):
         build_pilot_matrix(desk_geometry, 0)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+def test_pilot_setup_rejects_bad_rho(desk_geometry, rho):
+    pilot_matrix = build_pilot_matrix(desk_geometry, 4).pilot_matrix
+    with pytest.raises(ValueError, match="rho must be finite and > 0"):
+        PilotSetup(pilot_matrix, rho)
 
 
 def test_pilot_snr_bookkeeping(desk_geometry):

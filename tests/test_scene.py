@@ -181,6 +181,27 @@ def test_scene_config_file(tmp_path):
     assert cfg.seed == 42
 
 
+def test_scene_config_reads_every_field(tmp_path):
+    path = tmp_path / "scene.cfg"
+    path.write_text("spacing_vert = 0.75\nspacing_horiz = 0.25\n"
+                    "paths_per_cluster = 3\nelevation_spread = 0.02\n"
+                    "diffuse_power = 0.1\n")
+    cfg = load_scene_config(path)
+    assert cfg.geometry == ArrayGeometry(4, 16, 0.75, 0.25)
+    assert (cfg.paths_per_cluster, cfg.elevation_spread,
+            cfg.diffuse_power) == (3, 0.02, 0.1)
+    assert (cfg.num_clusters, cfg.azimuth_spread, cfg.seed) == (16, 0.08, 0)
+
+
+@pytest.mark.parametrize("line", ["num_cluster = 4", "geometry = 2x8",
+                                  "profile = desk"])
+def test_scene_config_rejects_unknown_keys(tmp_path, line):
+    path = tmp_path / "scene.cfg"
+    path.write_text(f"n_vert = 2\n{line}\n")
+    with pytest.raises(ValueError, match=line.split()[0]):
+        load_scene_config(path)
+
+
 def test_scene_config_validation(desk_geometry):
     with pytest.raises(ValueError):
         SceneConfig(desk_geometry, azimuth_spread=np.pi)
