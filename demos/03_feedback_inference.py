@@ -25,7 +25,7 @@ model = fit_em(train, 16, options=EmOptions(max_iters=40, seed=3))
 
 n_pilots, snr_db = 4, 10.0
 sigma_n2 = 10.0 ** (-snr_db / 10.0)
-setup = build_pilot_matrix(geometry, n_pilots).with_noise(sigma_n2)
+setup = build_pilot_matrix(geometry, n_pilots, sigma_n2=sigma_n2)
 print(f"{n_pilots} pilots at {snr_db:.0f} dB SNR "
       f"(N={geometry.n}: heavily compressed observations)")
 

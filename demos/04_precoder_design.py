@@ -25,7 +25,7 @@ evalset = normalize_dataset(generate_channels(scene, 100, sample_seed=2))
 model = fit_em(train, 16, options=EmOptions(max_iters=40, seed=3))
 
 n_users, rho, sigma_n2 = 4, 1.0, 0.1
-setup = build_pilot_matrix(geometry, 8, rho).with_noise(sigma_n2)
+setup = build_pilot_matrix(geometry, 8, sigma_n2=sigma_n2, rho=rho)
 observation_model = project_to_observation(model, setup)
 
 rng = np.random.default_rng(42)

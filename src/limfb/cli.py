@@ -9,8 +9,9 @@ from dataclasses import replace
 import numpy as np
 
 from .evaluate import (DFT_ESTIMATORS, MIXTURE_FAMILIES, SWEEP_AXES,
-                       Experiment, ExperimentConfig, dump_raw, emit_csv,
-                       mean_and_se, parse_scheme, read_sweep_csv, run_sweep)
+                       Experiment, ExperimentConfig, axis_values, dump_raw,
+                       emit_csv, mean_and_se, parse_scheme, read_sweep_csv,
+                       run_sweep)
 from .feedback import observe
 from .gmm import EmOptions, fit_em, load_model, save_model
 from .scene import (ArrayGeometry, generate_channels, load_dataset,
@@ -100,7 +101,7 @@ def _cmd_feedback(args):
 
 def _cmd_sweep(args):
     overrides = {}
-    for name in ("precoder", "iters", "seed"):
+    for name in ("iters", "seed"):
         if getattr(args, name) is not None:
             overrides[name] = getattr(args, name)
     values = None
@@ -110,6 +111,7 @@ def _cmd_sweep(args):
         if args.values:
             caster = float if args.axis == "snr" else int
             values = [caster(v) for v in args.values.split(",")]
+        values = axis_values(experiment, args.axis, values)
     except ValueError as exc:
         raise SystemExit(str(exc))
     result = run_sweep(experiment, args.axis, values=values)
@@ -222,7 +224,6 @@ def main(argv=None):
                          help="comma-separated axis values")
     p_sweep.add_argument("--dump-raw", default=None,
                          help="path for the per-constellation raw dump")
-    p_sweep.add_argument("--precoder", choices=("rci", "swmmse"), default=None)
     p_sweep.add_argument("--iters", type=int, default=None)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.set_defaults(func=_cmd_sweep)

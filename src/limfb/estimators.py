@@ -45,12 +45,10 @@ def estimate_gmm(model, setup, y, obs=None):
     return h_hat[0] if np.ndim(y) == 1 else h_hat
 
 
-def build_omp_dictionary(geometry, oversampling=2):
-    """Oversampled 2D-DFT grid as an (N, oversampling^2 * N) atom matrix."""
-    if oversampling < 1:
-        raise ValueError("oversampling must be >= 1")
-    return np.kron(_dft_beams(geometry.n_vert, oversampling * geometry.n_vert),
-                   _dft_beams(geometry.n_horiz, oversampling * geometry.n_horiz))
+def build_omp_dictionary(geometry):
+    """2x oversampled 2D-DFT grid as an (N, 4N) atom matrix."""
+    return np.kron(_dft_beams(geometry.n_vert, 2 * geometry.n_vert),
+                   _dft_beams(geometry.n_horiz, 2 * geometry.n_horiz))
 
 
 def _refit(sensing, support, y):
@@ -68,17 +66,15 @@ def _refit(sensing, support, y):
     return coeff
 
 
-def omp_support(setup, dictionary, y, max_atoms=None):
+def omp_support(setup, dictionary, y):
     """Greedy atom selection; returns (support indices, coefficients).
 
     Atoms of the effective sensing matrix ``P @ dictionary`` are selected by
     the largest normalized residual correlation, with a least-squares re-fit
     on the support each round. Iteration stops when the residual drops to
-    the noise level sqrt(n_p)*sigma_n or the support reaches
-    min(n_p, max_atoms). An observation with an inf or NaN raises ValueError.
+    the noise level sqrt(n_p)*sigma_n or the support reaches n_p atoms. An
+    observation with an inf or NaN raises ValueError.
     """
-    if setup.sigma_n2 is None:
-        raise ValueError("pilot setup has no noise variance set")
     y = np.asarray(y, dtype=np.complex128)
     if not np.all(np.isfinite(y)):
         raise ValueError("observation contains infs or NaNs")
@@ -86,12 +82,11 @@ def omp_support(setup, dictionary, y, max_atoms=None):
     norms = np.linalg.norm(sensing, axis=0)
     usable = norms > 0.0
     threshold = np.sqrt(setup.n_pilots * setup.sigma_n2)
-    limit = setup.n_pilots if max_atoms is None else min(max_atoms, setup.n_pilots)
 
     support = []
     coeff = np.zeros(0, dtype=np.complex128)
     residual = y.copy()
-    while np.linalg.norm(residual) > threshold and len(support) < limit:
+    while np.linalg.norm(residual) > threshold and len(support) < setup.n_pilots:
         scores = np.abs(sensing.conj().T @ residual)
         scores = np.where(usable, scores / np.maximum(norms, 1e-300), 0.0)
         scores[support] = 0.0
@@ -104,10 +99,10 @@ def omp_support(setup, dictionary, y, max_atoms=None):
     return support, coeff
 
 
-def estimate_omp(setup, dictionary, y, max_atoms=None):
+def estimate_omp(setup, dictionary, y):
     """Sparse channel reconstruction via orthogonal matching pursuit."""
     dictionary = np.asarray(dictionary, dtype=np.complex128)
-    support, coeff = omp_support(setup, dictionary, y, max_atoms=max_atoms)
+    support, coeff = omp_support(setup, dictionary, y)
     if not support:
         return np.zeros(dictionary.shape[0], dtype=np.complex128)
     return dictionary[:, support] @ coeff

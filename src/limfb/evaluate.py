@@ -11,16 +11,17 @@ Scheme tags
 ``gmm-obs``/``gmm-perfect`` and ``tgmm-obs``/``tgmm-perfect`` pick a mixture
 component from pilot observations or perfect CSI (full / Toeplitz model);
 ``dft:perfect``, ``dft:gmm``, ``dft:tgmm``, ``dft:lmmse``, ``dft:omp`` select
-a DFT codebook entry from perfect or estimated CSI. An optional ``+rci`` or
-``+swmmse`` suffix overrides the configured precoder for that scheme
-(codebook schemes always use RCI: there is no generative model to sample).
+a DFT codebook entry from perfect or estimated CSI. A mixture scheme whose
+tag ends in ``+swmmse`` gets stochastic WMMSE precoders; every other scheme,
+with or without a ``+rci`` suffix, gets RCI (codebook schemes cannot take
+``+swmmse``: there is no generative model to sample).
 """
 
 import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,7 +102,6 @@ class ExperimentConfig:
     snr_db: tuple = (10.0,)
     constellations: int = 500
     schemes: tuple = DEFAULT_SCHEMES
-    precoder: str = "rci"
     iters: int = 300
     rho: float = 1.0
     seed: int = 0
@@ -114,8 +114,6 @@ class ExperimentConfig:
         if not 1 <= self.pilots <= self.geometry.n:
             raise ValueError(f"pilots must lie in 1..{self.geometry.n}, "
                              f"got {self.pilots}")
-        if self.precoder not in ("rci", "swmmse"):
-            raise ValueError(f"unknown precoder {self.precoder!r}")
         _check_rho(self.rho)
         if not self.snr_db:
             raise ValueError("need at least one snr_db point")
@@ -137,9 +135,8 @@ class ExperimentConfig:
         kwargs = read_fields(cls, kv, {
             "snr_db": lambda text: tuple(float(v) for v in text.split(",")),
             "schemes": lambda text: tuple(s.strip() for s in text.split(","))})
-        # without a profile the array keys give the geometry
-        if profile is None or kv.keys() & {f.name for f in fields(ArrayGeometry)}:
-            kwargs["geometry"] = read_geometry(kv)
+        base = PROFILES.get(profile, {}).get("geometry", ArrayGeometry())
+        kwargs["geometry"] = read_geometry(kv, base)
         kwargs["model_paths"] = {key[len("model."):]: kv.pop(key)
                                  for key in list(kv) if key.startswith("model.")}
         if kv:
@@ -230,7 +227,7 @@ class Experiment:
         return self._memo(
             ("pilots", n_pilots, sigma_n2),
             lambda: build_pilot_matrix(self.geometry, n_pilots,
-                                       self.config.rho).with_noise(sigma_n2))
+                                       sigma_n2=sigma_n2, rho=self.config.rho))
 
     def observation_model(self, constraint, bits, n_pilots, sigma_n2):
         return self._memo(
@@ -299,15 +296,12 @@ class Experiment:
 
     def _precoders(self, tag, bits, reports, sigma_n2, swmmse_seed, iters):
         source, constraint, designer = parse_scheme(tag)
-        codebook = source.startswith("dft:")
-        if designer is None:
-            designer = "rci" if codebook else self.config.precoder
         rho = self.config.rho
         if designer == "swmmse":
             model = self.model_for(constraint, bits)
             options = SwmmseOptions(max_iters=iters, seed=swmmse_seed)
             return swmmse_precoders(model, reports, sigma_n2, rho, options)
-        if codebook:
+        if source.startswith("dft:"):
             chosen = self.codebook(bits).entries[[r.index - 1 for r in reports]]
         else:
             chosen = self.representatives(constraint, bits,
@@ -362,7 +356,22 @@ class Experiment:
         return rates, skipped
 
 
-def _default_axis_values(experiment, axis):
+def axis_values(experiment, axis, values=None):
+    """The points of a sweep along ``axis``: ``values`` or the defaults.
+
+    An iteration must be >= 1, a pilot count lie in 1..N and a user count
+    in 1..len(eval); a value out of range raises ValueError.
+    """
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r} (one of {SWEEP_AXES})")
+    if values is not None:
+        lo, hi = {"iterations": (1, np.inf),
+                  "pilots": (1, experiment.geometry.n),
+                  "users": (1, len(experiment.eval))}.get(axis, (-np.inf, np.inf))
+        bad = [v for v in values if not lo <= v <= hi]
+        if bad:
+            raise ValueError(f"{axis} values must lie in {lo}..{hi}, got {bad}")
+        return list(values)
     cfg = experiment.config
     if axis == "snr":
         return list(cfg.snr_db)
@@ -394,12 +403,8 @@ def run_sweep(experiment, axis, values=None):
     The iterations axis runs one SWMMSE trajectory per constellation and
     evaluates the rates at the requested checkpoints only.
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r} (one of {SWEEP_AXES})")
+    values = axis_values(experiment, axis, values)
     cfg = experiment.config
-    if values is None:
-        values = _default_axis_values(experiment, axis)
-    values = list(values)
     started = time.time()
 
     # (rows of the result, run_constellation arguments) per sweep point

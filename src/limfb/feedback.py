@@ -15,57 +15,42 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import dft
 
+from .precoding import _check_rho
+
 logger = logging.getLogger(__name__)
 
 
 class PilotSetup:
     """Pilot matrix plus the per-experiment noise and power bookkeeping.
 
-    Every row of the pilot matrix (column of P^T) carries pilot energy rho;
-    this is validated at construction. ``sigma_n2`` may be left unset and
-    filled in per experiment via :meth:`with_noise`.
+    Every row of the pilot matrix (column of P^T) carries pilot energy rho
+    and the observation noise has variance ``sigma_n2`` per entry; both are
+    validated at construction.
     """
 
-    def __init__(self, pilot_matrix, rho, sigma_n2=None):
+    def __init__(self, pilot_matrix, rho, sigma_n2):
         pilot_matrix = np.asarray(pilot_matrix, dtype=np.complex128)
         if pilot_matrix.ndim != 2:
             raise ValueError("pilot matrix must be 2-D")
         n_pilots, dim = pilot_matrix.shape
         if n_pilots > dim:
             raise ValueError("cannot use more pilots than antennas")
-        if not (np.isfinite(rho) and rho > 0):
-            raise ValueError(f"rho must be finite and > 0, got {rho}")
+        _check_rho(rho)
+        if not sigma_n2 >= 0:  # also rejects NaN
+            raise ValueError(f"sigma_n2 must be >= 0, got {sigma_n2}")
         row_energy = np.sum(np.abs(pilot_matrix) ** 2, axis=1)
         if np.max(np.abs(row_energy - rho)) > 1e-8 * rho:
             raise ValueError("every pilot row must carry energy rho")
         self.pilot_matrix = pilot_matrix
         self.rho = float(rho)
-        self.sigma_n2 = None if sigma_n2 is None else float(sigma_n2)
+        self.sigma_n2 = float(sigma_n2)
 
     @property
     def n_pilots(self):
         return self.pilot_matrix.shape[0]
 
-    @property
-    def dim(self):
-        return self.pilot_matrix.shape[1]
 
-    @property
-    def snr(self):
-        if self.sigma_n2 is None or self.sigma_n2 == 0.0:
-            return np.inf
-        return self.rho / self.sigma_n2
-
-    def with_noise(self, sigma_n2):
-        """Copy of this setup with the noise variance set."""
-        out = PilotSetup.__new__(PilotSetup)
-        out.pilot_matrix = self.pilot_matrix
-        out.rho = self.rho
-        out.sigma_n2 = float(sigma_n2)
-        return out
-
-
-def build_pilot_matrix(geometry, n_pilots, rho=1.0):
+def build_pilot_matrix(geometry, n_pilots, *, sigma_n2, rho=1.0):
     """Evenly spaced rows of the unitary 2D-DFT, rescaled to pilot energy rho.
 
     Row i of the returned matrix is row round(i*N/n_pilots) of
@@ -75,11 +60,12 @@ def build_pilot_matrix(geometry, n_pilots, rho=1.0):
     n = geometry.n
     if not 1 <= n_pilots <= n:
         raise ValueError(f"n_pilots must lie in 1..{n}")
+    _check_rho(rho)
     full = np.kron(dft(geometry.n_vert, scale="sqrtn"),
                    dft(geometry.n_horiz, scale="sqrtn"))
     rows = np.floor(np.arange(n_pilots) * n / n_pilots + 0.5).astype(int)
     pilot = np.sqrt(rho) * full[rows, :]
-    return PilotSetup(pilot, rho)
+    return PilotSetup(pilot, rho, sigma_n2)
 
 
 def observe(setup, h, seed):
@@ -88,8 +74,6 @@ def observe(setup, h, seed):
     ``seed`` may be an int or a numpy Generator; the noise is
     circularly-symmetric with variance ``setup.sigma_n2`` per entry.
     """
-    if setup.sigma_n2 is None:
-        raise ValueError("pilot setup has no noise variance set")
     h = np.asarray(h, dtype=np.complex128)
     rng = np.random.default_rng(seed)
     unit = (rng.standard_normal(setup.n_pilots)

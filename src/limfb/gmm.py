@@ -31,21 +31,20 @@ MODEL_VERSION = 1
 
 _CONSTRAINTS = ("full", "toeplitz")
 _COLLAPSE_WEIGHT = 1e-8
+# the covariance floor on eigenvalues (full) or spectral entries (toeplitz),
+# as a fraction of the average eigenvalue of the global sample covariance
+_FLOOR_SCALE = 1e-6
 
 
 @dataclass
 class EmOptions:
     """Knobs of the EM fit.
 
-    ``floor_scale`` sets the covariance regularization floor as a fraction of
-    the average eigenvalue of the global sample covariance; the floor is
-    applied to eigenvalues (full constraint) or spectral entries (toeplitz).
     ``seed`` drives the k-means++ seeding and the re-seeding draws.
     """
 
     max_iters: int = 100
     rel_loglik_tol: float = 1e-6
-    floor_scale: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -53,8 +52,6 @@ class EmOptions:
             raise ValueError("max_iters must be >= 1")
         if self.rel_loglik_tol < 0:
             raise ValueError("rel_loglik_tol must be >= 0")
-        if self.floor_scale <= 0:
-            raise ValueError("floor_scale must be > 0")
 
 
 def _chol_logdet(cov):
@@ -244,16 +241,11 @@ def project_to_observation(model, setup):
     All K projected covariances ``P C_k P^H + sigma_n^2 I`` come from one
     stacked product; see ObservationGmm.
     """
-    sigma_n2 = setup.sigma_n2
-    if sigma_n2 is None:
-        raise ValueError("pilot setup has no noise variance set")
-    if sigma_n2 < 0:
-        raise ValueError("sigma_n2 must be >= 0")
     pilot = setup.pilot_matrix
     if pilot.shape[1] != model.dim:
         raise ValueError("pilot matrix width does not match the model dimension")
     projected = pilot @ model.covariances
-    covs = projected @ pilot.conj().T + sigma_n2 * np.eye(pilot.shape[0])
+    covs = projected @ pilot.conj().T + setup.sigma_n2 * np.eye(pilot.shape[0])
     obs = ObservationGmm(model.weights, model.means @ pilot.T, covs)
     # C_k P^H S_k^-1 = (L_k^-1 P C_k)^H L_k^-1, with S_k = L_k L_k^H
     inv_chols = obs._factors[0]
@@ -489,7 +481,7 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
 
     rng = np.random.default_rng(options.seed)
     _, global_cov = sample_moments(x)
-    floor = options.floor_scale * np.trace(global_cov).real / dim
+    floor = _FLOOR_SCALE * np.trace(global_cov).real / dim
 
     def project(scatter):
         """(spectrum or None, covariance) of the constrained M-step."""

@@ -30,24 +30,19 @@ _EIGEN_GAP_TIE = 1e-10
 _EPS = np.finfo(float).eps
 _WEIGHT_CLAMP = 1e6
 _NEWTON_STEPS = 100
+_POWER_TOL = 1e-9  # a power step ends within _POWER_TOL * rho below rho
 
 
 @dataclass
 class SwmmseOptions:
-    """Stochastic WMMSE knobs; the step size is gamma_t = t^-step_exponent."""
+    """Stochastic WMMSE knobs; the step size is gamma_t = 1/t."""
 
     max_iters: int = 300
-    step_exponent: float = 1.0
-    power_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not 0.5 < self.step_exponent <= 1.0:
-            raise ValueError("step_exponent should lie in (0.5, 1]")
-        if self.power_tol <= 0:
-            raise ValueError("power_tol must be > 0")
 
 
 class PrecoderSet:
@@ -66,10 +61,6 @@ class PrecoderSet:
         self.rho = float(rho)
         self.designer = designer
         self.metadata = metadata or {}
-
-    @property
-    def n_users(self):
-        return self.vectors.shape[0]
 
     @property
     def power(self):
@@ -202,19 +193,20 @@ def _ridge_newton(solve, rho, tol, lam, bracket, zero_open, resolution):
     return None
 
 
-def _power_step(cov, rhs, rho, tol, lam=0.0):
+def _power_step(cov, rhs, rho, lam=0.0):
     """Least-ridge rows ``((cov + lam I)^-1 rhs^T)^T`` with power <= rho.
 
     Returns ``(vectors, lam, factorizations, eigen)``. The ridge is 0 when
     the pseudo-inverse over the eigenvalues above 1e-13 of the top fits the
     budget (weight outside that subspace needs unbounded power, unless it is
     no more than ``eigh`` leaks there); otherwise the power is within
-    ``tol * rho`` of rho. Newton starts from ``lam``,
-    the previous ridge, at one Cholesky factorization per step. A singular
-    or ill-conditioned ``cov`` at ``lam = 0``, or a ridge below what
+    ``_POWER_TOL * rho`` of rho. Newton starts from ``lam``, the previous
+    ridge, at one Cholesky factorization per step. A singular or
+    ill-conditioned ``cov`` at ``lam = 0``, or a ridge below what
     ``cov + lam I`` resolves, hands the step to one ``eigh`` (``eigen``).
     """
-    hi = np.linalg.norm(rhs) / np.sqrt(rho * (1.0 - 0.5 * tol))  # phi(hi) <= rho
+    # phi(hi) <= rho
+    hi = np.linalg.norm(rhs) / np.sqrt(rho * (1.0 - 0.5 * _POWER_TOL))
     dim = cov.shape[0]
     shifted = np.empty((dim, dim), dtype=np.complex128, order="F")
     diagonal = shifted.T.reshape(-1)[::dim + 1]  # a view: shifted.T is C-order
@@ -234,8 +226,8 @@ def _power_step(cov, rhs, rho, tol, lam=0.0):
         return np.vdot(x, x).real, np.vdot(z, z).real, x.T
 
     resolution = 8.0 * _EPS * np.max(cov.diagonal().real)
-    found = _ridge_newton(cholesky_solve, rho, tol, lam, [0.0, hi], True,
-                          resolution)
+    found = _ridge_newton(cholesky_solve, rho, _POWER_TOL, lam, [0.0, hi],
+                          True, resolution)
     if found is not None:
         return *found, factorizations, False
 
@@ -259,7 +251,7 @@ def _power_step(cov, rhs, rho, tol, lam=0.0):
         return weights @ inv ** 2, weights @ inv ** 3, None
 
     bracket = [0.0, hi]
-    found = _ridge_newton(eigen_solve, rho, tol, lam, bracket, False, 0.0)
+    found = _ridge_newton(eigen_solve, rho, _POWER_TOL, lam, bracket, False, 0.0)
     # no root when weight on an inactive direction rules lam = 0 out while
     # its eigenvalue keeps phi(0+) <= rho: the least feasible ridge tried
     # stands in
@@ -326,7 +318,7 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
         mse = 1.0 - (receivers * direct).real
         weights = np.clip(1.0 / np.maximum(mse, 1e-300), 1.0, _WEIGHT_CLAMP)
 
-        gamma = t ** (-options.step_exponent)
+        gamma = 1.0 / t
         coef = weights * np.abs(receivers) ** 2
         avg_cov *= 1.0 - gamma
         avg_cov += gamma * (sample.conj().T * coef) @ sample
@@ -334,7 +326,7 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
         avg_rhs += gamma * (weights * receivers.conj())[:, None] * sample.conj()
 
         vectors, lam, factorizations[t - 1], eigen = _power_step(
-            avg_cov, avg_rhs, rho, options.power_tol, lam)
+            avg_cov, avg_rhs, rho, lam)
         eigen_iterations += eigen
         if not np.all(np.isfinite(vectors)):
             raise RuntimeError(

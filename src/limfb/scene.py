@@ -13,7 +13,7 @@ complex64 so that save/load round trips are bit exact.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -242,9 +242,9 @@ def load_dataset(path):
     return ChannelDataset(samples, scene=None, normalized=bool(norm_flag))
 
 
-def read_geometry(kv):
-    """ArrayGeometry from the array keys it pops off a config dict."""
-    return ArrayGeometry(**read_fields(ArrayGeometry, kv))
+def read_geometry(kv, base=ArrayGeometry()):
+    """``base`` with the fields named by the array keys it pops off ``kv``."""
+    return replace(base, **read_fields(ArrayGeometry, kv))
 
 
 def load_scene_config(path):

@@ -114,7 +114,7 @@ def test_criterion_3_oracle_equivalence(desk_geometry):
         raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         cov = raw @ raw.conj().T / 16 + np.eye(16)
         model = GmmModel([1.0], [mean], [cov])
-        setup = build_pilot_matrix(desk_geometry, 6).with_noise(0.4)
+        setup = build_pilot_matrix(desk_geometry, 6, sigma_n2=0.4)
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         a = estimate_gmm(model, setup, y)
         b = estimate_lmmse(mean, cov, setup, y)
@@ -245,7 +245,7 @@ def test_criterion_7_feedback_latency_independent_of_antennas():
     observations = {}
     for n, geometry in dims.items():
         model = _random_mixture(16, n, seed=n)
-        setup = build_pilot_matrix(geometry, 8).with_noise(SNR_10_DB)
+        setup = build_pilot_matrix(geometry, 8, sigma_n2=SNR_10_DB)
         observations[n] = project_to_observation(model, setup)
     ys = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
 

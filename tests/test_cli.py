@@ -94,7 +94,7 @@ def test_feedback_command_matches_per_user_inference(workspace, tmp_path,
           "--count", "40", "--seed", "3", "--out", str(out_path)])
     geometry = ArrayGeometry(2, 4)
     model = load_model(workspace / model_file, geometry=geometry)
-    setup = build_pilot_matrix(geometry, 4).with_noise(0.1)
+    setup = build_pilot_matrix(geometry, 4, sigma_n2=0.1)
     obs = project_to_observation(model, setup)
     codebook = build_dft_codebook(geometry, 2)
     mean, cov = sample_moments(load_dataset(workspace / "train.lfbd").samples)
@@ -158,8 +158,13 @@ def _sweep_config(workspace, path, **overrides):
     ({}, ["--iters", "0"], "iters must be >= 1"),
     (dict(num_cluster=4), [], "unknown config keys"),
     ({}, ["--values", "2,x"], "invalid literal"),
+    ({}, ["--values", "4,9"], r"pilots values must lie in 1..8, got \[9\]"),
+    ({}, ["--axis", "users", "--values", "2,500"],
+     r"users values must lie in 1..400, got \[500\]"),
+    ({}, ["--axis", "iterations", "--values", "0,4"],
+     r"iterations values must lie in 1..inf, got \[0\]"),
 ], ids=["rho-nan", "rho-zero", "iters-key", "iters-flag", "unknown-key",
-        "bad-values"])
+        "bad-values", "pilots-range", "users-range", "iterations-range"])
 def test_sweep_exits_with_the_message_on_a_bad_config(
         workspace, tmp_path, capsys, overrides, extra, match):
     cfg = _sweep_config(workspace, tmp_path / "bad.cfg", **overrides)

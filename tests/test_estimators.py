@@ -9,28 +9,20 @@ from scipy.special import logsumexp
 
 from limfb.estimators import (build_omp_dictionary, estimate_gmm,
                               estimate_lmmse, estimate_omp, omp_support)
-from limfb.feedback import build_pilot_matrix, observe
+from limfb.feedback import PilotSetup, build_pilot_matrix, observe
 from limfb.gmm import (GmmModel, ObservationGmm, log_density,
                        project_to_observation)
-from limfb.scene import ArrayGeometry
 
 
 def _unit_rows(matrix, rho=1.0):
     return np.sqrt(rho) * matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
 
 
-def _setup_from_rows(rows, sigma_n2):
-    geom = ArrayGeometry(1, rows.shape[1], 1.0, 0.5)
-    setup = build_pilot_matrix(geom, rows.shape[0])
-    setup.pilot_matrix = rows
-    return setup.with_noise(sigma_n2)
-
-
 # -- mixture estimator -------------------------------------------------------
 
 def test_gmm_estimate_inverts_identity_pilots():
     model = GmmModel([1.0], np.zeros((1, 4)), [np.eye(4)])
-    setup = _setup_from_rows(np.eye(4, dtype=complex), 1e-12)
+    setup = PilotSetup(np.eye(4, dtype=complex), 1.0, 1e-12)
     rng = np.random.default_rng(0)
     y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     np.testing.assert_allclose(estimate_gmm(model, setup, y), y, atol=1e-4)
@@ -40,7 +32,7 @@ def test_gmm_estimate_zero_innovation_returns_mean(desk_geometry):
     rng = np.random.default_rng(1)
     mean = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     model = GmmModel([1.0], [mean], [np.eye(16)])
-    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.5)
+    setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.5)
     y = setup.pilot_matrix @ mean
     np.testing.assert_allclose(estimate_gmm(model, setup, y), mean, atol=1e-12)
 
@@ -55,7 +47,7 @@ def test_gmm_estimate_matches_dense_oracle():
     weights = np.array([0.35, 0.65])
     model = GmmModel(weights, means, covs)
     row = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    setup = _setup_from_rows(_unit_rows(row[None, :]), 0.4)
+    setup = PilotSetup(_unit_rows(row[None, :]), 1.0, 0.4)
     pilot = setup.pilot_matrix
     y = rng.standard_normal(1) + 1j * rng.standard_normal(1)
 
@@ -113,7 +105,7 @@ def test_batched_gmm_estimate_matches_component_loop(dim, n_comp, pilot_frac,
     n_pilots = 1 + int(pilot_frac * (dim - 1))
     rows = _unit_rows(rng.standard_normal((n_pilots, dim))
                       + 1j * rng.standard_normal((n_pilots, dim)))
-    setup = _setup_from_rows(rows, 10.0 ** log_noise)
+    setup = PilotSetup(rows, 1.0, 10.0 ** log_noise)
     obs = project_to_observation(model, setup)
     y = 2.0 * (rng.standard_normal((users, n_pilots))
                + 1j * rng.standard_normal((users, n_pilots)))
@@ -129,7 +121,7 @@ def test_batched_gmm_estimate_matches_component_loop(dim, n_comp, pilot_frac,
 def test_gmm_estimate_rejects_non_finite_observations(desk_geometry, value):
     rng = np.random.default_rng(7)
     model = _random_mixture(rng, 3, 16)
-    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.1)
+    setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.1)
     obs = project_to_observation(model, setup)
     y = np.ones((3, 4), dtype=complex)
     y[2, 1] = value
@@ -144,7 +136,7 @@ def test_gmm_estimate_rejects_non_finite_observations(desk_geometry, value):
 
 def test_gmm_estimate_needs_projected_filters(desk_geometry):
     model = _random_mixture(np.random.default_rng(8), 2, 16)
-    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.1)
+    setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.1)
     projected = project_to_observation(model, setup)
     bare = ObservationGmm(projected.weights, projected.means,
                           projected.covariances)
@@ -160,7 +152,7 @@ def test_lmmse_equals_single_component_gmm(desk_geometry):
     raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     cov = raw @ raw.conj().T / 16 + np.eye(16)
     model = GmmModel([1.0], [mean], [cov])
-    setup = build_pilot_matrix(desk_geometry, 6).with_noise(0.7)
+    setup = build_pilot_matrix(desk_geometry, 6, sigma_n2=0.7)
     y = observe(setup, mean + rng.standard_normal(16), seed=4)
     np.testing.assert_allclose(estimate_lmmse(mean, cov, setup, y),
                                estimate_gmm(model, setup, y), rtol=1e-10)
@@ -169,7 +161,7 @@ def test_lmmse_equals_single_component_gmm(desk_geometry):
 def test_lmmse_zero_innovation(desk_geometry):
     rng = np.random.default_rng(5)
     mean = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.2)
+    setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.2)
     y = setup.pilot_matrix @ mean
     np.testing.assert_allclose(estimate_lmmse(mean, np.eye(16), setup, y),
                                mean, atol=1e-12)
@@ -183,7 +175,7 @@ def test_lmmse_matches_dense_oracle():
     cov = raw @ raw.conj().T / dim + np.eye(dim)
     rows = _unit_rows(rng.standard_normal((n_pilots, dim))
                       + 1j * rng.standard_normal((n_pilots, dim)))
-    setup = _setup_from_rows(rows, sigma_n2)
+    setup = PilotSetup(rows, 1.0, sigma_n2)
     y = rng.standard_normal((5, n_pilots)) + 1j * rng.standard_normal(
         (5, n_pilots))
     pilot = setup.pilot_matrix
@@ -202,7 +194,7 @@ def test_lmmse_matches_dense_oracle():
 
 def test_omp_recovers_single_atom(desk_geometry):
     dictionary = build_omp_dictionary(desk_geometry)
-    setup = build_pilot_matrix(desk_geometry, desk_geometry.n).with_noise(0.0)
+    setup = build_pilot_matrix(desk_geometry, desk_geometry.n, sigma_n2=0.0)
     coefficient = 0.8 - 0.3j
     truth = coefficient * dictionary[:, 17]
     y = setup.pilot_matrix @ truth
@@ -213,14 +205,14 @@ def test_omp_recovers_single_atom(desk_geometry):
 
 def test_omp_zero_observation_returns_zero(desk_geometry):
     dictionary = build_omp_dictionary(desk_geometry)
-    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.1)
+    setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.1)
     estimate = estimate_omp(setup, dictionary, np.zeros(4, dtype=complex))
     np.testing.assert_array_equal(estimate, np.zeros(16))
 
 
 def test_omp_two_sparse_support_matches_exhaustive_search(desk_geometry):
     dictionary = build_omp_dictionary(desk_geometry)
-    setup = build_pilot_matrix(desk_geometry, 8).with_noise(0.0)
+    setup = build_pilot_matrix(desk_geometry, 8, sigma_n2=1e-20)
     sensing = setup.pilot_matrix @ dictionary
     atoms = (5, 40)  # well separated on the oversampled grid
     y = sensing[:, atoms[0]] * (1.0 + 0.5j) + sensing[:, atoms[1]] * (-0.7j)
@@ -233,9 +225,9 @@ def test_omp_two_sparse_support_matches_exhaustive_search(desk_geometry):
         if res < best_res:
             best, best_res = set(pair), res
 
-    support, _ = omp_support(setup, dictionary, y, max_atoms=2)
-    assert set(support) == best
-    estimate = estimate_omp(setup, dictionary, y, max_atoms=2)
+    support, _ = omp_support(setup, dictionary, y)
+    assert len(support) == 2 and set(support) == best
+    estimate = estimate_omp(setup, dictionary, y)
     assert np.linalg.norm(setup.pilot_matrix @ estimate - y) < 1e-8
 
 
@@ -246,17 +238,10 @@ def test_omp_dictionary_shape_and_norms(desk_geometry):
                                np.ones(64), atol=1e-12)
 
 
-def test_omp_requires_noise_variance(desk_geometry):
-    dictionary = build_omp_dictionary(desk_geometry)
-    setup = build_pilot_matrix(desk_geometry, 4)
-    with pytest.raises(ValueError):
-        estimate_omp(setup, dictionary, np.zeros(4))
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_omp_rejects_non_finite_observations(desk_geometry, value):
     dictionary = build_omp_dictionary(desk_geometry)
-    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.1)
+    setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.1)
     y = np.ones(4, dtype=complex)
     y[1] = value
     with pytest.raises(ValueError, match="infs or NaNs"):

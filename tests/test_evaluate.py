@@ -15,7 +15,7 @@ from limfb.gmm import GmmModel, project_to_observation
 from limfb.precoding import (PrecoderSet, SwmmseOptions,
                              directional_representatives, rci_precoders,
                              swmmse_precoders)
-from limfb.scene import load_scene_config
+from limfb.scene import ArrayGeometry, load_scene_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -197,6 +197,20 @@ def test_single_value_sweep_equals_constellation_mean(
     result = run_sweep(exp, "snr", values=[10.0])
     direct = [exp.run_constellation([17, i])[0]["gmm-obs"] for i in range(8)]
     assert result.means["gmm-obs"][0] == np.mean(direct)
+
+
+@pytest.mark.parametrize("axis, values, match", [
+    ("iterations", [0, 4], r"iterations values must lie in 1..inf, got \[0\]"),
+    ("pilots", [4, 17], r"pilots values must lie in 1..16, got \[17\]"),
+    ("users", [2, 2001], r"users values must lie in 1..2000, got \[2001\]")],
+    ids=["iterations", "pilots", "users"])
+def test_sweep_rejects_axis_values_out_of_range(
+        desk_train, desk_eval, desk_model, monkeypatch, axis, values, match):
+    exp = _experiment(desk_train, desk_eval, desk_model)
+    monkeypatch.setattr(exp, "run_constellation",
+                        lambda *args, **kwargs: pytest.fail("sweep ran"))
+    with pytest.raises(ValueError, match=match):
+        run_sweep(exp, axis, values=values)
 
 
 def test_sweep_prefix_stability(desk_train, desk_eval, desk_model):
@@ -393,6 +407,14 @@ def test_experiment_config_rejects_keys_of_no_field(tmp_path, line, match):
     path.write_text(f"eval_data = eval.lfbd\n{line}\n")
     with pytest.raises(ValueError, match=match):
         ExperimentConfig.from_file(path)
+
+
+def test_experiment_config_array_keys_override_the_profile_geometry(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("profile = desk\nn_horiz = 4\n")
+    config = ExperimentConfig.from_file(path)
+    assert config.geometry == ArrayGeometry(2, 4, 1.0, 0.5)
+    assert config.bits == 4 and config.pilots == 8
 
 
 def test_experiment_config_without_profile_reads_the_array_keys(tmp_path):

@@ -13,14 +13,16 @@ from limfb.scene import ArrayGeometry
 
 def test_full_pilot_matrix_is_orthogonal(desk_geometry):
     rho = 1.7
-    setup = build_pilot_matrix(desk_geometry, desk_geometry.n, rho=rho)
+    setup = build_pilot_matrix(desk_geometry, desk_geometry.n, sigma_n2=0.1,
+                               rho=rho)
     gram = setup.pilot_matrix @ setup.pilot_matrix.conj().T
     np.testing.assert_allclose(gram, rho * np.eye(desk_geometry.n), atol=1e-10)
 
 
 def test_pilot_rows_carry_rho(desk_geometry):
     for n_pilots in (1, 3, 8, 16):
-        setup = build_pilot_matrix(desk_geometry, n_pilots, rho=2.0)
+        setup = build_pilot_matrix(desk_geometry, n_pilots, sigma_n2=0.1,
+                                   rho=2.0)
         energies = np.sum(np.abs(setup.pilot_matrix) ** 2, axis=1)
         assert np.max(np.abs(energies - 2.0)) < 1e-10
 
@@ -28,33 +30,44 @@ def test_pilot_rows_carry_rho(desk_geometry):
 def test_pilot_rows_match_hand_built_kronecker():
     geom = ArrayGeometry(2, 2, 1.0, 0.5)
     full = np.kron(dft(2, scale="sqrtn"), dft(2, scale="sqrtn"))
-    setup = build_pilot_matrix(geom, 2, rho=1.0)
+    setup = build_pilot_matrix(geom, 2, sigma_n2=0.1)
     np.testing.assert_allclose(setup.pilot_matrix, full[[0, 2], :], atol=1e-12)
 
 
 def test_pilot_count_bounds(desk_geometry):
     with pytest.raises(ValueError):
-        build_pilot_matrix(desk_geometry, desk_geometry.n + 1)
+        build_pilot_matrix(desk_geometry, desk_geometry.n + 1, sigma_n2=0.1)
     with pytest.raises(ValueError):
-        build_pilot_matrix(desk_geometry, 0)
+        build_pilot_matrix(desk_geometry, 0, sigma_n2=0.1)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
 def test_pilot_setup_rejects_bad_rho(desk_geometry, rho):
-    pilot_matrix = build_pilot_matrix(desk_geometry, 4).pilot_matrix
+    pilot_matrix = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.1).pilot_matrix
     with pytest.raises(ValueError, match="rho must be finite and > 0"):
-        PilotSetup(pilot_matrix, rho)
+        PilotSetup(pilot_matrix, rho, 0.1)
+    with pytest.raises(ValueError, match="rho must be finite and > 0"):
+        build_pilot_matrix(desk_geometry, 4, sigma_n2=0.1, rho=rho)
 
 
-def test_pilot_snr_bookkeeping(desk_geometry):
-    setup = build_pilot_matrix(desk_geometry, 4, rho=2.0).with_noise(0.5)
-    assert setup.snr == 4.0
+@pytest.mark.parametrize("sigma_n2", [-0.1, np.nan])
+def test_pilot_setup_rejects_bad_noise_variance(desk_geometry, sigma_n2):
+    with pytest.raises(ValueError, match="sigma_n2 must be >= 0"):
+        build_pilot_matrix(desk_geometry, 4, sigma_n2=sigma_n2)
+
+
+def test_pilot_setup_needs_the_noise_variance_by_keyword(desk_geometry):
+    with pytest.raises(TypeError):
+        build_pilot_matrix(desk_geometry, 4)
+    with pytest.raises(TypeError):
+        build_pilot_matrix(desk_geometry, 4, 1.0)  # rho is keyword-only too
 
 
 # -- observations ------------------------------------------------------------
 
 def test_observe_noiseless(desk_geometry):
-    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.0)
+    setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.0)
     rng = np.random.default_rng(0)
     h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     np.testing.assert_array_equal(observe(setup, h, seed=1),
@@ -62,14 +75,14 @@ def test_observe_noiseless(desk_geometry):
 
 
 def test_observe_deterministic(desk_geometry):
-    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.3)
+    setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.3)
     h = np.ones(16, dtype=complex)
     assert np.array_equal(observe(setup, h, seed=2), observe(setup, h, seed=2))
 
 
 def test_observe_noise_moments(desk_geometry):
     sigma_n2 = 0.8
-    setup = build_pilot_matrix(desk_geometry, 4).with_noise(sigma_n2)
+    setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=sigma_n2)
     h = np.zeros(16, dtype=complex)
     rng = np.random.default_rng(3)
     draws = np.stack([observe(setup, h, rng) for _ in range(20_000)])
@@ -168,7 +181,7 @@ def _two_component_model(dim, separation):
 
 def test_gmm_feedback_single_component(desk_geometry):
     model = GmmModel([1.0], np.zeros((1, 16)), [np.eye(16)])
-    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.1)
+    setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.1)
     obs = project_to_observation(model, setup)
     y = np.ones(4, dtype=complex)
     assert mixture_feedback(obs, y, "gmm-obs")[0].index == 1
@@ -176,7 +189,7 @@ def test_gmm_feedback_single_component(desk_geometry):
 
 def test_gmm_feedback_recovers_separated_component(desk_geometry):
     model = _two_component_model(16, separation=2.0)
-    setup = build_pilot_matrix(desk_geometry, 8).with_noise(0.05)
+    setup = build_pilot_matrix(desk_geometry, 8, sigma_n2=0.05)
     obs = project_to_observation(model, setup)
     rng = np.random.default_rng(6)
     trials = 10_000
@@ -197,7 +210,7 @@ def test_gmm_feedback_matches_dense_posterior_oracle(desk_geometry):
     means = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
     covs = np.stack([np.eye(16) * s for s in (0.5, 1.0, 1.5, 2.0)])
     model = GmmModel(weights, means, covs)
-    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.2)
+    setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.2)
     obs = project_to_observation(model, setup)
     pilot = setup.pilot_matrix
     rows = np.array([rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -219,7 +232,7 @@ def test_gmm_feedback_matches_dense_posterior_oracle(desk_geometry):
 def test_perfect_and_observed_feedback_agree_with_invertible_pilots(
         desk_geometry):
     model = _two_component_model(16, separation=1.0)
-    setup = build_pilot_matrix(desk_geometry, 16).with_noise(1e-12)
+    setup = build_pilot_matrix(desk_geometry, 16, sigma_n2=1e-12)
     obs = project_to_observation(model, setup)
     rng = np.random.default_rng(8)
     channels, y = [], []

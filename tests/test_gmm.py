@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cholesky, solve_triangular
 
 from limfb import gmm
-from limfb.feedback import build_pilot_matrix
+from limfb.feedback import PilotSetup, build_pilot_matrix
 from limfb.formats import BadMagicError
 from limfb.gmm import (EmOptions, GmmModel, fit_em, load_model, log_density,
                        param_count, project_to_observation, sample_component,
@@ -213,7 +213,7 @@ def test_fit_em_reseeds_collapsed_components(caplog):
                      options=EmOptions(max_iters=first + 1, seed=0))
     x = ds.samples.astype(complex)
     _, global_cov = sample_moments(x)
-    floor = EmOptions().floor_scale * np.trace(global_cov).real / geom.n
+    floor = gmm._FLOOR_SCALE * np.trace(global_cov).real / geom.n
     spectrum = toeplitz_mstep(global_cov, geom, floor=floor)
     for k in [k for k, it in reseeds if it == first]:
         np.testing.assert_array_equal(stopped.spectral[k], spectrum)
@@ -314,7 +314,7 @@ def test_lift_sums_unpack_to_weighted_moments(dim, n_comp, n_samples, seed):
 @settings(max_examples=50, deadline=None)
 @given(dim=st.integers(1, 8), log_cond=st.floats(0.0, 6.0), seed=_SEEDS)
 def test_lifted_scores_match_log_density(dim, log_cond, seed):
-    # condition numbers up to 1e6 are the regime of the default floor_scale
+    # condition numbers up to 1e6 are the regime of the covariance floor
     rng = np.random.default_rng(seed)
     weights = np.array([0.3, 0.7])
     means = 2.0 * _complex_normal(rng, (2, dim))
@@ -365,7 +365,7 @@ def _naive_em_step(x, n_comp, constraint, geometry, options):
     means = x[_exact_kmeanspp_indices(x, n_comp, rng)]
     mean = x.mean(axis=0)
     global_cov = (x - mean).T @ (x - mean).conj() / len(x)
-    floor = options.floor_scale * np.trace(global_cov).real / x.shape[1]
+    floor = gmm._FLOOR_SCALE * np.trace(global_cov).real / x.shape[1]
 
     def project(scatter):
         if constraint == "toeplitz":
@@ -450,10 +450,7 @@ def test_sample_moments_match_definition():
 
 def test_identity_pilot_matches_channel_model(desk_geometry):
     model = _random_model(3, desk_geometry.n, seed=7)
-    setup = build_pilot_matrix(desk_geometry, desk_geometry.n).with_noise(0.0)
-    # rows of the pilot matrix are scaled DFT rows; undo to get the identity
-    eye_setup = setup.with_noise(0.0)
-    eye_setup.pilot_matrix = np.eye(desk_geometry.n)
+    eye_setup = PilotSetup(np.eye(desk_geometry.n), 1.0, 0.0)
     obs = project_to_observation(model, eye_setup)
     x = np.ones(desk_geometry.n) * (0.3 - 0.1j)
     np.testing.assert_allclose(obs.responsibilities(x),
@@ -465,9 +462,7 @@ def test_single_pilot_row_variance():
     rng = np.random.default_rng(8)
     row = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     row *= np.sqrt(1.0 / np.sum(np.abs(row) ** 2))
-    setup_cls = build_pilot_matrix(ArrayGeometry(2, 2), 1)
-    setup_cls.pilot_matrix = row[None, :]
-    setup = setup_cls.with_noise(0.25)
+    setup = PilotSetup(row[None, :], 1.0, 0.25)
     obs = project_to_observation(model, setup)
     expected = np.sum(np.abs(row) ** 2) + 0.25
     np.testing.assert_allclose(obs.covariances[0], [[expected]], rtol=1e-12)
@@ -478,9 +473,7 @@ def test_projection_matches_dense_oracle():
     rng = np.random.default_rng(9)
     pilot = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     pilot /= np.linalg.norm(pilot, axis=1, keepdims=True)
-    setup = build_pilot_matrix(ArrayGeometry(2, 2), 2)
-    setup.pilot_matrix = pilot
-    setup = setup.with_noise(0.3)
+    setup = PilotSetup(pilot, 1.0, 0.3)
     obs = project_to_observation(model, setup)
     for k in range(2):
         oracle = pilot @ model.covariances[k] @ pilot.conj().T + 0.3 * np.eye(2)
@@ -493,14 +486,14 @@ def test_projection_requires_pd_at_zero_noise():
     # rank-deficient channel covariance makes P C P^H singular at sigma=0
     model = GmmModel([1.0], np.zeros((1, 4)),
                      [np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)])
-    setup = build_pilot_matrix(ArrayGeometry(2, 2), 2).with_noise(0.0)
+    setup = build_pilot_matrix(ArrayGeometry(2, 2), 2, sigma_n2=0.0)
     with pytest.raises(ValueError, match="sigma_n2"):
         project_to_observation(model, setup)
 
 
 def test_single_component_observation_responsibility(desk_geometry):
     model = _random_model(1, desk_geometry.n, seed=10)
-    setup = build_pilot_matrix(desk_geometry, 4).with_noise(0.5)
+    setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.5)
     obs = project_to_observation(model, setup)
     rng = np.random.default_rng(10)
     for _ in range(10):
@@ -595,9 +588,7 @@ def test_projection_stores_lmmse_filters():
     rng = np.random.default_rng(13)
     pilot = _complex_normal(rng, (2, 6))
     pilot /= np.linalg.norm(pilot, axis=1, keepdims=True)
-    setup = build_pilot_matrix(ArrayGeometry(2, 3), 2)
-    setup.pilot_matrix = pilot
-    obs = project_to_observation(model, setup.with_noise(0.2))
+    obs = project_to_observation(model, PilotSetup(pilot, 1.0, 0.2))
     assert obs.filters.shape == (3, 6, 2)
     for k in range(3):
         oracle = model.covariances[k] @ pilot.conj().T @ np.linalg.inv(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limfb import precoding
 from limfb.evaluate import sum_rate
 from limfb.feedback import FeedbackReport
 from limfb.gmm import GmmModel
@@ -355,9 +356,9 @@ def test_power_step_matches_eigen_oracle(dim, users, rank_cut, log_cond,
     rho = zero_power * np.exp(log_margin if zero_feasible else -log_margin)
     expected, expected_lam = eigen_power_step(cov, rhs, rho)
     start = 0.0 if log_start is None else np.exp(log_start) * rank / dim
-    tol = SwmmseOptions().power_tol
+    tol = precoding._POWER_TOL
 
-    vectors, lam, _, eigen = _power_step(cov, rhs, rho, tol, start)
+    vectors, lam, _, eigen = _power_step(cov, rhs, rho, start)
 
     power = np.sum(np.abs(vectors) ** 2)
     assert power <= rho * (1.0 + 1e-12)
@@ -378,7 +379,7 @@ def test_power_step_without_root_stays_feasible():
     # the power stays below rho for every lam > 0: a feasible ridge returns
     cov = np.diag([1.0, 1e-14]).astype(complex)
     rhs = np.array([[1.0, 1e-11]], dtype=complex)  # phi(0+) = 1 + 1e6
-    vectors, lam, _, eigen = _power_step(cov, rhs, 1e7, 1e-9)
+    vectors, lam, _, eigen = _power_step(cov, rhs, 1e7)
     assert eigen and lam > 0.0
     assert np.sum(np.abs(vectors) ** 2) <= 1e7
 
@@ -394,13 +395,13 @@ def test_power_step_ignores_what_eigh_leaks_onto_null_directions():
     rhs = (basis[:, :6] @ _complex_normal(rng, (6, 2))).T
     pinv = rhs @ np.linalg.pinv(cov, rcond=1e-10, hermitian=True).T
     zero_power = np.sum(np.abs(pinv) ** 2)
-    tol = SwmmseOptions().power_tol
-    vectors, lam, _, eigen = _power_step(cov, rhs, 2.0 * zero_power, tol)
+    tol = precoding._POWER_TOL
+    vectors, lam, _, eigen = _power_step(cov, rhs, 2.0 * zero_power)
     assert eigen and lam == 0.0
     np.testing.assert_allclose(vectors, pinv, rtol=1e-6)
     # below the pseudo-inverse's power the ridge brings the power to rho
     rho = 0.5 * zero_power
-    vectors, lam, _, eigen = _power_step(cov, rhs, rho, tol)
+    vectors, lam, _, eigen = _power_step(cov, rhs, rho)
     assert eigen and lam > 0.0
     assert 0.0 <= rho - np.sum(np.abs(vectors) ** 2) <= tol * rho
 
@@ -417,6 +418,6 @@ def test_power_step_keeps_zero_ridge_inside_the_window():
     # from just below the window, Newton lands inside it at lam > 0
     _, near = eigen_power_step(cov, rhs, rho * (1.0 - 2e-9))
     for start in (near, 1e-3, 0.1, 10.0):
-        vectors, lam, _, eigen = _power_step(cov, rhs, rho, 1e-9, start)
+        vectors, lam, _, eigen = _power_step(cov, rhs, rho, start)
         assert lam == 0.0 and not eigen
         np.testing.assert_allclose(vectors, zero_vectors, rtol=1e-10)

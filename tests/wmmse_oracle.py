@@ -197,14 +197,14 @@ def reference_swmmse(model, components, sigma_n2, rho, options):
         mse = 1.0 - (receivers * direct).real
         weights = np.clip(1.0 / np.maximum(mse, 1e-300), 1.0, _WEIGHT_CLAMP)
 
-        gamma = t ** (-options.step_exponent)
+        gamma = t ** -1.0
         coef = weights * np.abs(receivers) ** 2
         avg_cov = (1.0 - gamma) * avg_cov + gamma * (samples.conj().T * coef) @ samples
         avg_rhs = ((1.0 - gamma) * avg_rhs
                    + gamma * (weights * receivers.conj())[:, None] * samples.conj())
 
         vectors, lam, factorizations[t - 1], eigen = reference_power_step(
-            avg_cov, avg_rhs, rho, options.power_tol, lam)
+            avg_cov, avg_rhs, rho, 1e-9, lam)
         eigen_iterations += eigen
 
         gains = samples @ vectors.T
