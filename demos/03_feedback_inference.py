@@ -37,19 +37,19 @@ train_mean, train_cov = sample_moments(train.samples)
 channels = evalset.samples[:10].astype(np.complex128)
 observations = np.array([observe(setup, h, seed=[100, j])
                          for j, h in enumerate(channels)])
-from_obs = mixture_feedback(observation_model, observations, "gmm-obs")
-from_csi = mixture_feedback(model, channels, "gmm-perfect")
-agree = sum(a.index == b.index for a, b in zip(from_obs, from_csi))
-h_gmm = estimate_gmm(model, setup, observations, obs=observation_model)
+from_obs = mixture_feedback(observation_model, observations)
+from_csi = mixture_feedback(model, channels)
+agree = int(np.sum(from_obs == from_csi))
+h_gmm = estimate_gmm(model, observation_model, observations)
 
 rows = []
 for j, y in enumerate(observations):
     h_lmmse = estimate_lmmse(train_mean, train_cov, setup, y)
     h_omp = estimate_omp(setup, omp_grid, y)
-    rows.append((j, from_obs[j].index, from_csi[j].index,
-                 select_codebook_index(codebook, h_gmm[j], user=j).index,
-                 select_codebook_index(codebook, h_lmmse, user=j).index,
-                 select_codebook_index(codebook, h_omp, user=j).index))
+    rows.append((j, from_obs[j], from_csi[j],
+                 select_codebook_index(codebook, h_gmm[j]).index,
+                 select_codebook_index(codebook, h_lmmse).index,
+                 select_codebook_index(codebook, h_omp).index))
 
 print(f"\n{'user':>4} {'gmm(y)':>7} {'gmm(h)':>7} {'dft:gmm':>8} "
       f"{'dft:lmmse':>10} {'dft:omp':>8}")

@@ -33,15 +33,15 @@ users = rng.choice(len(evalset), size=n_users, replace=False)
 channels = evalset.samples[users].astype(np.complex128)
 observations = np.array([observe(setup, h, seed=[7, j])
                          for j, h in enumerate(channels)])
-reports = mixture_feedback(observation_model, observations, "gmm-obs")
-print("reported component indices:", [r.index for r in reports])
+indices = mixture_feedback(observation_model, observations)
+print("reported component indices:", indices.tolist())
 
-chosen = directional_representatives(model, [r.index for r in reports])
+chosen = directional_representatives(model, indices)
 rci = rci_precoders(chosen, sigma_n2, rho)
 print(f"\nRCI: power {rci.power:.6f} (budget {rho}), "
       f"sum-rate {sum_rate(channels, rci, sigma_n2):.3f} bps/Hz")
 
-swmmse = swmmse_precoders(model, reports, sigma_n2, rho,
+swmmse = swmmse_precoders(model, indices, sigma_n2, rho,
                           SwmmseOptions(max_iters=300, seed=1))
 print(f"SWMMSE: power {swmmse.power:.6f}, "
       f"sum-rate {sum_rate(channels, swmmse, sigma_n2):.3f} bps/Hz")

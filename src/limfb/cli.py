@@ -87,9 +87,9 @@ def _cmd_feedback(args):
     observations = np.array(
         [observe(setup, h, [args.seed, j]) for j, h in enumerate(channels)],
         dtype=np.complex128).reshape(count, setup.n_pilots)
-    reports = experiment.feedback(tag, bits, setup, channels, observations)
-    lines = ["user,index,scheme"] + [f"{r.user},{r.index},{args.scheme}"
-                                     for r in reports]
+    indices = experiment.feedback(tag, bits, setup, channels, observations)
+    lines = ["user,index,scheme"] + [f"{j},{k},{args.scheme}"
+                                     for j, k in enumerate(indices)]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -22,21 +22,19 @@ def estimate_lmmse(mean, cov, setup, y):
     ``S`` the supplied mean and covariance: :func:`estimate_gmm` with one
     component, so ``y`` is (n_p,) or (J, n_p) as there.
     """
-    return estimate_gmm(GmmModel([1.0], [mean], [cov]), setup, y)
+    model = GmmModel([1.0], [mean], [cov])
+    return estimate_gmm(model, project_to_observation(model, setup), y)
 
 
-def estimate_gmm(model, setup, y, obs=None):
+def estimate_gmm(model, obs, y):
     """Convex combination of per-component LMMSE estimates.
 
-    Component filters are weighted by the responsibilities of the pilot
-    observation. ``y`` is one observation (n_p,) or the rows (J, n_p) of J
-    users, which gives (J, N) estimates. Pass the observation mixture of
-    ``project_to_observation(model, setup)`` via ``obs`` to reuse its
-    factors and precomputed filters across calls.
+    ``obs`` is ``project_to_observation(model, setup)``: its
+    responsibilities of the pilot observation weight its precomputed
+    component filters. ``y`` is one observation (n_p,) or the rows (J, n_p)
+    of J users, which gives (J, N) estimates.
     """
-    if obs is None:
-        obs = project_to_observation(model, setup)
-    elif obs.filters is None:
+    if obs.filters is None:
         raise ValueError("obs carries no filters; use project_to_observation")
     resp = np.atleast_2d(obs.responsibilities(y))
     innovation = np.atleast_2d(y) - obs.means[:, None, :]

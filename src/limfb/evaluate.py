@@ -21,7 +21,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -262,28 +262,25 @@ class Experiment:
     # -- pipeline ----------------------------------------------------------
 
     def feedback(self, tag, bits, setup, channels, observations):
-        """Per-user feedback reports of one scheme, one per channel row.
+        """1-based feedback indices of one scheme, shape (J,), one per row.
 
         ``observations`` holds the users' pilot observations under
         ``setup``, one row per channel; every scheme of a constellation sees
         the same rows. The scheme must be runnable (see scheme_blocker).
         """
         source, constraint, _ = parse_scheme(tag)
-        if source == "obs":
-            mixture = self.observation_model(constraint, bits, setup.n_pilots,
-                                             setup.sigma_n2)
-            return mixture_feedback(mixture, observations, tag)
         if source == "perfect":
-            return mixture_feedback(self.model_for(constraint, bits), channels,
-                                    tag)
-        codebook = self.codebook(bits)
+            return mixture_feedback(self.model_for(constraint, bits), channels)
+        if constraint:  # these schemes score through the observation mixture
+            obs = self.observation_model(constraint, bits, setup.n_pilots,
+                                         setup.sigma_n2)
+            if source == "obs":
+                return mixture_feedback(obs, observations)
         if source == "dft:perfect":
             estimates = channels
         elif constraint:
-            model = self.model_for(constraint, bits)
-            obs = self.observation_model(constraint, bits, setup.n_pilots,
-                                         setup.sigma_n2)
-            estimates = estimate_gmm(model, setup, observations, obs=obs)
+            estimates = estimate_gmm(self.model_for(constraint, bits), obs,
+                                     observations)
         elif source == "dft:lmmse":
             estimates = estimate_lmmse(*self.train_stats(), setup, observations)
         else:
@@ -291,21 +288,21 @@ class Experiment:
                                     lambda: build_omp_dictionary(self.geometry))
             estimates = [estimate_omp(setup, dictionary, y)
                          for y in observations]
-        return [replace(select_codebook_index(codebook, h_hat, user=j),
-                        scheme=tag) for j, h_hat in enumerate(estimates)]
+        codebook = self.codebook(bits)
+        return np.array([select_codebook_index(codebook, h_hat).index
+                         for h_hat in estimates])
 
-    def _precoders(self, tag, bits, reports, sigma_n2, swmmse_seed, iters):
+    def _precoders(self, tag, bits, indices, sigma_n2, swmmse_seed, iters):
         source, constraint, designer = parse_scheme(tag)
         rho = self.config.rho
         if designer == "swmmse":
             model = self.model_for(constraint, bits)
             options = SwmmseOptions(max_iters=iters, seed=swmmse_seed)
-            return swmmse_precoders(model, reports, sigma_n2, rho, options)
+            return swmmse_precoders(model, indices, sigma_n2, rho, options)
         if source.startswith("dft:"):
-            chosen = self.codebook(bits).entries[[r.index - 1 for r in reports]]
+            chosen = self.codebook(bits).entries[indices - 1]
         else:
-            chosen = self.representatives(constraint, bits,
-                                          [r.index for r in reports])
+            chosen = self.representatives(constraint, bits, indices)
         return rci_precoders(chosen, sigma_n2, rho)
 
     def run_constellation(self, seed, n_pilots=None, sigma_n2=None, bits=None,
@@ -344,8 +341,8 @@ class Experiment:
             if blocker:
                 skipped[tag] = blocker
                 continue
-            reports = self.feedback(tag, bits, setup, channels, observations)
-            precoders = self._precoders(tag, bits, reports, sigma_n2,
+            indices = self.feedback(tag, bits, setup, channels, observations)
+            precoders = self._precoders(tag, bits, indices, sigma_n2,
                                         swmmse_seed, iters)
             if at_iterations is not None and precoders.designer == "swmmse":
                 snaps = precoders.metadata["precoders"]
@@ -359,18 +356,26 @@ class Experiment:
 def axis_values(experiment, axis, values=None):
     """The points of a sweep along ``axis``: ``values`` or the defaults.
 
-    An iteration must be >= 1, a pilot count lie in 1..N and a user count
-    in 1..len(eval); a value out of range raises ValueError.
+    An iteration must be >= 1, a pilot count lie in 1..N, a bit width >= 0
+    and a user count in 1..len(eval); a value out of range raises
+    ValueError, as does a bit width that EM or the codebook cannot serve.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r} (one of {SWEEP_AXES})")
     if values is not None:
         lo, hi = {"iterations": (1, np.inf),
                   "pilots": (1, experiment.geometry.n),
+                  "bits": (0, np.inf),
                   "users": (1, len(experiment.eval))}.get(axis, (-np.inf, np.inf))
         bad = [v for v in values if not lo <= v <= hi]
         if bad:
             raise ValueError(f"{axis} values must lie in {lo}..{hi}, got {bad}")
+        if axis == "bits":
+            for bits in values:
+                for tag in experiment.config.schemes:
+                    if (experiment.scheme_blocker(tag, bits) is None
+                            and tag.startswith("dft:")):
+                        experiment.codebook(bits)
         return list(values)
     cfg = experiment.config
     if axis == "snr":

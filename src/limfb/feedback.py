@@ -9,7 +9,7 @@ in 1..2^B.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -132,15 +132,13 @@ def build_dft_codebook(geometry, bits):
 
 @dataclass(frozen=True)
 class FeedbackReport:
-    """Per-user feedback: a 1-based index and the scheme that produced it."""
+    """One codebook choice: a 1-based index, flagged when the input was zero."""
 
-    user: int
     index: int
-    scheme: str
-    degenerate: bool = False
+    degenerate: bool = field(default=False, kw_only=True)
 
 
-def select_codebook_index(codebook, h_hat, user=0):
+def select_codebook_index(codebook, h_hat):
     """Codebook entry with the largest correlation magnitude |c_k^H h_hat|.
 
     Ties resolve to the smallest index; an all-zero input is flagged as
@@ -149,17 +147,15 @@ def select_codebook_index(codebook, h_hat, user=0):
     h_hat = np.asarray(h_hat, dtype=np.complex128)
     scores = np.abs(codebook.entries.conj() @ h_hat)
     if not np.any(scores > 0.0):
-        return FeedbackReport(user=user, index=1, scheme="dft", degenerate=True)
-    return FeedbackReport(user=user, index=int(np.argmax(scores)) + 1,
-                          scheme="dft")
+        return FeedbackReport(1, degenerate=True)
+    return FeedbackReport(int(np.argmax(scores)) + 1)
 
 
-def mixture_feedback(mixture, points, scheme):
-    """One report per row of ``points``: its most responsible component.
+def mixture_feedback(mixture, points):
+    """1-based index of the most responsible component, one per row.
 
     ``mixture`` scores the rows in one call: an observation mixture scores
     pilot observations, a channel-domain model scores channels.
     """
     log_resp = mixture.log_responsibilities(np.atleast_2d(points))
-    return [FeedbackReport(user=j, index=int(k) + 1, scheme=scheme)
-            for j, k in enumerate(np.argmax(log_resp, axis=1))]
+    return np.argmax(log_resp, axis=1) + 1

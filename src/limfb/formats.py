@@ -1,5 +1,7 @@
 """Shared framing helpers for the binary dataset and model containers."""
 
+import os
+
 
 class FileFormatError(ValueError):
     """Base error for malformed binary containers."""
@@ -18,13 +20,14 @@ class DimensionError(FileFormatError):
 
 
 def read_exact(fh, nbytes, what):
-    """Read exactly `nbytes` from `fh` or raise TruncatedError naming `what`."""
-    buf = fh.read(nbytes)
-    if len(buf) != nbytes:
+    """Read exactly `nbytes` from `fh`; raise TruncatedError naming `what`,
+    before reading, when fewer bytes are left in the file."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes > left:
         raise TruncatedError(
-            f"truncated file: expected {nbytes} bytes for {what}, got {len(buf)}"
+            f"truncated file: expected {nbytes} bytes for {what}, got {left}"
         )
-    return buf
+    return fh.read(nbytes)
 
 
 def expect_magic(fh, magic):

@@ -470,7 +470,8 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
     x = dataset.samples.astype(np.complex128)
     n_samples, dim = x.shape
     if n_samples < n_components:
-        raise ValueError("need at least as many samples as components")
+        raise ValueError(f"need at least as many samples as components: "
+                         f"K={n_components}, {n_samples} samples")
     if constraint == "toeplitz":
         if geometry is None:
             geometry = dataset.scene.geometry if dataset.scene else None
@@ -554,6 +555,13 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
     return model
 
 
+def _model_record(dim, constraint):
+    """One LFBM component: weight, mean, then upper triangle or spectrum."""
+    covariance = (("triangle", "<c16", (dim * (dim + 1) // 2,))
+                  if constraint == "full" else ("spectrum", "<f8", (4 * dim,)))
+    return np.dtype([("weight", "<f8"), ("mean", "<c16", (dim,)), covariance])
+
+
 def save_model(model, path):
     """Write a mixture to the ``LFBM`` binary container.
 
@@ -567,20 +575,19 @@ def save_model(model, path):
     if 2 ** bits != n_comp:
         raise ValueError("can only serialize models whose K is a power of two")
     dim = model.dim
+    records = np.empty(n_comp, dtype=_model_record(dim, model.constraint))
+    records["weight"] = model.weights
+    records["mean"] = model.means
+    if model.constraint == "full":
+        upper, cols = np.triu_indices(dim)
+        records["triangle"] = model.covariances[:, upper, cols]
+    else:
+        records["spectrum"] = model.spectral
     flag = 0 if model.constraint == "full" else 1
-    iu = np.triu_indices(dim)
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<HBIB", MODEL_VERSION, bits, dim, flag))
-        for k in range(n_comp):
-            fh.write(struct.pack("<d", float(model.weights[k])))
-            fh.write(np.ascontiguousarray(model.means[k], dtype="<c16").tobytes())
-            if model.constraint == "full":
-                tri = np.ascontiguousarray(model.covariances[k][iu], dtype="<c16")
-                fh.write(tri.tobytes())
-            else:
-                fh.write(np.ascontiguousarray(model.spectral[k],
-                                              dtype="<f8").tobytes())
+        fh.write(records.tobytes())
 
 
 def load_model(path, geometry=None):
@@ -606,30 +613,22 @@ def load_model(path, geometry=None):
                 raise ValueError("loading a toeplitz model requires the geometry")
             if geometry.n != dim:
                 raise DimensionError("geometry does not match the stored dimension")
-        n_comp = 2 ** bits
-        weights = np.empty(n_comp)
-        means = np.empty((n_comp, dim), dtype=np.complex128)
-        covariances = np.empty((n_comp, dim, dim), dtype=np.complex128)
-        spectral = (np.empty((n_comp, 4 * dim)) if constraint == "toeplitz"
-                    else None)
-        iu = np.triu_indices(dim)
-        for k in range(n_comp):
-            weights[k] = struct.unpack(
-                "<d", read_exact(fh, 8, f"weight of component {k}"))[0]
-            mean_bytes = read_exact(fh, 16 * dim, f"mean of component {k}")
-            means[k] = np.frombuffer(mean_bytes, dtype="<c16")
-            if constraint == "full":
-                tri_bytes = read_exact(fh, 16 * len(iu[0]),
-                                       f"covariance of component {k}")
-                cov = np.zeros((dim, dim), dtype=np.complex128)
-                cov[iu] = np.frombuffer(tri_bytes, dtype="<c16")
-                covariances[k] = cov + np.triu(cov, 1).conj().T
-            else:
-                spec_bytes = read_exact(fh, 8 * 4 * dim,
-                                        f"spectrum of component {k}")
-                spectral[k] = np.frombuffer(spec_bytes, dtype="<f8")
-                covariances[k] = realize_spectral(spectral[k], geometry)
+        record = _model_record(dim, constraint)
+        payload = read_exact(fh, 2 ** bits * record.itemsize,
+                             f"{2 ** bits} model components")
         if fh.read(1):
             raise DimensionError("trailing bytes after declared payload")
-    return GmmModel(weights, means, covariances, constraint=constraint,
-                    spectral=spectral, geometry=geometry)
+    records = np.frombuffer(payload, dtype=record)
+    spectral = None
+    if constraint == "full":
+        covariances = np.zeros((len(records), dim, dim), dtype=np.complex128)
+        upper, cols = np.triu_indices(dim)
+        covariances[:, upper, cols] = records["triangle"]
+        covariances += np.triu(covariances, 1).conj().transpose(0, 2, 1)
+    else:
+        spectral = np.array(records["spectrum"])
+        covariances = np.array([realize_spectral(spectrum, geometry)
+                                for spectrum in spectral])
+    return GmmModel(np.array(records["weight"]), np.array(records["mean"]),
+                    covariances, constraint=constraint, spectral=spectral,
+                    geometry=geometry)

@@ -67,16 +67,15 @@ class PrecoderSet:
         return float(np.sum(np.abs(self.vectors) ** 2))
 
 
-def directional_representatives(model, indices=None):
+def directional_representatives(model, indices):
     """Unit dominant eigenvectors of ``C_k + mu_k mu_k^H`` for the 1-based
-    ``indices`` (repeats allowed; all K when None), from one stacked ``eigh``.
+    ``indices`` (repeats allowed), from one stacked ``eigh``.
 
     The largest-magnitude entry is made real positive. Near-degenerate top
     eigenvalues are logged; any maximizer is returned in that case.
     """
     n_comp = model.n_components
-    indices = (np.arange(1, n_comp + 1) if indices is None
-               else np.asarray(indices, dtype=np.intp).reshape(-1))
+    indices = np.asarray(indices, dtype=np.intp).reshape(-1)
     if np.any((indices < 1) | (indices > n_comp)):
         raise ValueError(f"component indices outside 1..{n_comp}")
     means = model.means[indices - 1]
@@ -259,7 +258,7 @@ def _power_step(cov, rhs, rho, lam=0.0):
     return (coeffs / (eigvals + lam)) @ eigvecs.T, lam, factorizations, True
 
 
-def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
+def swmmse_precoders(model, indices, sigma_n2, rho, options=None):
     """Stochastic WMMSE precoders driven by mixture component samples.
 
     Per iteration t: draw one sample per user from its reported component,
@@ -276,15 +275,13 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
     _check_rho(rho)
     if sigma_n2 <= 0:
         raise ValueError("sigma_n2 must be positive")
-    n_users = len(reports)
+    comps = np.asarray(indices, dtype=np.intp).reshape(-1) - 1
+    n_users = len(comps)
     if n_users < 1:
-        raise ValueError("need at least one feedback report")
+        raise ValueError("need at least one feedback index")
+    if np.any((comps < 0) | (comps >= model.n_components)):
+        raise ValueError(f"feedback indices outside 1..{model.n_components}")
     dim = model.dim
-    comps = []
-    for report in reports:
-        if not 1 <= report.index <= model.n_components:
-            raise ValueError(f"report index {report.index} out of range")
-        comps.append(report.index - 1)
     unique, inverse = np.unique(comps, return_inverse=True)
     roots = np.stack([_component_sqrt(model.covariances[k]) for k in unique])[inverse]
     # the draws of all T + 1 rounds (real, then imaginary parts, round by
@@ -345,6 +342,5 @@ def swmmse_precoders(model, reports, sigma_n2, rho, options=None):
         "factorizations": factorizations,
         "eigen_iterations": eigen_iterations,
         "precoders": snapshots,
-        "components": [c + 1 for c in comps],
     }
     return PrecoderSet(vectors, rho, "swmmse", metadata=metadata)

@@ -26,9 +26,9 @@ class BttbBasis:
         d_horiz = dft(2 * geometry.n_horiz, scale="sqrtn")[:, : geometry.n_horiz]
         self.dictionary = np.kron(d_vert, d_horiz)  # (4N, N)
         self._gram = np.abs(self.dictionary @ self.dictionary.conj().T) ** 2
-        ridge = _GRAM_RIDGE * np.trace(self._gram).real
+        self._ridge = _GRAM_RIDGE * np.trace(self._gram).real
         self._gram_chol = cho_factor(
-            self._gram + ridge * np.eye(self._gram.shape[0]))
+            self._gram + self._ridge * np.eye(self._gram.shape[0]))
 
     @property
     def n_atoms(self):
@@ -54,27 +54,21 @@ class BttbBasis:
         spectrum = cho_solve(self._gram_chol, correlations)
         if np.all(spectrum >= floor):
             return spectrum
-        n_atoms = self.n_atoms
-        free = np.ones(n_atoms, dtype=bool)
-        solution = np.full(n_atoms, floor)
-        for _ in range(n_atoms):
+        free = np.ones(self.n_atoms, dtype=bool)
+        solution = np.full(self.n_atoms, floor)
+        while True:  # each pass fixes at least one more atom at the floor
             gram_free = self._gram[np.ix_(free, free)]
             rhs = correlations[free]
             if floor != 0.0 and not free.all():
                 rhs = rhs - floor * self._gram[np.ix_(free, ~free)].sum(axis=1)
-            ridge = _GRAM_RIDGE * np.trace(self._gram).real
             values = np.linalg.solve(
-                gram_free + ridge * np.eye(int(free.sum())), rhs)
+                gram_free + self._ridge * np.eye(int(free.sum())), rhs)
             violated = values < floor
             if not violated.any():
                 solution[free] = values
                 return solution
             free_idx = np.flatnonzero(free)
             free[free_idx[violated]] = False
-            if not free.any():
-                return solution
-        solution[free] = np.maximum(values, floor)
-        return solution
 
 
 def bttb_basis(geometry):

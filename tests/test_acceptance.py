@@ -13,8 +13,8 @@ from scipy import stats
 from limfb.estimators import estimate_gmm, estimate_lmmse
 from limfb.evaluate import (Experiment, ExperimentConfig, emit_csv, run_sweep,
                             sum_rate)
-from limfb.feedback import (FeedbackReport, build_dft_codebook,
-                            build_pilot_matrix, select_codebook_index)
+from limfb.feedback import (build_dft_codebook, build_pilot_matrix,
+                            select_codebook_index)
 from limfb.gmm import GmmModel, param_count, project_to_observation
 from limfb.precoding import (PrecoderSet, SwmmseOptions,
                              directional_representatives, swmmse_precoders)
@@ -116,7 +116,7 @@ def test_criterion_3_oracle_equivalence(desk_geometry):
         model = GmmModel([1.0], [mean], [cov])
         setup = build_pilot_matrix(desk_geometry, 6, sigma_n2=0.4)
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        a = estimate_gmm(model, setup, y)
+        a = estimate_gmm(model, project_to_observation(model, setup), y)
         b = estimate_lmmse(mean, cov, setup, y)
         lmmse_ok &= bool(np.max(np.abs(a - b))
                          <= 1e-10 * max(1.0, np.max(np.abs(b))))
@@ -166,8 +166,8 @@ def test_criterion_4_swmmse_sanity():
 
     mean = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     single = GmmModel([1.0], [mean], [1e-12 * np.eye(4)])
-    out1 = swmmse_precoders(single, [FeedbackReport(0, 1, "t")], sigma_n2,
-                            rho, SwmmseOptions(max_iters=300, seed=0))
+    out1 = swmmse_precoders(single, [1], sigma_n2, rho,
+                            SwmmseOptions(max_iters=300, seed=0))
     capacity = np.log2(1.0 + rho * np.sum(np.abs(mean) ** 2) / sigma_n2)
     achieved = sum_rate(mean[None, :], out1, sigma_n2)
     single_ok = achieved >= 0.99 * capacity
@@ -176,8 +176,7 @@ def test_criterion_4_swmmse_sanity():
         + 1j * np.random.default_rng(0).standard_normal((2, 2))
     channels = channels[:2]
     two = GmmModel([0.5, 0.5], channels, np.stack([1e-12 * np.eye(2)] * 2))
-    out2 = swmmse_precoders(two, [FeedbackReport(0, 1, "t"),
-                                  FeedbackReport(1, 2, "t")], sigma_n2, rho,
+    out2 = swmmse_precoders(two, [1, 2], sigma_n2, rho,
                             SwmmseOptions(max_iters=300, seed=1))
     oracle_vectors = deterministic_wmmse(channels, sigma_n2, rho)
     oracle = sum_rate(channels, PrecoderSet(oracle_vectors, rho, "o"),

@@ -107,7 +107,7 @@ def test_feedback_command_matches_per_user_inference(workspace, tmp_path,
             index = int(np.argmax(obs.log_responsibilities(y))) + 1
         else:
             if scheme in ("dft:gmm", "dft:tgmm"):
-                h_hat = estimate_gmm(model, setup, y, obs=obs)
+                h_hat = estimate_gmm(model, obs, y)
             elif scheme == "dft:lmmse":
                 h_hat = estimate_lmmse(mean, cov, setup, y)
             else:
@@ -163,8 +163,13 @@ def _sweep_config(workspace, path, **overrides):
      r"users values must lie in 1..400, got \[500\]"),
     ({}, ["--axis", "iterations", "--values", "0,4"],
      r"iterations values must lie in 1..inf, got \[0\]"),
+    ({}, ["--axis", "bits", "--values=-1"],
+     r"bits values must lie in 0..inf, got \[-1\]"),
+    ({}, ["--axis", "bits", "--values", "2,20"],
+     "need at least as many samples as components: K=1048576, 1200 samples"),
 ], ids=["rho-nan", "rho-zero", "iters-key", "iters-flag", "unknown-key",
-        "bad-values", "pilots-range", "users-range", "iterations-range"])
+        "bad-values", "pilots-range", "users-range", "iterations-range",
+        "bits-range", "bits-beyond-training"])
 def test_sweep_exits_with_the_message_on_a_bad_config(
         workspace, tmp_path, capsys, overrides, extra, match):
     cfg = _sweep_config(workspace, tmp_path / "bad.cfg", **overrides)
@@ -173,6 +178,32 @@ def test_sweep_exits_with_the_message_on_a_bad_config(
         main(["sweep", "--config", str(cfg), "--axis", "pilots",
               "--out", str(out), *extra])
     assert not out.exists() and capsys.readouterr().out == ""
+
+
+def test_bits_sweep_refuses_a_codebook_the_array_cannot_split(
+        workspace, tmp_path, capsys, monkeypatch):
+    # 16 beams on a 3x4 array: 3 vertical beams leave 16/3 horizontal ones
+    scene_cfg = tmp_path / "scene.cfg"
+    scene_cfg.write_text(
+        "n_vert = 3\nn_horiz = 4\nnum_clusters = 4\npaths_per_cluster = 4\n"
+        "azimuth_spread = 0.08\nelevation_spread = 0.03\nseed = 3\n")
+    data = tmp_path / "eval.lfbd"
+    main(["generate", "--config", str(scene_cfg), "--count", "40",
+          "--out", str(data), "--normalize"])
+    capsys.readouterr()
+    cfg = tmp_path / "dft.cfg"
+    cfg.write_text(f"n_vert = 3\nn_horiz = 4\neval_data = {data}\n"
+                   "users = 2\npilots = 4\nconstellations = 2\n"
+                   "schemes = dft:perfect\n")
+    ran = []
+    monkeypatch.setattr(evaluate.Experiment, "run_constellation",
+                        lambda self, *args, **kwargs: ran.append(args))
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit,
+                       match=r"cannot build a 2\^4-entry codebook on a 3x4"):
+        main(["sweep", "--config", str(cfg), "--axis", "bits",
+              "--values", "2,4", "--out", str(out)])
+    assert ran == [] and not out.exists() and capsys.readouterr().out == ""
 
 
 def test_report_of_one_constellation_has_zero_standard_error(

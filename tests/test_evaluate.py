@@ -10,7 +10,6 @@ from limfb.config import read_kv
 from limfb.evaluate import (Experiment, ExperimentConfig, SweepResult,
                             dump_raw, emit_csv, export_trajectory_csv,
                             parse_scheme, read_sweep_csv, run_sweep, sum_rate)
-from limfb.feedback import FeedbackReport
 from limfb.gmm import GmmModel, project_to_observation
 from limfb.precoding import (PrecoderSet, SwmmseOptions,
                              directional_representatives, rci_precoders,
@@ -93,6 +92,19 @@ def test_parse_scheme_variants():
 
 # -- constellation runs ----------------------------------------------------------
 
+def test_feedback_is_one_index_array_for_every_scheme(
+        desk_train, desk_eval, desk_model, desk_tmodel):
+    exp = _experiment(desk_train, desk_eval, desk_model, desk_tmodel)
+    setup = exp.pilot_setup(8, 0.1)
+    channels = desk_eval.samples[:5].astype(np.complex128)
+    observations = channels @ setup.pilot_matrix.T
+    for tag in ("gmm-obs", "gmm-perfect", "tgmm-obs", "tgmm-perfect",
+                *(f"dft:{name}" for name in evaluate.DFT_ESTIMATORS)):
+        indices = exp.feedback(tag, 4, setup, channels, observations)
+        assert indices.shape == (5,) and indices.dtype.kind == "i", tag
+        assert 1 <= indices.min() and indices.max() <= 16, tag
+
+
 def test_run_constellation_deterministic(desk_train, desk_eval, desk_model):
     exp = _experiment(desk_train, desk_eval, desk_model)
     a, _ = exp.run_constellation([17, 0])
@@ -119,7 +131,7 @@ def test_run_constellation_matches_hand_driven_pipeline(
     observations = channels @ setup.pilot_matrix.T + np.sqrt(sigma_n2) * unit
 
     obs_model = project_to_observation(desk_model, setup)
-    reps = directional_representatives(desk_model)
+    reps = directional_representatives(desk_model, np.arange(1, 17))
     chosen = []
     for j in range(cfg.users):
         idx = int(np.argmax(obs_model.log_responsibilities(observations[j])))
@@ -133,13 +145,13 @@ def test_representatives_are_computed_once_per_used_component(
     exp = _experiment(desk_train, desk_eval, desk_model, desk_tmodel,
                       schemes=("gmm-obs", "gmm-perfect", "tgmm-obs"))
     used = {"full": set(), "toeplitz": set()}
-    feedback = evaluate.mixture_feedback
+    feedback = exp.feedback
 
-    def recording_feedback(mixture, points, scheme):
-        reports = feedback(mixture, points, scheme)
-        used["toeplitz" if scheme.startswith("t") else "full"].update(
-            r.index for r in reports)
-        return reports
+    def recording_feedback(tag, *args):
+        indices = feedback(tag, *args)
+        used["toeplitz" if tag.startswith("t") else "full"].update(
+            indices.tolist())
+        return indices
 
     eigh_rows = []
     eigh = np.linalg.eigh
@@ -148,7 +160,7 @@ def test_representatives_are_computed_once_per_used_component(
         eigh_rows.append(len(matrices))
         return eigh(matrices)
 
-    monkeypatch.setattr(evaluate, "mixture_feedback", recording_feedback)
+    monkeypatch.setattr(exp, "feedback", recording_feedback)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     first, _ = exp.run_constellation([17, 0])
     assert sum(eigh_rows) == len(used["full"]) + len(used["toeplitz"])
@@ -165,7 +177,7 @@ def test_representatives_are_computed_once_per_used_component(
     exp.run_constellation([17, 1])
     assert sum(eigh_rows) == len(used["full"]) + len(used["toeplitz"]) - seen
     # cached rows are the rows of the full matrix, bit for bit
-    full = directional_representatives(desk_model)
+    full = directional_representatives(desk_model, np.arange(1, 17))
     for k, row in exp._cache[("representatives", "full", 4)].items():
         assert row.tobytes() == full[k - 1].tobytes()
 
@@ -202,8 +214,10 @@ def test_single_value_sweep_equals_constellation_mean(
 @pytest.mark.parametrize("axis, values, match", [
     ("iterations", [0, 4], r"iterations values must lie in 1..inf, got \[0\]"),
     ("pilots", [4, 17], r"pilots values must lie in 1..16, got \[17\]"),
-    ("users", [2, 2001], r"users values must lie in 1..2000, got \[2001\]")],
-    ids=["iterations", "pilots", "users"])
+    ("users", [2, 2001], r"users values must lie in 1..2000, got \[2001\]"),
+    ("bits", [2, -1], r"bits values must lie in 0..inf, got \[-1\]"),
+    ("bits", [4, 20], "as many samples as components: K=1048576, 10000 ")],
+    ids=["iterations", "pilots", "users", "bits", "bits-beyond-training"])
 def test_sweep_rejects_axis_values_out_of_range(
         desk_train, desk_eval, desk_model, monkeypatch, axis, values, match):
     exp = _experiment(desk_train, desk_eval, desk_model)
@@ -359,7 +373,7 @@ def test_dump_raw_round_trip(tmp_path, desk_train, desk_eval, desk_model):
 def test_export_trajectory_csv(tmp_path):
     mean = np.array([1.0, 0.5j, -0.25, 0.1], dtype=complex)
     model = GmmModel([1.0], [mean], [1e-10 * np.eye(4)])
-    out = swmmse_precoders(model, [FeedbackReport(0, 1, "t")], 0.1, 1.0,
+    out = swmmse_precoders(model, [1], 0.1, 1.0,
                            SwmmseOptions(max_iters=12, seed=0))
     path = tmp_path / "traj.csv"
     export_trajectory_csv(out, path)

@@ -8,7 +8,7 @@ from scipy.linalg import cholesky, solve_triangular
 
 from limfb import gmm
 from limfb.feedback import PilotSetup, build_pilot_matrix
-from limfb.formats import BadMagicError
+from limfb.formats import BadMagicError, TruncatedError
 from limfb.gmm import (EmOptions, GmmModel, fit_em, load_model, log_density,
                        param_count, project_to_observation, sample_component,
                        sample_moments, save_model)
@@ -777,6 +777,47 @@ def test_model_validation(desk_geometry):
             GmmModel([1.0], np.zeros((1, desk_geometry.n)), covs,
                      constraint="toeplitz", spectral=spectral,
                      geometry=desk_geometry)
+
+
+def _packed_model(model, bits, flag):
+    """The LFBM bytes of ``model``, packed field by field with struct."""
+    dim = model.dim
+    out = gmm.MODEL_MAGIC + struct.pack("<HBIB", gmm.MODEL_VERSION, bits, dim,
+                                        flag)
+    rows, cols = np.triu_indices(dim)
+    for k in range(model.n_components):
+        out += struct.pack("<d", model.weights[k])
+        out += struct.pack(f"<{2 * dim}d", *model.means[k].view(float))
+        if flag == 0:
+            tri = model.covariances[k][rows, cols]
+            out += struct.pack(f"<{2 * len(tri)}d", *tri.view(float))
+        else:
+            out += struct.pack(f"<{4 * dim}d", *model.spectral[k])
+    return out
+
+
+def test_save_model_writes_the_documented_layout(tmp_path, desk_geometry):
+    model = _random_model(4, 3, seed=21)
+    save_model(model, tmp_path / "full.lfbm")
+    assert (tmp_path / "full.lfbm").read_bytes() == _packed_model(model, 2, 0)
+    spectral = np.random.default_rng(22).uniform(0.1, 1.0, (2, 64))
+    tmodel = GmmModel([0.25, 0.75], model.means[:2, :1].repeat(16, axis=1),
+                      [realize_spectral(c, desk_geometry) for c in spectral],
+                      constraint="toeplitz", spectral=spectral,
+                      geometry=desk_geometry)
+    save_model(tmodel, tmp_path / "toeplitz.lfbm")
+    assert ((tmp_path / "toeplitz.lfbm").read_bytes()
+            == _packed_model(tmodel, 1, 1))
+
+
+def test_load_model_refuses_a_count_beyond_the_file(tmp_path):
+    # B = 60 declares 2^60 components; the file holds one
+    model = _random_model(1, 2, seed=23)
+    raw = _packed_model(model, 0, 0)
+    path = tmp_path / "huge.lfbm"
+    path.write_bytes(raw[:6] + bytes([60]) + raw[7:])
+    with pytest.raises(TruncatedError, match="expected"):
+        load_model(path)
 
 
 def test_load_model_rejects_nan_weight(tmp_path):

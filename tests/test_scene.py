@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,16 @@ def test_dataset_load_errors_are_distinct(tmp_path):
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(DimensionError):
         load_dataset(trailing)
+
+
+def test_dataset_load_refuses_a_count_beyond_the_file(tmp_path):
+    # L = 2^62 samples declared; the payload check comes before any read
+    path = tmp_path / "huge.lfbd"
+    save_dataset(ChannelDataset(np.ones((3, 2), dtype=np.complex64)), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:10] + struct.pack("<Q", 2 ** 62) + raw[18:])
+    with pytest.raises(TruncatedError, match="expected"):
+        load_dataset(path)
 
 
 def test_scene_config_file(tmp_path):
