@@ -66,7 +66,7 @@ def sum_rate(channels, precoders, sigma_n2):
     vectors = precoders.vectors if hasattr(precoders, "vectors") else precoders
     if channels.shape[0] != np.asarray(vectors).shape[0]:
         raise ValueError("need one precoder per channel")
-    return _sum_rate_matrix(channels, np.asarray(vectors), sigma_n2)
+    return float(_sum_rate_matrix(channels, np.asarray(vectors), sigma_n2))
 
 
 def parse_scheme(tag):

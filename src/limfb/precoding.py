@@ -135,10 +135,11 @@ def rci_precoders(representatives, sigma_n2, rho):
 
 
 def _sum_rate_matrix(channels, vectors, sigma_n2):
-    gains = channels @ vectors.T
-    signal = np.abs(np.diagonal(gains)) ** 2
-    interference = np.sum(np.abs(gains) ** 2, axis=1) - signal
-    return float(np.sum(np.log2(1.0 + signal / (interference + sigma_n2))))
+    """Sum-rate of each stacked (channels, vectors) pair of (J, N) matrices."""
+    gains = channels @ np.swapaxes(vectors, -1, -2)
+    signal = np.abs(np.diagonal(gains, axis1=-2, axis2=-1)) ** 2
+    interference = np.sum(np.abs(gains) ** 2, axis=-1) - signal
+    return np.sum(np.log2(1.0 + signal / (interference + sigma_n2)), axis=-1)
 
 
 def _check_rho(rho):
@@ -298,8 +299,6 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None):
 
     avg_cov = np.zeros((dim, dim), dtype=np.complex128)
     avg_rhs = np.zeros((n_users, dim), dtype=np.complex128)
-    power_track = np.empty(options.max_iters)
-    objective_track = np.empty(options.max_iters)
     lambda_track = np.empty(options.max_iters)
     factorizations = np.empty(options.max_iters, dtype=np.int64)
     eigen_iterations = 0
@@ -330,14 +329,13 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None):
                 f"stochastic WMMSE diverged at iteration {t} "
                 f"(lambda={lam}, power={np.sum(np.abs(vectors) ** 2)})")
 
-        objective_track[t - 1] = _sum_rate_matrix(sample, vectors, sigma_n2)
-        power_track[t - 1] = np.sum(np.abs(vectors) ** 2)
         lambda_track[t - 1] = lam
         snapshots[t - 1] = vectors
 
+    # the tracks of all iterations in one batched product
     metadata = {
-        "power": power_track,
-        "objective": objective_track,
+        "power": np.sum(np.abs(snapshots) ** 2, axis=(1, 2)),
+        "objective": _sum_rate_matrix(samples[1:], snapshots, sigma_n2),
         "ridge": lambda_track,
         "factorizations": factorizations,
         "eigen_iterations": eigen_iterations,

@@ -25,10 +25,11 @@ class BttbBasis:
         d_vert = dft(2 * geometry.n_vert, scale="sqrtn")[:, : geometry.n_vert]
         d_horiz = dft(2 * geometry.n_horiz, scale="sqrtn")[:, : geometry.n_horiz]
         self.dictionary = np.kron(d_vert, d_horiz)  # (4N, N)
-        self._gram = np.abs(self.dictionary @ self.dictionary.conj().T) ** 2
-        self._ridge = _GRAM_RIDGE * np.trace(self._gram).real
-        self._gram_chol = cho_factor(
-            self._gram + self._ridge * np.eye(self._gram.shape[0]))
+        gram = np.abs(self.dictionary @ self.dictionary.conj().T) ** 2
+        # ridged once: every free system is a principal submatrix of it
+        ridge = _GRAM_RIDGE * np.trace(gram).real
+        self._gram = gram + ridge * np.eye(len(gram))
+        self._gram_chol = cho_factor(self._gram)
 
     @property
     def n_atoms(self):
@@ -43,32 +44,28 @@ class BttbBasis:
         """Spectral vector whose realization is Frobenius-nearest to ``scatter``.
 
         Solves the (ridge-stabilized) Gram normal equations of the projection
-        onto the span of the rank-one dictionary atoms and clips the spectrum
-        at ``floor``. Clipped entries are fixed there and the free subsystem
-        is re-solved until no new entries fall below the floor, so the result
-        tracks the nonnegatively constrained optimum instead of the one-shot
-        clip (which can be far off when many constraints are active).
+        onto the span of the rank-one dictionary atoms with the cached
+        Cholesky factor and clips the spectrum at ``floor``. Clipped entries
+        are fixed there and only the free subsystem is re-solved (by LU),
+        until no new entries fall below the floor, so the result tracks the
+        nonnegatively constrained optimum instead of the one-shot clip (which
+        can be far off when many constraints are active).
         """
         d = self.dictionary
         correlations = np.einsum("fm,fm->f", d @ scatter, d.conj()).real
-        spectrum = cho_solve(self._gram_chol, correlations)
-        if np.all(spectrum >= floor):
-            return spectrum
+        values = cho_solve(self._gram_chol, correlations)
         free = np.ones(self.n_atoms, dtype=bool)
-        solution = np.full(self.n_atoms, floor)
         while True:  # each pass fixes at least one more atom at the floor
-            gram_free = self._gram[np.ix_(free, free)]
-            rhs = correlations[free]
-            if floor != 0.0 and not free.all():
-                rhs = rhs - floor * self._gram[np.ix_(free, ~free)].sum(axis=1)
-            values = np.linalg.solve(
-                gram_free + self._ridge * np.eye(int(free.sum())), rhs)
             violated = values < floor
             if not violated.any():
-                solution[free] = values
-                return solution
-            free_idx = np.flatnonzero(free)
-            free[free_idx[violated]] = False
+                break
+            free[np.flatnonzero(free)[violated]] = False
+            rhs = (correlations[free]
+                   - floor * self._gram[np.ix_(free, ~free)].sum(axis=1))
+            values = np.linalg.solve(self._gram[np.ix_(free, free)], rhs)
+        solution = np.full(self.n_atoms, floor)
+        solution[free] = values
+        return solution
 
 
 def bttb_basis(geometry):
