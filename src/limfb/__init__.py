@@ -15,8 +15,8 @@ from .feedback import (Codebook, FeedbackReport, PilotSetup,
                        build_dft_codebook, build_pilot_matrix,
                        mixture_feedback, observe, select_codebook_index)
 from .gmm import (EmOptions, GmmModel, ObservationGmm, fit_em, load_model,
-                  log_density, param_count, project_to_observation,
-                  sample_component, sample_moments, save_model)
+                  param_count, project_to_observation, sample_moments,
+                  save_model)
 from .precoding import (PrecoderSet, SwmmseOptions,
                         directional_representatives, rci_precoders,
                         swmmse_precoders)

@@ -42,13 +42,18 @@ def _cmd_generate(args):
 
 
 def _cmd_train(args):
+    if args.bits < 0:
+        raise SystemExit(f"--bits must be >= 0, got {args.bits}")
     dataset = load_dataset(args.data)
     if not dataset.normalized:
         dataset = normalize_dataset(dataset)
-    options = EmOptions(max_iters=args.max_iters, rel_loglik_tol=args.tol,
-                        seed=args.seed)
-    model = fit_em(dataset, 2 ** args.bits, constraint=args.constraint,
-                   options=options, geometry=args.geometry)
+    try:
+        options = EmOptions(max_iters=args.max_iters,
+                            rel_loglik_tol=args.tol, seed=args.seed)
+        model = fit_em(dataset, 2 ** args.bits, constraint=args.constraint,
+                       options=options, geometry=args.geometry)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     save_model(model, args.out)
     lls = model.fit_log_likelihoods
     print(f"fit {args.constraint} mixture with K={2 ** args.bits} in "

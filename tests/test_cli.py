@@ -313,3 +313,27 @@ def test_feedback_rejects_pilots_outside_the_array(workspace, capsys, pilots):
                        match=f"pilots must lie in 1..8, got {pilots}"):
         main(_feedback_args(workspace, "--pilots", pilots))
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("data, extra, match", [
+    ("train", ["--bits", "-1"], "--bits must be >= 0, got -1"),
+    ("eval", ["--bits", "9"],
+     "need at least as many samples as components: K=512, 400 samples"),
+    ("train", ["--max-iters", "0"], "max_iters must be >= 1"),
+    ("train", ["--tol", "-1"], "rel_loglik_tol must be >= 0"),
+    ("train", ["--constraint", "toeplitz"],
+     "toeplitz fits need an array geometry"),
+    ("train", ["--constraint", "toeplitz", "--geometry", "4x4"],
+     "geometry does not match the sample dimension"),
+], ids=["bits-negative", "bits-beyond-samples", "max-iters-zero",
+        "tol-negative", "toeplitz-without-geometry",
+        "toeplitz-geometry-mismatch"])
+def test_train_exits_with_the_message_on_bad_options(workspace, tmp_path,
+                                                     capsys, data, extra,
+                                                     match):
+    out = tmp_path / "m.lfbm"
+    with pytest.raises(SystemExit, match=match):  # a repeated option wins
+        main(["train", "--data", str(workspace / f"{data}.lfbd"), "--bits",
+              "2", "--out", str(out), *extra])
+    assert capsys.readouterr().out == ""
+    assert not out.exists()

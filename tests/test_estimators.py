@@ -10,8 +10,9 @@ from scipy.special import logsumexp
 from limfb.estimators import (build_omp_dictionary, estimate_gmm,
                               estimate_lmmse, estimate_omp, omp_support)
 from limfb.feedback import PilotSetup, build_pilot_matrix, observe
-from limfb.gmm import (GmmModel, ObservationGmm, log_density,
-                       project_to_observation)
+from limfb.gmm import GmmModel, ObservationGmm, project_to_observation
+
+from gmm_oracle import log_density
 
 
 def _unit_rows(matrix, rho=1.0):

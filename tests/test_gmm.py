@@ -2,19 +2,22 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cholesky, solve_triangular
+from scipy.special import logsumexp
 
 from limfb import gmm
 from limfb.feedback import PilotSetup, build_pilot_matrix
 from limfb.formats import BadMagicError, TruncatedError
-from limfb.gmm import (EmOptions, GmmModel, fit_em, load_model, log_density,
-                       param_count, project_to_observation, sample_component,
-                       sample_moments, save_model)
+from limfb.gmm import (EmOptions, GmmModel, fit_em, load_model, param_count,
+                       project_to_observation, sample_moments, save_model)
 from limfb.scene import (ArrayGeometry, ChannelDataset, SceneConfig,
                          generate_channels, normalize_dataset)
 from limfb.toeplitz import check_structure, realize_spectral, toeplitz_mstep
+
+from gmm_oracle import (_chol_logdet, _log_gaussian_batch, log_density,
+                        sample_component)
 
 
 def _random_model(n_components, dim, seed, scale=1.0):
@@ -185,18 +188,22 @@ def test_fit_em_is_deterministic(desk_train):
     assert np.array_equal(a.covariances, b.covariances)
 
 
+def _collapse_scene():
+    """Tight specular clusters on which Toeplitz fits starve components."""
+    geom = ArrayGeometry(2, 8, 1.0, 0.5)
+    scene = SceneConfig(geom, num_clusters=4, paths_per_cluster=2,
+                        azimuth_spread=0.01, elevation_spread=0.005,
+                        diffuse_power=0.02, seed=5)
+    return geom, normalize_dataset(generate_channels(scene, 600,
+                                                     sample_seed=8))
+
+
 def test_fit_em_reseeds_collapsed_components(caplog):
     # tight specular clusters make the structured M-step starve components;
     # collapse handling re-seeds them and the fit completes
     import logging
 
-    from limfb.scene import ArrayGeometry, SceneConfig, generate_channels
-
-    geom = ArrayGeometry(2, 8, 1.0, 0.5)
-    scene = SceneConfig(geom, num_clusters=4, paths_per_cluster=2,
-                        azimuth_spread=0.01, elevation_spread=0.005,
-                        diffuse_power=0.02, seed=5)
-    ds = normalize_dataset(generate_channels(scene, 600, sample_seed=8))
+    geom, ds = _collapse_scene()
     with caplog.at_level(logging.WARNING, logger="limfb.gmm"):
         model = fit_em(ds, 8, constraint="toeplitz",
                        options=EmOptions(max_iters=20, seed=0))
@@ -229,6 +236,20 @@ def test_fit_em_validates_inputs(desk_train):
     tiny = ChannelDataset(desk_train.samples[:3], normalized=True)
     with pytest.raises(ValueError):
         fit_em(tiny, 8)
+
+
+@pytest.mark.parametrize("n_components", [0, -2, 0.5, 3.0, "4", None])
+def test_fit_em_rejects_a_component_count_that_is_not_a_positive_integer(
+        desk_train, n_components):
+    small = ChannelDataset(desk_train.samples[:50], normalized=True)
+    with pytest.raises(ValueError, match="n_components must be an integer"):
+        fit_em(small, n_components)
+
+
+def test_fit_em_accepts_a_numpy_integer_component_count(desk_train):
+    small = ChannelDataset(desk_train.samples[:50], normalized=True)
+    model = fit_em(small, np.int64(2), options=EmOptions(max_iters=1))
+    assert model.n_components == 2
 
 
 # -- lifted EM pass ----------------------------------------------------------
@@ -423,6 +444,126 @@ def test_kmeanspp_matches_exact_distance_seeding(desk_train, seed):
     assert got == _exact_kmeanspp_indices(x, 16, np.random.default_rng(seed))
 
 
+# -- EM kernels against plain references -------------------------------------
+# fit_em factors its first-iteration covariances once, tests the eigenvalue
+# floor by Cholesky and flushes subnormal responsibilities; the plain
+# kernels below, which do none of that, are the oracles.
+
+def _reference_floor_eigenvalues(matrix, floor):
+    """Hermitian matrix with eigenvalues clipped from below at ``floor``."""
+    matrix = 0.5 * (matrix + matrix.conj().T)
+    eigvals = np.linalg.eigvalsh(matrix)
+    if eigvals[0] >= floor:
+        return matrix
+    eigvals, eigvecs = np.linalg.eigh(matrix)
+    return (eigvecs * np.clip(eigvals, floor, None)) @ eigvecs.conj().T
+
+
+def _reference_em_pass(x, score_matrix):
+    """One pass of the EM E-step over the rows of ``x``, a chunk at a time.
+
+    Returns each row's log mixture density and the responsibility-weighted
+    sums of the lift, shape (K, N^2+2N+1), from which the M-step reads every
+    component's mass, first moment and second moment.
+    """
+    n_samples, width = x.shape[0], score_matrix.shape[0]
+    chunk = max(1, min(gmm._EM_CHUNK, gmm._EM_CHUNK_BYTES // (8 * width),
+                       n_samples))
+    lifted = np.empty((chunk, width))
+    log_norm = np.empty(n_samples)
+    sums = np.zeros(score_matrix.shape[::-1])
+    for start in range(0, n_samples, chunk):
+        stop = min(start + chunk, n_samples)
+        phi = gmm._lift(x[start:stop], lifted[:stop - start])
+        scores = phi @ score_matrix
+        log_norm[start:stop] = logsumexp(scores, axis=1)
+        sums += np.exp(scores - log_norm[start:stop, None]).T @ phi
+    return log_norm, sums
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 8) | st.sampled_from([16, 64]),
+       log_scale=st.floats(-3.0, 3.0),
+       spread=st.just(0.0) | st.floats(-0.5, 1.5),
+       tie=st.just(0.0) | st.floats(-4.0, 4.0), seed=_SEEDS)
+# a tie: the floor is the least eigenvalue, eigvalsh keeps the matrix and
+# zpotrf finds the shifted matrix singular
+@example(dim=8, log_scale=0.0, spread=0.0, tie=0.0, seed=0)
+def test_floor_eigenvalues_match_eigvalsh_reference(dim, log_scale, spread,
+                                                    tie, seed):
+    # the floor sits at the least eigenvalue (spread 0), between the
+    # eigenvalues, or outside them, moved by up to four rounding units
+    rng = np.random.default_rng(seed)
+    raw = _complex_normal(rng, (dim, dim + 2))
+    matrix = 10.0 ** log_scale * (raw @ raw.conj().T / dim
+                                  - rng.uniform(0.0, 1.5) * np.eye(dim))
+    eigvals = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
+    norm = np.abs(eigvals).max()
+    unit = 8.0 * dim * np.finfo(float).eps
+    floor = (eigvals[0] + spread * (eigvals[-1] - eigvals[0])
+             + tie * unit * norm)
+    band = unit * (norm + abs(floor))
+    got = gmm._floor_eigenvalues(matrix, floor)
+    expected = _reference_floor_eigenvalues(matrix, floor)
+    if abs(eigvals[0] - floor) > band:
+        assert got.tobytes() == expected.tobytes()
+        return
+    # a tie: zpotrf and eigvalsh may decide differently, and the matrix
+    # is returned as it is or with its least eigenvalues moved to the floor
+    for out in (got, expected):
+        assert np.abs(out - out.conj().T).max() <= band
+        assert np.linalg.eigvalsh(out)[0] >= floor - band
+    assert np.abs(got - expected).max() <= band
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(1, 8) | st.sampled_from([16, 64]),
+       n_comp=st.integers(1, 6), log_cond=st.floats(0.0, 8.0), seed=_SEEDS)
+def test_inverse_factors_of_copies_equal_the_tiled_single_factor(
+        dim, n_comp, log_cond, seed):
+    # fit_em's first iteration factors the initial covariance once
+    cov = _conditioned_covariance(np.random.default_rng(seed), dim,
+                                  10.0 ** log_cond)
+    inv_chols, logdets = gmm._inverse_factors(np.tile(cov, (n_comp, 1, 1)))
+    inv_chol, logdet = gmm._inverse_factors(cov[None])
+    assert inv_chols.tobytes() == np.tile(inv_chol, (n_comp, 1, 1)).tobytes()
+    assert logdets.tobytes() == np.tile(logdet, n_comp).tobytes()
+
+
+@pytest.mark.parametrize("fit", ["desk-full", "desk-toeplitz",
+                                 "collapse-full", "collapse-toeplitz"])
+def test_fit_em_matches_reference_kernels_bit_for_bit(
+        fit, desk_train, desk_geometry, monkeypatch):
+    if fit.startswith("collapse"):  # 20 iterations that re-seed
+        (geometry, data), n_comp, budget = _collapse_scene(), 8, 20
+    else:
+        geometry, data, n_comp, budget = desk_geometry, desk_train, 16, 6
+    constraint = fit.split("-")[1]
+    options = EmOptions(max_iters=budget, rel_loglik_tol=0.0, seed=3)
+    fast = fit_em(data, n_comp, constraint, options, geometry=geometry)
+
+    subnormal = []
+
+    def reference_pass(x, score_matrix):
+        log_norm, sums = _reference_em_pass(x, score_matrix)
+        resp = np.exp(_lifted(x) @ score_matrix - log_norm[:, None])
+        subnormal.append(np.count_nonzero(
+            (resp > 0.0) & (resp < np.finfo(float).tiny)))
+        return log_norm, sums
+
+    monkeypatch.setattr(gmm, "_floor_eigenvalues",
+                        _reference_floor_eigenvalues)
+    monkeypatch.setattr(gmm, "_em_pass", reference_pass)
+    reference = fit_em(data, n_comp, constraint, options, geometry=geometry)
+    assert len(subnormal) == budget
+    if fit.startswith("collapse"):  # at N=16 only these fits underflow
+        assert sum(subnormal) > 0  # so the flush is exercised
+    for name in ("weights", "means", "covariances", "spectral",
+                 "fit_log_likelihoods"):
+        assert (np.asarray(getattr(fast, name)).tobytes()
+                == np.asarray(getattr(reference, name)).tobytes()), name
+
+
 def test_fit_em_logs_each_iteration(caplog):
     import logging
 
@@ -528,8 +669,8 @@ def test_batched_scores_match_per_row_oracle(dim, n_comp, rows, log_cond,
     x = np.concatenate([near, 3.0 * _complex_normal(rng, (rows, dim))])
     ref = np.empty((len(x), n_comp))
     for k in range(n_comp):
-        chol, logdet = gmm._chol_logdet(model.covariances[k])
-        ref[:, k] = gmm._log_gaussian_batch(x, model.means[k], chol, logdet)
+        chol, logdet = _chol_logdet(model.covariances[k])
+        ref[:, k] = _log_gaussian_batch(x, model.means[k], chol, logdet)
     bound = 1e-9 * np.maximum(1.0, np.abs(ref))
     for mixture in (model, obs):
         got = mixture.component_log_densities(x)
