@@ -7,8 +7,9 @@ designer never sees a representative: it redraws one channel sample per user
 and iteration from the reported mixture component and averages the weighted
 MMSE statistics over iterations, so the precoders optimize the expected
 sum-rate under the component distributions. Its power step finds the least
-ridge that meets the budget by warm-started Newton steps, one Cholesky
-factorization each.
+ridge that meets the budget from the previous ridge, one Cholesky
+factorization per step: the first step follows a third-order model of the
+power, so most iterations take two factorizations.
 
 Rates everywhere use the bilinear pairing ``h^T v``; designers therefore
 consume conjugated representatives internally so that a representative equal
@@ -31,6 +32,7 @@ _EPS = np.finfo(float).eps
 _WEIGHT_CLAMP = 1e6
 _NEWTON_STEPS = 100
 _POWER_TOL = 1e-9  # a power step ends within _POWER_TOL * rho below rho
+_SERIES_TERM = 0.3  # the most each series term may change a Newton step
 
 
 @dataclass
@@ -101,9 +103,11 @@ def rci_precoders(representatives, sigma_n2, rho):
     rho exactly (per-user rescaling would destroy the RCI directions).
     Representatives are normalized to unit norm first; both feedback routes
     hand over unit-norm vectors, and a fixed regularizer is only meaningful
-    on that scale.
+    on that scale. ``sigma_n2`` must be finite and >= 0; 0 gives
+    zero-forcing.
     """
     _check_rho(rho)
+    _check_noise(sigma_n2, allow_zero=True)
     reps = np.asarray(representatives, dtype=np.complex128)
     if reps.ndim != 2 or reps.shape[0] < 1:
         raise ValueError("need a (J, N) matrix of representatives")
@@ -147,6 +151,13 @@ def _check_rho(rho):
         raise ValueError(f"rho must be finite and > 0, got {rho}")
 
 
+def _check_noise(sigma_n2, allow_zero):
+    if not (np.isfinite(sigma_n2)
+            and (sigma_n2 >= 0 if allow_zero else sigma_n2 > 0)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValueError(f"sigma_n2 must be finite and {bound}, got {sigma_n2}")
+
+
 def _ill_conditioned(cov, chol):
     """Whether tr(cov) tr(cov^-1), a condition-number bound, reaches 1e13."""
     inv, info = lapack.ztrtri(chol, lower=1)  # chol's upper triangle is junk
@@ -157,13 +168,22 @@ def _ridge_newton(solve, rho, tol, lam, bracket, zero_open, resolution):
     """Safeguarded Newton on ``phi^-1/2`` (Moré & Sorensen, SIAM J. Sci. Stat.
     Comput. 1983) for the least ridge with ``rho - tol rho <= phi <= rho``.
 
-    ``solve(lam)`` gives ``(phi, -phi'/2, solution)`` or None where it cannot
-    resolve ``lam``. Steps outside the bracket ``[lo, hi]`` (updated in place)
-    go to 0 once while ``zero_open``, else to ``max(sqrt(lo hi), hi / 1000)``.
-    A ridge in the window is accepted only once ``phi(0) <= rho`` is ruled out.
+    ``solve(lam)`` gives ``(phi, top, moments, solution)`` or None where it
+    cannot resolve ``lam``: ``top`` bounds the largest eigenvalue of
+    ``A + lam I`` from above, and ``moments(n)`` gives the first ``n`` of
+    ``m_k = b^H (A + lam I)^-k b``, k = 3, 4, 5, so that ``phi' = -2 m_3``,
+    ``phi'' = 6 m_4`` and ``phi''' = -24 m_5``. Moments are asked for only
+    where a step needs them. The first step inverts the third-order Taylor
+    model of ``phi^-1/2`` as a series, unless a term of the series changes
+    the Newton step by more than ``_SERIES_TERM``; later steps are Newton
+    steps. Steps outside the bracket ``[lo, hi]`` (updated in place) go to
+    0 once while ``zero_open``, else to ``max(sqrt(lo hi), hi / 1000)``. A
+    ridge in the window is accepted only once ``phi(0) <= rho`` is ruled
+    out.
     Returns ``(solution, lam)``, or None when ``solve`` or the step fails.
     """
     target = rho * (1.0 - 0.5 * tol)  # the middle of the window
+    order = 3
     for _ in range(_NEWTON_STEPS):
         lo, hi = bracket
         if lam <= lo == 0.0 and zero_open:
@@ -173,20 +193,33 @@ def _ridge_newton(solve, rho, tol, lam, bracket, zero_open, resolution):
         found = solve(lam)
         if found is None:
             return None
-        power, half_slope, solution = found
-        # in the window, but phi(0) >= power + 2 half_slope lam (phi is
-        # convex) leaves phi(0) <= rho open: lam = 0 is tried first
-        if (zero_open and rho - power <= tol * rho
-                and power + 2.0 * half_slope * lam <= rho):
+        power, top, moments, solution = found
+        if power <= rho and (lam == 0.0 or rho - power <= tol * rho):
+            # in the window at lam > 0, phi(0) >= power + 2 m_3 lam (phi is
+            # convex) leaves phi(0) <= rho open, and lam = 0 is tried first;
+            # m_3 >= power / top settles most ridges without m_3
+            if (not zero_open or lam * power / top > rho - power + _EPS * rho
+                    or power + 2.0 * moments(1)[0] * lam > rho):
+                return solution, lam
             bracket[1], lam = lam, 0.0
             continue
         if power > rho:
             bracket[0] = lam
-        elif lam == 0.0 or rho - power <= tol * rho:
-            return solution, lam
         else:
             bracket[1] = lam
-        step = power / half_slope * (np.sqrt(power / target) - 1.0)
+        slope, *higher = moments(order)
+        step = power / slope * (np.sqrt(power / target) - 1.0)
+        if higher:
+            # phi^-1/2 (lam + d) / phi^-1/2 (lam) = 1 + u d + a2 d^2 + a3 d^3
+            # reverted as a series in the Newton step; far from the root the
+            # series diverges and the Newton step stands
+            u, q4, q5 = slope / power, higher[0] / power, higher[1] / power
+            b2 = 1.5 * (u - q4 / u)
+            b3 = 2.5 * u * u - 4.5 * q4 + 2.0 * q5 / u
+            second, third = b2 * step, (2.0 * b2 * b2 - b3) * step * step
+            if max(abs(second), abs(third)) <= _SERIES_TERM:
+                step *= 1.0 - second + third
+            order = 1
         if abs(step) <= resolution or bracket[1] - bracket[0] <= resolution:
             return None
         lam += step
@@ -200,8 +233,11 @@ def _power_step(cov, rhs, rho, lam=0.0):
     the pseudo-inverse over the eigenvalues above 1e-13 of the top fits the
     budget (weight outside that subspace needs unbounded power, unless it is
     no more than ``eigh`` leaks there); otherwise the power is within
-    ``_POWER_TOL * rho`` of rho. Newton starts from ``lam``, the previous
-    ridge, at one Cholesky factorization per step. A singular or
+    ``_POWER_TOL * rho`` of rho. The search starts from ``lam``, the
+    previous ridge, at one Cholesky factorization per step. The factor in
+    hand also gives the power's first three derivatives by triangular
+    solves: the first step uses all three, later steps the slope alone, and
+    a step that ends the search solves for none of them. A singular or
     ill-conditioned ``cov`` at ``lam = 0``, or a ridge below what
     ``cov + lam I`` resolves, hands the step to one ``eigh`` (``eigen``).
     """
@@ -211,6 +247,8 @@ def _power_step(cov, rhs, rho, lam=0.0):
     shifted = np.empty((dim, dim), dtype=np.complex128, order="F")
     diagonal = shifted.T.reshape(-1)[::dim + 1]  # a view: shifted.T is C-order
     rhs_t = np.asfortranarray(rhs.T)
+    cov_diagonal = cov.diagonal().real
+    trace = cov_diagonal.sum()
     factorizations = 0
 
     def cholesky_solve(lam):
@@ -222,10 +260,19 @@ def _power_step(cov, rhs, rho, lam=0.0):
         if info != 0 or lam == 0.0 and _ill_conditioned(cov, chol):
             return None
         x, _ = lapack.zpotrs(chol, rhs_t, lower=1)
-        z, _ = lapack.ztrtrs(chol, x, lower=1)
-        return np.vdot(x, x).real, np.vdot(z, z).real, x.T
 
-    resolution = 8.0 * _EPS * np.max(cov.diagonal().real)
+        def moments(count):  # valid until the next solve overwrites chol
+            # m_3 = |L^-1 x|^2, m_4 = |L^-H L^-1 x|^2, m_5 = |L^-1 L^-H L^-1 x|^2
+            found, vec = [], x
+            for k in range(count):
+                vec, _ = lapack.ztrtrs(chol, vec, lower=1, trans=2 * (k % 2))
+                found.append(np.vdot(vec.T, vec.T).real)
+            return found
+
+        x_t = x.T  # C-contiguous, so vdot copies nothing
+        return np.vdot(x_t, x_t).real, trace + dim * lam, moments, x_t
+
+    resolution = 8.0 * _EPS * np.max(cov_diagonal)
     found = _ridge_newton(cholesky_solve, rho, _POWER_TOL, lam, [0.0, hi],
                           True, resolution)
     if found is not None:
@@ -248,7 +295,9 @@ def _power_step(cov, rhs, rho, lam=0.0):
 
     def eigen_solve(lam):
         inv = 1.0 / (eigvals + lam)
-        return weights @ inv ** 2, weights @ inv ** 3, None
+        return (weights @ inv ** 2, eigvals[-1] + lam,
+                lambda count: [weights @ inv ** k for k in range(3, 3 + count)],
+                None)
 
     bracket = [0.0, hi]
     found = _ridge_newton(eigen_solve, rho, _POWER_TOL, lam, bracket, False, 0.0)
@@ -271,11 +320,11 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None):
     sampled-channel objective and precoder snapshots (used to evaluate
     sum-rate over iterations without re-running), the Cholesky factorizations
     of each power step and the number of iterations that took the eigen path.
+    One DEBUG line per design sums these up; nothing is logged per iteration.
     """
     options = options or SwmmseOptions()
     _check_rho(rho)
-    if sigma_n2 <= 0:
-        raise ValueError("sigma_n2 must be positive")
+    _check_noise(sigma_n2, allow_zero=False)
     comps = np.asarray(indices, dtype=np.intp).reshape(-1) - 1
     n_users = len(comps)
     if n_users < 1:
@@ -294,8 +343,9 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None):
     samples += model.means[comps]
     del noise, white
 
+    conj_samples = samples.conj()
     init_norms = np.linalg.norm(samples[0], axis=1)
-    vectors = np.sqrt(rho / n_users) * samples[0].conj() / init_norms[:, None]
+    vectors = np.sqrt(rho / n_users) * conj_samples[0] / init_norms[:, None]
 
     avg_cov = np.zeros((dim, dim), dtype=np.complex128)
     avg_rhs = np.zeros((n_users, dim), dtype=np.complex128)
@@ -304,22 +354,29 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None):
     eigen_iterations = 0
     lam = 0.0
     snapshots = np.empty((options.max_iters, n_users, dim), dtype=np.complex128)
+    users = np.arange(n_users)
 
     for t in range(1, options.max_iters + 1):
-        sample = samples[t]
+        sample, sample_conj = samples[t], conj_samples[t]
         gains = sample @ vectors.T  # gains[j, m] = h_j^T v_m
         denom = np.sum(np.abs(gains) ** 2, axis=1) + sigma_n2
-        direct = np.diagonal(gains)
+        direct = gains[users, users]
         receivers = direct.conj() / denom
         mse = 1.0 - (receivers * direct).real
-        weights = np.clip(1.0 / np.maximum(mse, 1e-300), 1.0, _WEIGHT_CLAMP)
+        weights = np.minimum(np.maximum(1.0 / np.maximum(mse, 1e-300), 1.0),
+                             _WEIGHT_CLAMP)
 
+        # gamma scales the left factor before each product, which is how
+        # gamma * left @ right and gamma * column * row round
         gamma = 1.0 / t
-        coef = weights * np.abs(receivers) ** 2
+        left = sample_conj.T * (weights * np.abs(receivers) ** 2)
+        left *= gamma
         avg_cov *= 1.0 - gamma
-        avg_cov += gamma * (sample.conj().T * coef) @ sample
+        avg_cov += left @ sample
+        column = weights * receivers.conj()
+        column *= gamma
         avg_rhs *= 1.0 - gamma
-        avg_rhs += gamma * (weights * receivers.conj())[:, None] * sample.conj()
+        avg_rhs += column[:, None] * sample_conj
 
         vectors, lam, factorizations[t - 1], eigen = _power_step(
             avg_cov, avg_rhs, rho, lam)
@@ -333,8 +390,13 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None):
         snapshots[t - 1] = vectors
 
     # the tracks of all iterations in one batched product
+    power = np.sum(np.abs(snapshots) ** 2, axis=(1, 2))
+    logger.debug("swmmse: %d iterations, %.3f factorizations per iteration, "
+                 "%d on the eigen path, final ridge %.6g, final power slack "
+                 "%.6g", options.max_iters, np.mean(factorizations),
+                 eigen_iterations, lam, 1.0 - power[-1] / rho)
     metadata = {
-        "power": np.sum(np.abs(snapshots) ** 2, axis=(1, 2)),
+        "power": power,
         "objective": _sum_rate_matrix(samples[1:], snapshots, sigma_n2),
         "ridge": lambda_track,
         "factorizations": factorizations,

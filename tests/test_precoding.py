@@ -10,7 +10,8 @@ from limfb.precoding import (PrecoderSet, SwmmseOptions, _power_step,
                              directional_representatives, rci_precoders,
                              swmmse_precoders)
 from wmmse_oracle import (deterministic_wmmse, eigen_power_step,
-                          reference_swmmse, stochastic_wmmse)
+                          reference_power_step, reference_swmmse,
+                          stochastic_wmmse)
 
 
 def _degenerate_model(means, eps=1e-12):
@@ -299,6 +300,33 @@ def test_swmmse_validates_reports():
         swmmse_precoders(model, [1], 0.0, 1.0)
 
 
+@pytest.mark.parametrize("sigma_n2", [-0.5, np.nan, np.inf, -np.inf])
+def test_designers_reject_invalid_noise_variance(sigma_n2):
+    model = _degenerate_model([[1.0 + 0j, 0.5j]])
+    with pytest.raises(ValueError, match="sigma_n2 must be finite and > 0"):
+        swmmse_precoders(model, [1], sigma_n2, 1.0)
+    with pytest.raises(ValueError, match="sigma_n2 must be finite and >= 0"):
+        rci_precoders(np.array([[1.0 + 0j, 0.5j]]), sigma_n2, 1.0)
+
+
+def test_swmmse_logs_one_summary_per_design(caplog):
+    rng = np.random.default_rng(13)
+    means = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    model = _degenerate_model(means, eps=0.02)
+    with caplog.at_level("DEBUG", logger="limfb.precoding"):
+        out = swmmse_precoders(model, [1, 2], 0.1, 1.0,
+                               SwmmseOptions(max_iters=30, seed=4))
+    records = [r for r in caplog.records if r.name == "limfb.precoding"]
+    assert len(records) == 1 and records[0].levelname == "DEBUG"
+    message = records[0].getMessage()
+    meta = out.metadata
+    assert message.startswith("swmmse: 30 iterations, ")
+    assert f"{np.mean(meta['factorizations']):.3f} factorizations" in message
+    assert f"{meta['eigen_iterations']} on the eigen path" in message
+    assert f"final ridge {meta['ridge'][-1]:.6g}" in message
+    assert f"final power slack {1.0 - meta['power'][-1]:.6g}" in message
+
+
 @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
 def test_designers_reject_invalid_power_budget(rho):
     model = _degenerate_model([[1.0 + 0j, 0.5j]])
@@ -310,13 +338,14 @@ def test_designers_reject_invalid_power_budget(rho):
 
 def test_swmmse_power_step_work_at_desk_scale(desk_model):
     # N=16, 8 users: the first iteration's statistics have rank 8, so the
-    # eigen path runs there; later steps are warm-started Newton steps
+    # eigen path runs there; later steps start from the previous ridge, and
+    # the higher-order first step mostly lands in the window
     out = swmmse_precoders(desk_model, [1, 3, 3, 5, 8, 11, 14, 16],
                            0.1, 1.0, SwmmseOptions(max_iters=300, seed=5))
     factorizations = out.metadata["factorizations"]
     assert factorizations.shape == (300,)
     assert out.metadata["eigen_iterations"] >= 1
-    assert np.mean(factorizations) <= 6.0
+    assert np.mean(factorizations) <= 2.5
     positive = out.metadata["ridge"] > 0
     assert np.all(out.metadata["power"] <= 1.0 + 1e-12)
     assert np.all(1.0 - out.metadata["power"][positive] <= 1e-9 + 1e-12)
@@ -365,6 +394,75 @@ def test_power_step_matches_eigen_oracle(dim, users, rank_cut, log_cond,
         assert eigen
     if rank == dim and lam == 0.0:  # certified well-conditioned: no eigh
         assert not eigen
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 12), users=st.integers(1, 4),
+       rank_cut=st.integers(0, 3), log_cond=st.floats(0.0, 6.0),
+       zero_feasible=st.booleans(), log_margin=st.floats(0.01, 3.0),
+       window=st.one_of(st.none(), st.floats(0.05, 0.95)),
+       log_start=st.one_of(st.none(), st.floats(-4.0, 3.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_power_step_matches_newton_reference(dim, users, rank_cut, log_cond,
+                                             zero_feasible, log_margin,
+                                             window, log_start, seed):
+    # the higher-order first step and the slope solved on demand change the
+    # path to the window, not the decisions: the earlier plain-Newton step
+    # makes the same lam = 0 decision and ends in the same window. As in
+    # test_power_step_matches_eigen_oracle, phi(0) stays off rho, where
+    # rounding alone decides whether lam = 0 fits. With ``window``, phi(0)
+    # lies inside the window, where lam = 0 must win even after a step has
+    # landed there at lam > 0 (at dim 1 the slope is at its lower bound
+    # power / tr(cov + lam I)); that needs the power resolved well inside
+    # the window, so cov is of full rank with a condition number <= 1e3
+    # (cond * eps << tol)
+    rng = np.random.default_rng(seed)
+    rank = max(1, dim - rank_cut)
+    basis, _ = np.linalg.qr(_complex_normal(rng, (dim, dim)))
+    eigvals = np.zeros(dim)
+    eigvals[:rank] = 10.0 ** -(log_cond * np.r_[0.0, rng.uniform(size=rank - 1)])
+    cov = (basis * eigvals) @ basis.conj().T
+    rhs = (basis[:, :rank] @ _complex_normal(rng, (rank, users))).T
+    zero_power = np.sum(np.abs(eigen_power_step(cov, rhs, np.inf)[0]) ** 2)
+    rho = zero_power * np.exp(log_margin if zero_feasible else -log_margin)
+    start = 0.0 if log_start is None else np.exp(log_start) * rank / dim
+    tol = precoding._POWER_TOL
+    window = window if rank == dim and log_cond <= 3.0 else None
+    if window is not None:
+        rho = zero_power * (1.0 + window * tol)
+
+    expected, expected_lam, _, _ = reference_power_step(cov, rhs, rho, tol,
+                                                        start)
+    vectors, lam, _, _ = _power_step(cov, rhs, rho, start)
+
+    assert (lam == 0.0) == (expected_lam == 0.0)
+    if window is not None:
+        assert lam == 0.0
+    for vec, ridge in ((vectors, lam), (expected, expected_lam)):
+        power = np.sum(np.abs(vec) ** 2)
+        assert power <= rho * (1.0 + 1e-12)
+        if ridge > 0.0:
+            assert rho - power <= (tol + 1e-12) * rho
+    assert np.linalg.norm(vectors - expected) <= 1e-6 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("dim", [2, 8, 64])
+def test_power_step_first_step_is_third_order(dim):
+    # from a warm start 1 % off the root, the third-order first step lands
+    # in the 1e-9 window at once (error ~1e-8 in lam), where a Newton step
+    # (error ~1e-4) needs another factorization
+    rng = np.random.default_rng(4)
+    raw = _complex_normal(rng, (dim, dim))
+    cov = raw @ raw.conj().T / dim + 0.01 * np.eye(dim)
+    rhs = _complex_normal(rng, (3, dim))
+    rho = 0.1 * np.sum(np.abs(eigen_power_step(cov, rhs, np.inf)[0]) ** 2)
+    _, root = eigen_power_step(cov, rhs, rho)
+    for rel in (1e-3, -1e-3, 1e-2, -1e-2):
+        vectors, lam, factorizations, eigen = _power_step(cov, rhs, rho,
+                                                          root * (1.0 + rel))
+        assert factorizations == 2 and not eigen
+        power = np.sum(np.abs(vectors) ** 2)
+        assert 0.0 <= rho - power <= precoding._POWER_TOL * rho
 
 
 def test_power_step_without_root_stays_feasible():

@@ -1,16 +1,65 @@
 """Reference implementations for the WMMSE designer, shared by tests.
 
-The eigen-decomposition references solve the power step from scratch;
-``reference_swmmse`` keeps an earlier, straightforward form of the
-stochastic WMMSE loop and its Cholesky power step, which the optimized
-designer must reproduce bit for bit.
+The eigen-decomposition references solve the power step from scratch.
+``reference_power_step`` keeps an earlier Cholesky power step, whose ridge
+search takes plain Newton steps and solves for the slope at every
+factorization; the library's step must make the same decisions and agree
+to its window. ``reference_swmmse`` keeps an earlier, straightforward form
+of the stochastic WMMSE loop around the library's power step, which the
+optimized designer must reproduce bit for bit.
 """
 
 import numpy as np
 from scipy.linalg import lapack
 
 from limfb.gmm import _component_sqrt
-from limfb.precoding import _WEIGHT_CLAMP, _ill_conditioned, _ridge_newton
+from limfb.precoding import _NEWTON_STEPS, _WEIGHT_CLAMP, _power_step
+
+
+def _ill_conditioned(cov, chol):
+    """Whether tr(cov) tr(cov^-1), a condition-number bound, reaches 1e13."""
+    inv, info = lapack.ztrtri(chol, lower=1)  # chol's upper triangle is junk
+    return info != 0 or np.trace(cov).real * np.linalg.norm(np.tril(inv)) ** 2 >= 1e13
+
+
+def _ridge_newton(solve, rho, tol, lam, bracket, zero_open, resolution):
+    """Safeguarded Newton on ``phi^-1/2`` (Moré & Sorensen, SIAM J. Sci. Stat.
+    Comput. 1983) for the least ridge with ``rho - tol rho <= phi <= rho``.
+
+    ``solve(lam)`` gives ``(phi, -phi'/2, solution)`` or None where it cannot
+    resolve ``lam``. Steps outside the bracket ``[lo, hi]`` (updated in place)
+    go to 0 once while ``zero_open``, else to ``max(sqrt(lo hi), hi / 1000)``.
+    A ridge in the window is accepted only once ``phi(0) <= rho`` is ruled out.
+    Returns ``(solution, lam)``, or None when ``solve`` or the step fails.
+    """
+    target = rho * (1.0 - 0.5 * tol)  # the middle of the window
+    for _ in range(_NEWTON_STEPS):
+        lo, hi = bracket
+        if lam <= lo == 0.0 and zero_open:
+            lam, zero_open = 0.0, False
+        elif not lo < lam < hi:
+            lam = max(np.sqrt(lo * hi), 1e-3 * hi)
+        found = solve(lam)
+        if found is None:
+            return None
+        power, half_slope, solution = found
+        # in the window, but phi(0) >= power + 2 half_slope lam (phi is
+        # convex) leaves phi(0) <= rho open: lam = 0 is tried first
+        if (zero_open and rho - power <= tol * rho
+                and power + 2.0 * half_slope * lam <= rho):
+            bracket[1], lam = lam, 0.0
+            continue
+        if power > rho:
+            bracket[0] = lam
+        elif lam == 0.0 or rho - power <= tol * rho:
+            return solution, lam
+        else:
+            bracket[1] = lam
+        step = power / half_slope * (np.sqrt(power / target) - 1.0)
+        if abs(step) <= resolution or bracket[1] - bracket[0] <= resolution:
+            return None
+        lam += step
+    return None
 
 
 def _null_leak(eigvals, active):
@@ -116,7 +165,8 @@ def stochastic_wmmse(model, components, sigma_n2, rho, iters, seed):
 
 
 def reference_power_step(cov, rhs, rho, tol, lam=0.0):
-    """``precoding._power_step`` with a fresh ``cov + lam I`` per solve."""
+    """An earlier ``precoding._power_step``: a fresh ``cov + lam I`` per
+    solve, the slope solved at every factorization and Newton steps only."""
     hi = np.linalg.norm(rhs) / np.sqrt(rho * (1.0 - 0.5 * tol))  # phi(hi) <= rho
     eye = np.eye(cov.shape[0])
     factorizations = 0
@@ -203,8 +253,8 @@ def reference_swmmse(model, components, sigma_n2, rho, options):
         avg_rhs = ((1.0 - gamma) * avg_rhs
                    + gamma * (weights * receivers.conj())[:, None] * samples.conj())
 
-        vectors, lam, factorizations[t - 1], eigen = reference_power_step(
-            avg_cov, avg_rhs, rho, 1e-9, lam)
+        vectors, lam, factorizations[t - 1], eigen = _power_step(
+            avg_cov, avg_rhs, rho, lam)
         eigen_iterations += eigen
 
         gains = samples @ vectors.T
