@@ -251,7 +251,8 @@ def _floor_eigenvalues(matrix, floor):
     a matrix that fails the test is decomposed by ``eigh`` and clipped. The
     two tests disagree only when the least eigenvalue lies within rounding,
     about N * eps * ||S||, of the floor; either answer is then within that
-    band of the other.
+    band of the other. Both branches return an exactly Hermitian matrix, so
+    a saved upper triangle restores it bit for bit.
     """
     matrix = 0.5 * (matrix + matrix.conj().T)
     shifted = matrix - floor * np.eye(len(matrix))
@@ -259,7 +260,8 @@ def _floor_eigenvalues(matrix, floor):
     if zpotrf(shifted.T, overwrite_a=1)[1] == 0:
         return matrix
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    return (eigvecs * np.clip(eigvals, floor, None)) @ eigvecs.conj().T
+    floored = (eigvecs * np.clip(eigvals, floor, None)) @ eigvecs.conj().T
+    return 0.5 * (floored + floored.conj().T)
 
 
 def sample_moments(samples):
@@ -574,7 +576,7 @@ def save_model(model, path):
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<HBIB", MODEL_VERSION, bits, dim, flag))
-        fh.write(records.tobytes())
+        fh.write(memoryview(records))
 
 
 def load_model(path, geometry=None):

@@ -10,7 +10,10 @@ from limfb.estimators import (build_omp_dictionary, estimate_gmm,
 from limfb.feedback import (build_dft_codebook, build_pilot_matrix, observe,
                             select_codebook_index)
 from limfb.gmm import load_model, project_to_observation, sample_moments
-from limfb.scene import ArrayGeometry, load_dataset
+from limfb.scene import ArrayGeometry, load_dataset, load_scene_config
+
+from scene_oracle import (reference_generate_channels,
+                          reference_normalize_dataset, reference_save_dataset)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +50,21 @@ def test_generate_seed_changes_samples(workspace):
     a = load_dataset(workspace / "train.lfbd")
     b = load_dataset(workspace / "eval.lfbd")
     assert not np.array_equal(a.samples[:400], b.samples)
+
+
+def test_generate_normalize_writes_the_reference_file(tmp_path):
+    # at N = 64, 2,500 rows span eight steering blocks and two
+    # normalization blocks
+    config_path = tmp_path / "scene.cfg"
+    config_path.write_text("n_vert = 4\nn_horiz = 16\nseed = 5\n")
+    out = tmp_path / "new.lfbd"
+    main(["generate", "--config", str(config_path), "--count", "2500",
+          "--seed", "9", "--out", str(out), "--normalize"])
+    reference = tmp_path / "old.lfbd"
+    reference_save_dataset(reference_normalize_dataset(
+        reference_generate_channels(load_scene_config(config_path), 2500,
+                                    sample_seed=9)), reference)
+    assert out.read_bytes() == reference.read_bytes()
 
 
 def test_feedback_command_writes_reports(workspace, capsys):

@@ -18,6 +18,7 @@ from limfb.toeplitz import check_structure, realize_spectral, toeplitz_mstep
 
 from gmm_oracle import (_chol_logdet, _log_gaussian_batch, log_density,
                         sample_component)
+from scene_oracle import reference_save_model
 
 
 def _random_model(n_components, dim, seed, scale=1.0):
@@ -456,7 +457,8 @@ def _reference_floor_eigenvalues(matrix, floor):
     if eigvals[0] >= floor:
         return matrix
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    return (eigvecs * np.clip(eigvals, floor, None)) @ eigvecs.conj().T
+    floored = (eigvecs * np.clip(eigvals, floor, None)) @ eigvecs.conj().T
+    return 0.5 * (floored + floored.conj().T)
 
 
 def _reference_em_pass(x, score_matrix):
@@ -868,6 +870,33 @@ def test_model_roundtrip_toeplitz(tmp_path, desk_tmodel, desk_geometry):
     np.testing.assert_array_equal(loaded.spectral, desk_tmodel.spectral)
     np.testing.assert_allclose(loaded.covariances, desk_tmodel.covariances,
                                atol=1e-12)
+
+
+def test_full_fit_survives_save_and_load_bit_for_bit(tmp_path, desk_train,
+                                                     desk_geometry):
+    # 3 of these 16 covariances are floored by eigh; an eigh product that is
+    # Hermitian only to rounding loses its lower triangle in the file and
+    # moves log-responsibilities by up to 8e-3
+    data = ChannelDataset(desk_train.samples[:3000], scene=desk_train.scene,
+                          normalized=True)
+    model = fit_em(data, 16, "full", EmOptions(max_iters=10,
+                                               rel_loglik_tol=0.0, seed=3),
+                   geometry=desk_geometry)
+    path = tmp_path / "desk.lfbm"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.covariances.tobytes() == model.covariances.tobytes()
+    assert (loaded.log_responsibilities(data.samples).tobytes()
+            == model.log_responsibilities(data.samples).tobytes())
+
+
+@pytest.mark.parametrize("fixture", ["desk_model", "desk_tmodel"])
+def test_save_model_writes_the_reference_bytes(tmp_path, request, fixture):
+    model = request.getfixturevalue(fixture)
+    save_model(model, tmp_path / "new.lfbm")
+    reference_save_model(model, tmp_path / "old.lfbm")
+    assert ((tmp_path / "new.lfbm").read_bytes()
+            == (tmp_path / "old.lfbm").read_bytes())
 
 
 def test_model_requires_power_of_two_components(tmp_path):

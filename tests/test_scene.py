@@ -1,12 +1,19 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from limfb import scene
 from limfb.formats import BadMagicError, DimensionError, TruncatedError
 from limfb.scene import (ArrayGeometry, ChannelDataset, SceneConfig,
                          generate_channels, load_dataset, load_scene_config,
                          normalize_dataset, save_dataset, steering_vector)
+
+from scene_oracle import (reference_generate_channels,
+                          reference_normalize_dataset, reference_save_dataset)
 
 
 def test_steering_broadside_is_all_ones():
@@ -130,6 +137,109 @@ def test_normalize_rejects_all_zero():
         normalize_dataset(ds)
 
 
+# -- the streaming data path against the reference ----------------------------
+# generate_channels and normalize_dataset work a block of rows at a time;
+# every byte must equal the reference, which builds whole-set temporaries.
+
+def _steering_row_bytes(geometry, n_paths):
+    return 16 * n_paths * (geometry.n + 2 * (geometry.n_vert
+                                             + geometry.n_horiz))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_vert=st.integers(1, 4), n_horiz=st.integers(1, 16),
+       n_paths=st.integers(1, 8),
+       diffuse=st.just(0.0) | st.floats(0.01, 0.95),
+       block_rows=st.integers(1, 24), which=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_vert=4, n_horiz=16, n_paths=8, diffuse=0.35, block_rows=1,
+         which=4, seed=0)
+def test_generation_matches_reference_byte_for_byte(
+        n_vert, n_horiz, n_paths, diffuse, block_rows, which, seed):
+    # counts around the block budget: 1, budget - 1, budget, budget + 1
+    # and 2 budget + 37 rows
+    count = (1, block_rows - 1, block_rows, block_rows + 1,
+             2 * block_rows + 37)[which] or 1
+    geometry = ArrayGeometry(n_vert, n_horiz)
+    config = SceneConfig(geometry, num_clusters=3, paths_per_cluster=n_paths,
+                         diffuse_power=diffuse, seed=seed % 1000)
+    budget = block_rows * _steering_row_bytes(geometry, n_paths)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scene, "_BLOCK_BYTES", budget)
+        got = generate_channels(config, count, sample_seed=seed)
+        normed = normalize_dataset(got)
+    expected = reference_generate_channels(config, count, sample_seed=seed)
+    assert got.samples.tobytes() == expected.samples.tobytes()
+    assert (normed.samples.tobytes()
+            == reference_normalize_dataset(expected).samples.tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 6), dim=st.integers(1, 9),
+       log_scale=st.floats(-4.0, 4.0), budget=st.integers(1, 2048),
+       seed=st.integers(0, 2**32 - 1))
+def test_normalize_tiny_sets_match_reference_byte_for_byte(
+        rows, dim, log_scale, budget, seed):
+    rng = np.random.default_rng(seed)
+    samples = 10.0 ** log_scale * (rng.standard_normal((rows, dim))
+                                   + 1j * rng.standard_normal((rows, dim)))
+    dataset = ChannelDataset(samples)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scene, "_BLOCK_BYTES", budget)
+        got = normalize_dataset(dataset)
+    expected = reference_normalize_dataset(dataset)
+    assert got.samples.tobytes() == expected.samples.tobytes()
+
+
+def test_normalize_reruns_its_fixed_point_loop_like_the_reference(
+        monkeypatch):
+    # two rows whose complex64 rounding misses the target after one rescale
+    dataset = ChannelDataset(np.array([[0.3 + 1.1j, -2.7],
+                                       [1e-3j, 0.9 - 0.2j]]))
+    passes = []
+    rescale = scene._rescale_rows
+
+    def counted(samples, factor, blocks, energies):
+        passes.append(factor)
+        return rescale(samples, factor, blocks, energies)
+
+    monkeypatch.setattr(scene, "_rescale_rows", counted)
+    monkeypatch.setattr(scene, "_BLOCK_BYTES", 1)  # one row per block
+    got = normalize_dataset(dataset)
+    assert sum(factor is not None for factor in passes) > 1
+    assert (got.samples.tobytes()
+            == reference_normalize_dataset(dataset).samples.tobytes())
+
+
+def _traced_peak(function, *args):
+    """``function(*args)`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return function(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generation_memory_is_bounded():
+    # the reference holds the 33.5 MB steering tensor of all 4,096 rows
+    config = SceneConfig(ArrayGeometry(4, 16), seed=7)
+    _, peak = _traced_peak(generate_channels, config, 4096)
+    copy = 4096 * 64 * np.dtype(np.complex128).itemsize
+    assert peak <= 2 * copy + scene._BLOCK_BYTES
+
+
+def test_normalization_memory_is_bounded():
+    dataset = generate_channels(SceneConfig(ArrayGeometry(4, 16), seed=7),
+                                4096)
+    _, peak = _traced_peak(normalize_dataset, dataset)
+    copy = 4096 * 64 * np.dtype(np.complex128).itemsize
+    assert peak <= 2 * copy + scene._BLOCK_BYTES
+    # the documented bound: the complex64 result, one float per row and the
+    # block budget, with 64 KiB for array headers and the like
+    assert peak <= (dataset.samples.nbytes + 8 * len(dataset)
+                    + scene._BLOCK_BYTES + (64 << 10))
+
+
 def test_dataset_roundtrip_is_bitwise(tmp_path, desk_scene):
     ds = generate_channels(desk_scene, 64, sample_seed=2)
     path = tmp_path / "scene.lfbd"
@@ -140,6 +250,15 @@ def test_dataset_roundtrip_is_bitwise(tmp_path, desk_scene):
     save_dataset(loaded, path)
     again = load_dataset(path)
     assert np.array_equal(again.samples, loaded.samples)
+
+
+def test_save_dataset_writes_the_reference_bytes(tmp_path, desk_scene):
+    raw = generate_channels(desk_scene, 300, sample_seed=4)
+    for dataset in (raw, normalize_dataset(raw)):
+        save_dataset(dataset, tmp_path / "new.lfbd")
+        reference_save_dataset(dataset, tmp_path / "old.lfbd")
+        assert ((tmp_path / "new.lfbd").read_bytes()
+                == (tmp_path / "old.lfbd").read_bytes())
 
 
 def test_dataset_file_size_matches_format(tmp_path):
