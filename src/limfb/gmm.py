@@ -22,7 +22,7 @@ from scipy.linalg.lapack import zpotrf, ztrtrs
 from scipy.special import logsumexp
 
 from .formats import DimensionError, FileFormatError, expect_magic, read_exact
-from .toeplitz import realize_spectral, toeplitz_mstep
+from .toeplitz import realize_spectral, toeplitz_mstep, toeplitz_start
 
 logger = logging.getLogger(__name__)
 
@@ -152,6 +152,9 @@ class GmmModel(_Mixture):
         if not (np.isfinite(self.means).all()
                 and np.isfinite(covariances).all()):
             raise ValueError("means and covariances must be finite")
+        for cov in covariances:  # GEMM products are Hermitian to rounding
+            if np.abs(cov - cov.conj().T).max() > 1e-10 * np.abs(cov).max():
+                raise ValueError("covariances must be Hermitian")
         if not np.all(weights > 0):  # also rejects NaN
             raise ValueError("all mixture weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -163,8 +166,9 @@ class GmmModel(_Mixture):
                 raise ValueError("toeplitz models require spectral vectors")
             spectral = np.asarray(spectral, dtype=float)
             if (spectral.shape != (n_comp, 4 * dim)
-                    or not np.all(np.isfinite(spectral))):
-                raise ValueError("need finite spectral vectors of shape (K, 4N)")
+                    or not np.all(np.isfinite(spectral) & (spectral >= 0.0))):
+                raise ValueError("need finite nonnegative spectral vectors "
+                                 "of shape (K, 4N)")
         self.constraint = constraint
         self.spectral = spectral
         self.geometry = geometry
@@ -363,17 +367,21 @@ def _unpack_second_moments(packed, dim):
     return out
 
 
-def _score_matrix(weights, means, inv_chols, logdets):
+def _precisions(inv_chols):
+    """Precisions ``P_k = L_k^-H L_k^-1`` from stacked inverse factors."""
+    return np.swapaxes(inv_chols.conj(), 1, 2) @ inv_chols
+
+
+def _score_matrix(weights, means, precisions, logdets):
     """(N^2+2N+1, K) matrix W with ``phi(x) @ W`` the weighted log densities.
 
-    Takes the factors of :func:`_inverse_factors` and forms the precisions
-    ``P_k = L_k^-H L_k^-1`` in one batched product. Column k packs -P_k, the
-    linear term 2 P_k mu_k and the constant
+    Takes the precisions of :func:`_precisions` and the log-determinants of
+    :func:`_inverse_factors`. Column k packs -P_k, the linear term
+    2 P_k mu_k and the constant
     ``-mu_k^H P_k mu_k - log det C_k - N log(pi) + log w_k``, so that entry k
     of ``phi(x) @ W`` is ``log w_k + log CN(x; mu_k, C_k)``.
     """
     dim = means.shape[1]
-    precisions = np.swapaxes(inv_chols.conj(), 1, 2) @ inv_chols
     linear = np.einsum("kij,kj->ki", precisions, means)
     const = (np.log(weights) - logdets - dim * np.log(np.pi)
              - np.einsum("ki,ki->k", means.conj(), linear).real)
@@ -415,28 +423,23 @@ def _em_pass(x, score_matrix):
 def fit_em(dataset, n_components, constraint="full", options=None, geometry=None):
     """Maximum-likelihood mixture fit via EM on a normalized channel dataset.
 
-    Each iteration is one pass over the samples in chunks of at most
-    ``_EM_CHUNK`` rows and ``_EM_CHUNK_BYTES`` of lift: a chunk is lifted
-    once (see :func:`_lift`), scored against all components with one real
-    GEMM (E-step), and its responsibility-weighted lift is accumulated into
-    the (K, N^2+2N+1) sums that give the weights, means and second moments
-    of the M-step, about 4*L*K*N^2 flops per iteration. The covariances are
-    factored by :func:`_inverse_factors`, as in the mixture classes; in the
-    first iteration every component holds the initial covariance, so it is
-    factored once and its factor tiled K times. The full M-step floors the
-    eigenvalues of each scatter (see :func:`_floor_eigenvalues`).
-    ``n_components`` must be an integer >= 1.
+    Each iteration is one chunked pass over the samples (see
+    :func:`_em_pass`, about 4*L*K*N^2 flops) that scores every component
+    (E-step) and sums the weights, means and scatters of the M-step. The
+    full M-step floors the eigenvalues of each scatter (see
+    :func:`_floor_eigenvalues`). For ``constraint="toeplitz"`` the
+    components start at the block-Toeplitz fit of the global sample
+    covariance, and the M-step takes one ascent step of all K spectra from
+    the E-step's own precisions (see :mod:`limfb.toeplitz`). Weights and
+    means are exact maximizers, so the log-likelihood of either fit falls
+    only by rounding or after a collapsed component is re-seeded.
 
-    For ``constraint="toeplitz"`` the M-step projects each weighted scatter
-    matrix onto the block-Toeplitz cone (see :mod:`limfb.toeplitz`), which is
-    approximate: the fit tracks the log-likelihood sequence and logs any
-    decrease beyond the expected projection tolerance. The achieved
-    per-iteration average log-likelihoods are stored on the returned model as
-    ``fit_log_likelihoods``; each iteration is logged at INFO. A converged
-    fit returns the parameters that achieved the last log-likelihood. Any
-    other fit returns the M-step after the last evaluated log-likelihood;
-    that step's likelihood is never evaluated, so a collapse in it goes
-    unseen. Deterministic for a given ``options.seed``.
+    The per-iteration average log-likelihoods are stored on the returned
+    model as ``fit_log_likelihoods``; each iteration is logged at INFO. A
+    converged fit returns the parameters that achieved the last
+    log-likelihood; any other fit returns the M-step after it.
+    Deterministic for a given ``options.seed``; ``n_components`` must be an
+    integer >= 1.
     """
     options = options or EmOptions()
     if not isinstance(n_components, (int, np.integer)) or n_components < 1:
@@ -462,38 +465,38 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
     rng = np.random.default_rng(options.seed)
     _, global_cov = sample_moments(x)
     floor = _FLOOR_SCALE * np.trace(global_cov).real / dim
-
-    def project(scatter):
-        """(spectrum or None, covariance) of the constrained M-step."""
-        if constraint == "toeplitz":
-            spectrum = toeplitz_mstep(scatter, geometry, floor=floor)
-            return spectrum, realize_spectral(spectrum, geometry)
-        return None, _floor_eigenvalues(scatter, floor)
-
     means = x[_kmeanspp_indices(x, n_components, rng)]
     weights = np.full(n_components, 1.0 / n_components)
-    init_spectrum, init_cov = project(global_cov)
+    spectral = None
+    if constraint == "toeplitz":
+        init_spectrum, steps = toeplitz_start(global_cov, geometry, floor)
+        logger.debug("Toeplitz start fitted in %d ascent steps", steps)
+        init_cov = realize_spectral(init_spectrum, geometry)
+        spectral = np.tile(init_spectrum, (n_components, 1))
+    else:
+        init_cov = _floor_eigenvalues(global_cov, floor)
     covariances = np.tile(init_cov, (n_components, 1, 1))
-    spectral = (None if init_spectrum is None
-                else np.tile(init_spectrum, (n_components, 1)))
 
     def factors(iteration):
-        """Inverse factors of the K covariances; in the first iteration,
-        where every component holds ``init_cov``, one factor tiled K times."""
-        if iteration > 0:
-            return _inverse_factors(covariances)
-        inv_chol, logdet = _inverse_factors(init_cov[None])
-        return (np.tile(inv_chol, (n_components, 1, 1)),
-                np.tile(logdet, n_components))
+        """Precisions and log-determinants of the K covariances; in the first
+        iteration, those of ``init_cov``, broadcast K times."""
+        inv_chols, logdets = _inverse_factors(
+            covariances if iteration > 0 else init_cov[None])
+        shape = (n_components,) + inv_chols.shape[1:]
+        return (_precisions(np.broadcast_to(inv_chols, shape)),
+                np.broadcast_to(logdets, shape[:1]))
 
     n_quad = dim * dim
     log_likelihoods = []
     converged = False
     for iteration in range(options.max_iters):
         started = time.perf_counter()
-        # the (K, N, N) factors are freed before the pass starts
-        log_norm, sums = _em_pass(x, _score_matrix(
-            weights, means, *factors(iteration)))
+        precisions, logdets = factors(iteration)
+        score_matrix = _score_matrix(weights, means, precisions, logdets)
+        if spectral is None:  # only the Toeplitz M-step reads them
+            del precisions
+        log_norm, sums = _em_pass(x, score_matrix)
+        del score_matrix
         avg_ll = float(log_norm.mean())
         delta = avg_ll - log_likelihoods[-1] if log_likelihoods else np.nan
         log_likelihoods.append(avg_ll)
@@ -514,21 +517,26 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
             safe_mass = np.maximum(mass, 1e-300)
             weights = mass / n_samples
             means = sums[:, n_quad:-1].view(np.complex128) / safe_mass[:, None]
-            second_moments = _unpack_second_moments(sums[:, :n_quad], dim)
-            for k in range(n_components):
-                if k in collapsed:
-                    logger.warning(
-                        "re-seeding collapsed component %d at iteration %d",
-                        k, iteration)
-                    means[k] = x[rng.integers(n_samples)]
-                    weights[k] = 1.0 / n_samples
-                    spectrum, covariances[k] = init_spectrum, init_cov
-                else:
-                    spectrum, covariances[k] = project(
-                        second_moments[k] / safe_mass[k]
-                        - np.outer(means[k], means[k].conj()))
-                if spectral is not None:
-                    spectral[k] = spectrum
+            scatters = _unpack_second_moments(sums[:, :n_quad], dim)
+            scatters /= safe_mass[:, None, None]
+            for k in range(n_components):  # no (K, N, N) temporaries
+                scatters[k] -= np.outer(means[k], means[k].conj())
+            for k in collapsed:
+                logger.warning("re-seeding collapsed component %d at "
+                               "iteration %d", k, iteration)
+                means[k] = x[rng.integers(n_samples)]
+                weights[k] = 1.0 / n_samples
+            if spectral is None:
+                for k, scatter in enumerate(scatters):
+                    covariances[k] = (init_cov if k in collapsed else
+                                      _floor_eigenvalues(scatter, floor))
+            else:
+                spectral[:] = toeplitz_mstep(spectral, precisions, scatters,
+                                             geometry, floor)
+                spectral[collapsed] = init_spectrum
+                for k in range(n_components):  # in place: less heap churn
+                    covariances[k] = realize_spectral(spectral[k], geometry)
+            del scatters  # not held through the next pass
             weights = np.maximum(weights, 1e-300)
             weights /= weights.sum()
         logger.info("EM iteration %d: average log-likelihood %.6f "
@@ -616,8 +624,7 @@ def load_model(path, geometry=None):
         covariances += np.triu(covariances, 1).conj().transpose(0, 2, 1)
     else:
         spectral = np.array(records["spectrum"])
-        covariances = np.array([realize_spectral(spectrum, geometry)
-                                for spectrum in spectral])
+        covariances = realize_spectral(spectral, geometry)
     return GmmModel(np.array(records["weight"]), np.array(records["mean"]),
                     covariances, constraint=constraint, spectral=spectral,
                     geometry=geometry)

@@ -209,9 +209,9 @@ def normalize_dataset(dataset):
 
     The scale is computed in double precision and the result is re-quantized
     to the complex64 storage grid; a short fixed-point loop re-applies the
-    correction until the constraint holds or 8 passes have run. Generated
-    sets usually run all 8: the complex64 grid keeps their mean 1e-11 to
-    1e-9 relative off N, above the 1e-12 tolerance.
+    correction until the constraint holds, a pass changes no complex64
+    value (each later pass would repeat it) or 8 passes have run; generated
+    sets, whose grid keeps the mean off N by 1e-11 to 1e-9, stop after 2.
 
     Every iterate lies on the complex64 grid, so the result is rescaled in
     place, in blocks whose complex128 rows and magnitudes take at most
@@ -222,28 +222,34 @@ def normalize_dataset(dataset):
     target = float(dataset.dim)
     energies = np.empty(len(samples))
     blocks = _row_blocks(len(samples), 32 * dataset.dim)  # x, |x|, |x|^2
-    mean_sq = _rescale_rows(samples, None, blocks, energies)
+    mean_sq, _ = _rescale_rows(samples, None, blocks, energies)
     if mean_sq == 0.0:
         raise ValueError("cannot normalize an all-zero dataset")
     for _ in range(8):
         if abs(mean_sq - target) <= 1e-12 * target:
             break
-        mean_sq = _rescale_rows(samples, np.sqrt(target / mean_sq), blocks,
-                                energies)
+        mean_sq, changed = _rescale_rows(samples, np.sqrt(target / mean_sq),
+                                         blocks, energies)
+        if not changed:
+            break
     return ChannelDataset(samples, scene=dataset.scene, normalized=True)
 
 
 def _rescale_rows(samples, scale, blocks, energies):
     """Mean of ||h||^2 over the complex64 rows of ``samples`` after scaling
-    them by ``scale`` in place (unless None), one block at a time."""
+    them by ``scale`` in place (unless None), a block at a time, and whether
+    any value changed."""
+    changed = False
     for rows in blocks:
         x = samples[rows].astype(np.complex128)
         if scale is not None:
             x *= scale
+            changed = changed or not np.array_equal(x.astype(samples.dtype),
+                                                    samples[rows])
             samples[rows] = x
             x[...] = samples[rows]
         energies[rows] = np.sum(np.abs(x) ** 2, axis=1)
-    return np.mean(energies)
+    return np.mean(energies), changed
 
 
 def save_dataset(dataset, path):

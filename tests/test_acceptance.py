@@ -96,10 +96,15 @@ def test_criterion_2_probabilistic_soundness(desk_model, desk_tmodel,
     em_ok = len(lls) == 50 and bool(
         np.all(np.diff(lls) >= -1e-8 * np.abs(lls[:-1])))
 
+    # the Toeplitz M-step is an ascent step too
+    tlls = np.asarray(desk_tmodel.fit_log_likelihoods)
+    tem_ok = len(tlls) == 50 and bool(
+        np.all(np.diff(tlls) >= -1e-8 * np.abs(tlls[:-1])))
+
     structure_ok = all(check_structure(cov, desk_geometry)
                        for cov in desk_tmodel.covariances)
 
-    ok = simplex_ok and em_ok and structure_ok
+    ok = simplex_ok and em_ok and tem_ok and structure_ok
     assert _verdict(2, "probabilistic soundness suite", ok)
 
 

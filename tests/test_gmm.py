@@ -1,3 +1,4 @@
+import logging
 import struct
 
 import numpy as np
@@ -14,11 +15,13 @@ from limfb.gmm import (EmOptions, GmmModel, fit_em, load_model, param_count,
                        project_to_observation, sample_moments, save_model)
 from limfb.scene import (ArrayGeometry, ChannelDataset, SceneConfig,
                          generate_channels, normalize_dataset)
-from limfb.toeplitz import check_structure, realize_spectral, toeplitz_mstep
+from limfb.toeplitz import check_structure, realize_spectral, toeplitz_start
 
 from gmm_oracle import (_chol_logdet, _log_gaussian_batch, log_density,
                         sample_component)
 from scene_oracle import reference_save_model
+from toeplitz_oracle import (dense_dictionary, reference_ascent_step,
+                             reference_start)
 
 
 def _random_model(n_components, dim, seed, scale=1.0):
@@ -175,8 +178,8 @@ def test_fit_em_toeplitz_structure_and_stability(desk_tmodel, desk_geometry):
     for cov in desk_tmodel.covariances:
         assert check_structure(cov, desk_geometry)
     lls = np.asarray(desk_tmodel.fit_log_likelihoods)
-    # approximate M-step: small decreases allowed, bounded at 1e-3 relative
-    assert np.all(np.diff(lls) >= -1e-3 * np.abs(lls[:-1]))
+    # the M-step is an ascent step: the trace falls by rounding at most
+    assert np.all(np.diff(lls) >= -1e-8 * np.abs(lls[:-1]))
 
 
 def test_fit_em_is_deterministic(desk_train):
@@ -199,35 +202,94 @@ def _collapse_scene():
                                                      sample_seed=8))
 
 
-def test_fit_em_reseeds_collapsed_components(caplog):
-    # tight specular clusters make the structured M-step starve components;
-    # collapse handling re-seeds them and the fit completes
+def _reseeds(records):
+    """(component, iteration) of every re-seed warning."""
+    return [rec.args for rec in records
+            if rec.getMessage().startswith("re-seeding")]
+
+
+def test_fit_em_reseeds_collapsed_components(caplog, monkeypatch):
+    # a collapse weight of 0.1 makes components of the collapse scene
+    # collapse at once; each restarts at a training sample with the start
+    # spectrum, the block-Toeplitz fit of the global sample covariance
     import logging
 
     geom, ds = _collapse_scene()
+    monkeypatch.setattr(gmm, "_COLLAPSE_WEIGHT", 0.1)
     with caplog.at_level(logging.WARNING, logger="limfb.gmm"):
         model = fit_em(ds, 8, constraint="toeplitz",
                        options=EmOptions(max_iters=20, seed=0))
-    reseeds = [rec.args for rec in caplog.records
-               if rec.getMessage().startswith("re-seeding")]
+    reseeds = _reseeds(caplog.records)
     assert reseeds
     assert abs(model.weights.sum() - 1.0) < 1e-12
     assert np.all(model.weights > 0)
 
-    # stopped right after the first re-seeding M-step, every component it
-    # re-seeded holds the projection of the global sample covariance
     first = reseeds[0][1]
     stopped = fit_em(ds, 8, constraint="toeplitz",
                      options=EmOptions(max_iters=first + 1, seed=0))
     x = ds.samples.astype(complex)
     _, global_cov = sample_moments(x)
     floor = gmm._FLOOR_SCALE * np.trace(global_cov).real / geom.n
-    spectrum = toeplitz_mstep(global_cov, geom, floor=floor)
+    spectrum, _ = toeplitz_start(global_cov, geom, floor=floor)
     for k in [k for k, it in reseeds if it == first]:
         np.testing.assert_array_equal(stopped.spectral[k], spectrum)
         np.testing.assert_array_equal(stopped.covariances[k],
                                       realize_spectral(spectrum, geom))
         assert np.any(np.all(x == stopped.means[k], axis=1))
+
+
+def test_toeplitz_fit_of_the_collapse_scene_never_reseeds(caplog):
+    # the Frobenius projection this M-step replaced starved components
+    # here: 28 re-seeds and a trace that fell to -35,260
+    import logging
+
+    _, ds = _collapse_scene()
+    with caplog.at_level(logging.WARNING, logger="limfb.gmm"):
+        model = fit_em(ds, 8, constraint="toeplitz",
+                       options=EmOptions(max_iters=20, seed=0))
+    assert _reseeds(caplog.records) == []
+    lls = np.asarray(model.fit_log_likelihoods)
+    assert len(lls) == 20
+    assert np.all(np.diff(lls) >= -1e-8 * np.abs(lls[:-1]))
+    assert lls[-1] > 0.0
+
+
+class _ReseedLog(logging.Handler):
+    """Iterations whose M-step re-seeded a component."""
+
+    def __init__(self):
+        super().__init__()
+        self.iterations = set()
+
+    def emit(self, record):
+        if record.getMessage().startswith("re-seeding"):
+            self.iterations.add(record.args[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_vert=st.integers(1, 2), n_horiz=st.integers(1, 4),
+       n_samples=st.integers(20, 300), n_comp=st.integers(1, 6),
+       spread=st.floats(0.002, 0.2), diffuse=st.floats(0.01, 0.5),
+       seed=st.integers(0, 1000))
+def test_toeplitz_fit_trace_never_falls_except_at_a_reseed(
+        n_vert, n_horiz, n_samples, n_comp, spread, diffuse, seed):
+    geom = ArrayGeometry(n_vert, n_horiz)
+    scene = SceneConfig(geom, num_clusters=3, paths_per_cluster=2,
+                        azimuth_spread=spread, elevation_spread=spread / 2,
+                        diffuse_power=diffuse, seed=seed)
+    ds = normalize_dataset(generate_channels(scene, n_samples,
+                                             sample_seed=seed + 1))
+    handler = _ReseedLog()
+    logger = logging.getLogger("limfb.gmm")
+    logger.addHandler(handler)
+    try:
+        model = fit_em(ds, n_comp, "toeplitz", EmOptions(
+            max_iters=8, rel_loglik_tol=0.0, seed=seed), geometry=geom)
+    finally:
+        logger.removeHandler(handler)
+    lls = np.asarray(model.fit_log_likelihoods)
+    for it in np.flatnonzero(np.diff(lls) < -1e-10 * np.abs(lls[:-1])):
+        assert it in handler.iterations  # M-step `it` set lls[it + 1]
 
 
 def test_fit_em_validates_inputs(desk_train):
@@ -305,8 +367,9 @@ def test_lift_sums_unpack_to_weighted_moments(dim, n_comp, n_samples, seed):
     rng = np.random.default_rng(seed)
     model = _random_model(n_comp, dim, seed=seed)
     x = 2.0 * _complex_normal(rng, (n_samples, dim))
+    inv_chols, logdets = gmm._inverse_factors(model.covariances)
     score_matrix = gmm._score_matrix(model.weights, model.means,
-                                     *gmm._inverse_factors(model.covariances))
+                                     gmm._precisions(inv_chols), logdets)
     log_norm, sums = gmm._em_pass(x, score_matrix)
 
     # direct evaluation: per-component densities and weighted scatters
@@ -342,8 +405,9 @@ def test_lifted_scores_match_log_density(dim, log_cond, seed):
     means = 2.0 * _complex_normal(rng, (2, dim))
     covs = np.array([_conditioned_covariance(rng, dim, 10.0 ** log_cond)
                      for _ in range(2)])
+    inv_chols, logdets = gmm._inverse_factors(covs)
     score_matrix = gmm._score_matrix(weights, means,
-                                     *gmm._inverse_factors(covs))
+                                     gmm._precisions(inv_chols), logdets)
     # points drawn from the first component and unit-power points
     near = means[0] + _complex_normal(rng, (3, dim)) @ np.linalg.cholesky(
         covs[0]).T
@@ -376,7 +440,8 @@ def test_inverse_factors_match_per_matrix_triangular_solve(dim, n_comp,
         np.testing.assert_array_equal(inv_chols[k], inv_chol)
         assert logdets[k] == 2.0 * np.sum(np.log(np.diag(chol).real))
         precisions[k] = inv_chol.conj().T @ inv_chol
-    score_matrix = gmm._score_matrix(weights, means, inv_chols, logdets)
+    score_matrix = gmm._score_matrix(weights, means,
+                                     gmm._precisions(inv_chols), logdets)
     np.testing.assert_array_equal(score_matrix[:dim * dim].T,
                                   -gmm._pack_hermitian(precisions))
 
@@ -389,14 +454,21 @@ def _naive_em_step(x, n_comp, constraint, geometry, options):
     global_cov = (x - mean).T @ (x - mean).conj() / len(x)
     floor = gmm._FLOOR_SCALE * np.trace(global_cov).real / x.shape[1]
 
-    def project(scatter):
-        if constraint == "toeplitz":
-            return realize_spectral(
-                toeplitz_mstep(scatter, geometry, floor=floor), geometry)
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (scatter + scatter.conj().T))
-        return (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.conj().T
+    if constraint == "toeplitz":
+        dictionary = dense_dictionary(geometry)
+        start = reference_start(global_cov, dictionary, floor)
+        cov = realize_spectral(start, geometry)
 
-    cov = project(global_cov)
+        def project(scatter):
+            return realize_spectral(reference_ascent_step(
+                start, scatter, dictionary, floor), geometry)
+    else:
+        def project(scatter):
+            eigvals, eigvecs = np.linalg.eigh(
+                0.5 * (scatter + scatter.conj().T))
+            return (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.conj().T
+
+        cov = project(global_cov)
     scores = np.array([[np.log(1.0 / n_comp) + log_density(row, mu, cov)
                         for mu in means] for row in x])
     log_norm = np.logaddexp.reduce(scores, axis=1)
@@ -947,6 +1019,59 @@ def test_model_validation(desk_geometry):
             GmmModel([1.0], np.zeros((1, desk_geometry.n)), covs,
                      constraint="toeplitz", spectral=spectral,
                      geometry=desk_geometry)
+
+
+def test_model_rejects_a_covariance_that_is_not_hermitian():
+    # scoring reads the lower triangle only, so this matrix used to score
+    # as the identity
+    cov = np.eye(4, dtype=complex)
+    cov[0, 3] = 5.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        GmmModel([1.0], np.zeros((1, 4)), [cov])
+    # GEMM products are Hermitian to rounding only, and are accepted
+    rng = np.random.default_rng(30)
+    raw = _complex_normal(rng, (4, 9))
+    GmmModel([1.0], np.zeros((1, 4)), [raw @ raw.conj().T / 9])
+
+
+def test_model_rejects_a_negative_spectral_entry(desk_geometry):
+    spectral = np.ones((1, 4 * desk_geometry.n))
+    spectral[0, 5] = -1e-3
+    covs = realize_spectral(spectral, desk_geometry)
+    with pytest.raises(ValueError, match="nonnegative"):
+        GmmModel([1.0], np.zeros((1, desk_geometry.n)), covs,
+                 constraint="toeplitz", spectral=spectral,
+                 geometry=desk_geometry)
+
+
+def test_lmmse_accepts_a_singular_sample_covariance(desk_train,
+                                                    desk_geometry):
+    # fewer training channels than antennas: the sample covariance is
+    # singular, but only its observation projection is factored
+    from limfb.estimators import estimate_lmmse
+
+    mean, cov = sample_moments(desk_train.samples[:5])
+    assert np.linalg.matrix_rank(cov) < desk_geometry.n
+    setup = build_pilot_matrix(desk_geometry, 6, sigma_n2=0.1)
+    h = desk_train.samples[5:8].astype(complex)
+    y = h @ setup.pilot_matrix.T
+    estimate = estimate_lmmse(mean, cov, setup, y)
+    assert estimate.shape == h.shape and np.all(np.isfinite(estimate))
+
+
+def test_toeplitz_fit_survives_save_and_load_bit_for_bit(tmp_path,
+                                                         desk_tmodel,
+                                                         desk_train,
+                                                         desk_geometry):
+    # the fit and the loader realize all K spectra in one batched call
+    path = tmp_path / "desk-t.lfbm"
+    save_model(desk_tmodel, path)
+    loaded = load_model(path, geometry=desk_geometry)
+    assert loaded.spectral.tobytes() == desk_tmodel.spectral.tobytes()
+    assert loaded.covariances.tobytes() == desk_tmodel.covariances.tobytes()
+    rows = desk_train.samples[:500]
+    assert (loaded.log_responsibilities(rows).tobytes()
+            == desk_tmodel.log_responsibilities(rows).tobytes())
 
 
 def _packed_model(model, bits, flag):

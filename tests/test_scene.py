@@ -211,6 +211,28 @@ def test_normalize_reruns_its_fixed_point_loop_like_the_reference(
             == reference_normalize_dataset(dataset).samples.tobytes())
 
 
+@pytest.mark.parametrize("count", [100, 2048])
+def test_normalize_stops_once_a_pass_changes_nothing(monkeypatch, count):
+    # a generated set misses the 1e-12 tolerance after the first rescale;
+    # the second scales by a factor within a rounding unit of 1, changes
+    # no complex64 value, and so would every later pass
+    dataset = generate_channels(SceneConfig(ArrayGeometry(4, 16), seed=7),
+                                count, sample_seed=3)
+    passes = []
+    rescale = scene._rescale_rows
+
+    def counted(samples, factor, blocks, energies):
+        passes.append(factor)
+        return rescale(samples, factor, blocks, energies)
+
+    monkeypatch.setattr(scene, "_rescale_rows", counted)
+    got = normalize_dataset(dataset)
+    assert passes[0] is None
+    assert len(passes) == 3  # the measurement, then two passes
+    assert (got.samples.tobytes()
+            == reference_normalize_dataset(dataset).samples.tobytes())
+
+
 def _traced_peak(function, *args):
     """``function(*args)`` and the peak bytes traced while it ran."""
     tracemalloc.start()

@@ -2,198 +2,144 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve, dft
-from scipy.optimize import nnls
 
-from limfb import toeplitz
+from limfb import gmm, toeplitz
 from limfb.gmm import EmOptions, fit_em
 from limfb.scene import (ArrayGeometry, SceneConfig, generate_channels,
                          normalize_dataset)
-from limfb.toeplitz import (bttb_basis, check_structure, realize_spectral,
-                            toeplitz_mstep)
+from limfb.toeplitz import (check_structure, realize_spectral,
+                            toeplitz_mstep, toeplitz_start)
+
+from toeplitz_oracle import (ascent_terms, dense_dictionary, objective,
+                             reference_ascent_step, reference_forms,
+                             reference_realize, reference_start)
 
 GEOM = ArrayGeometry(2, 2, 1.0, 0.5)  # N=4, 16 atoms
+_SEEDS = st.integers(0, 2**32 - 1)
 
 
-def _atom_matrix(geometry):
-    """Real-valued design matrix of the vectorized realization map."""
-    d = bttb_basis(geometry).dictionary
-    cols = [np.outer(d[f].conj(), d[f]).ravel() for f in range(d.shape[0])]
-    complex_design = np.stack(cols, axis=1)
-    return np.vstack([complex_design.real, complex_design.imag])
+def _hermitian(rng, n, count):
+    raw = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal(
+        (count, n, n))
+    return raw + raw.conj().transpose(0, 2, 1)
 
 
-def test_recovers_identifiable_spectrum():
-    # spectra in the range of the Gram operator are identifiable; generic
-    # ones are not (the 4N-dim parameterization is overcomplete)
-    basis = bttb_basis(GEOM)
-    rng = np.random.default_rng(1)
-    gram = np.abs(basis.dictionary @ basis.dictionary.conj().T) ** 2
-    c0 = gram @ rng.uniform(0.5, 1.5, basis.n_atoms)
-    c0 *= 1.0 / c0.min()  # entries >= 1 >> floor
-    recovered = toeplitz_mstep(realize_spectral(c0, GEOM), GEOM, floor=1e-8)
-    np.testing.assert_allclose(recovered, c0, rtol=1e-6)
+def _psd_scatter(rng, n, rank):
+    raw = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    return raw @ raw.conj().T / rank
 
 
-def test_generic_spectrum_realization_matches():
-    rng = np.random.default_rng(2)
-    c0 = rng.uniform(0.0, 2.0, 16)
-    target = realize_spectral(c0, GEOM)
-    recovered = toeplitz_mstep(target, GEOM, floor=0.0)
-    np.testing.assert_allclose(realize_spectral(recovered, GEOM), target,
-                               atol=1e-8)
+def _precision(spectrum, geometry):
+    return np.linalg.inv(realize_spectral(spectrum, geometry))
 
 
-def test_identity_projection_matches_nnls_oracle():
-    target = np.eye(GEOM.n)
-    spectrum = toeplitz_mstep(target, GEOM, floor=1e-12)
-    residual = np.linalg.norm(realize_spectral(spectrum, GEOM) - target)
-
-    design = _atom_matrix(GEOM)
-    rhs = np.concatenate([target.ravel().real, target.ravel().imag])
-    oracle_spectrum, oracle_residual = nnls(design, rhs)
-    assert abs(residual - oracle_residual) < 1e-6
+def _step(spectrum, scatter, geometry, floor):
+    """One ascent step of a single spectrum from its own precision."""
+    return toeplitz_mstep(spectrum[None], _precision(spectrum, geometry)[None],
+                          np.asarray(scatter)[None], geometry, floor)[0]
 
 
-def test_random_scatter_tracks_nnls_oracle():
-    rng = np.random.default_rng(3)
-    raw = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    scatter = raw @ raw.conj().T / 6
-    spectrum = toeplitz_mstep(scatter, GEOM, floor=0.0)
-    residual = np.linalg.norm(realize_spectral(spectrum, GEOM) - scatter)
+# -- FFT algebra against the dense dictionary --------------------------------
 
-    design = _atom_matrix(GEOM)
-    rhs = np.concatenate([scatter.ravel().real, scatter.ravel().imag])
-    _, oracle_residual = nnls(design, rhs)
-    assert residual <= oracle_residual * (1.0 + 1e-2) + 1e-9
-
-
-def test_zero_scatter_returns_floor():
-    floor = 1e-5
-    spectrum = toeplitz_mstep(np.zeros((4, 4)), GEOM, floor=floor)
-    np.testing.assert_allclose(spectrum, floor * np.ones(16))
-
-
-class _ReferenceBasis:
-    """The projection as first written, kept as the oracle of the fast one.
-
-    The Cholesky solve only checks feasibility, and the first clip pass
-    re-solves the full ridged system by LU with every atom free.
-    """
-
-    def __init__(self, geometry):
-        self.geometry = geometry
-        d_vert = dft(2 * geometry.n_vert, scale="sqrtn")[:, : geometry.n_vert]
-        d_horiz = dft(2 * geometry.n_horiz, scale="sqrtn")[:, : geometry.n_horiz]
-        self.dictionary = np.kron(d_vert, d_horiz)  # (4N, N)
-        self._gram = np.abs(self.dictionary @ self.dictionary.conj().T) ** 2
-        self._ridge = toeplitz._GRAM_RIDGE * np.trace(self._gram).real
-        self._gram_chol = cho_factor(
-            self._gram + self._ridge * np.eye(self._gram.shape[0]))
-
-    @property
-    def n_atoms(self):
-        return self.dictionary.shape[0]
-
-    def project(self, scatter, floor=0.0):
-        d = self.dictionary
-        correlations = np.einsum("fm,fm->f", d @ scatter, d.conj()).real
-        spectrum = cho_solve(self._gram_chol, correlations)
-        if np.all(spectrum >= floor):
-            return spectrum
-        free = np.ones(self.n_atoms, dtype=bool)
-        solution = np.full(self.n_atoms, floor)
-        while True:  # each pass fixes at least one more atom at the floor
-            gram_free = self._gram[np.ix_(free, free)]
-            rhs = correlations[free]
-            if floor != 0.0 and not free.all():
-                rhs = rhs - floor * self._gram[np.ix_(free, ~free)].sum(axis=1)
-            values = np.linalg.solve(
-                gram_free + self._ridge * np.eye(int(free.sum())), rhs)
-            violated = values < floor
-            if not violated.any():
-                solution[free] = values
-                return solution
-            free_idx = np.flatnonzero(free)
-            free[free_idx[violated]] = False
-
-
-def _scatter(geometry, kind, rank, seed):
-    """A PSD scatter of the given rank, an indefinite Hermitian one, or 0."""
-    n = geometry.n
-    rng = np.random.default_rng(seed)
-    if kind == "zero":
-        return np.zeros((n, n), dtype=complex)
-    cols = rank if kind == "psd" else n
-    raw = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
-    if kind == "psd":
-        return raw @ raw.conj().T / cols
-    return raw + raw.conj().T
-
-
-def _first_pass_tie(reference, scatter, floor):
-    """True iff the Cholesky and the LU solve of the full system clip
-    different atoms, and the Cholesky solve clips some."""
-    d = reference.dictionary
-    correlations = np.einsum("fm,fm->f", d @ scatter, d.conj()).real
-    by_cholesky = cho_solve(reference._gram_chol, correlations) < floor
-    ridged = reference._gram + reference._ridge * np.eye(reference.n_atoms)
-    by_lu = np.linalg.solve(ridged, correlations) < floor
-    return by_cholesky.any() and not np.array_equal(by_cholesky, by_lu)
-
-
-@settings(max_examples=300, deadline=None)
-@given(n_vert=st.integers(1, 3), n_horiz=st.integers(1, 4),
-       kind=st.sampled_from(["psd", "indefinite", "zero"]),
-       rank=st.integers(1, 13), log_floor=st.none() | st.floats(-8.0, 0.0),
-       seed=st.integers(0, 2**32 - 1))
-@example(n_vert=2, n_horiz=4, kind="zero", rank=1, log_floor=None, seed=0)
-@example(n_vert=2, n_horiz=4, kind="zero", rank=1, log_floor=-5.0, seed=0)
-@example(n_vert=3, n_horiz=4, kind="psd", rank=1, log_floor=None, seed=0)
-@example(n_vert=3, n_horiz=4, kind="indefinite", rank=1, log_floor=-2.0,
-         seed=0)
-# a tie: the four atoms of a single antenna are one atom, the Gram system
-# is singular but for its ridge, and the floor lies between the Cholesky
-# and the LU value of the first atom (0.79448442 < floor < 0.79448481)
-@example(n_vert=1, n_horiz=1, kind="psd", rank=1,
-         log_floor=-5.960464477539063e-08, seed=1)
-def test_projection_matches_reference_loop_bit_for_bit(
-        n_vert, n_horiz, kind, rank, log_floor, seed):
-    # the floor scales with the scatter, as EM's floor scales with the data
+@settings(max_examples=150, deadline=None)
+@given(n_vert=st.integers(1, 4), n_horiz=st.integers(1, 16),
+       count=st.integers(1, 3), zeros=st.booleans(), seed=_SEEDS)
+@example(n_vert=4, n_horiz=16, count=3, zeros=False, seed=0)
+@example(n_vert=1, n_horiz=1, count=1, zeros=True, seed=0)
+def test_fft_realization_and_forms_match_dense_dictionary(
+        n_vert, n_horiz, count, zeros, seed):
     geometry = ArrayGeometry(n_vert, n_horiz)
-    scatter = _scatter(geometry, kind, rank, seed)
-    scale = np.abs(scatter).max() if kind != "zero" else 1.0
-    floor = 0.0 if log_floor is None else 10.0 ** log_floor * scale
-    reference = _ReferenceBasis(geometry)
-    expected = reference.project(scatter, floor)
-    got = toeplitz_mstep(scatter, geometry, floor=floor)
-    assert got.shape == expected.shape
-    if not _first_pass_tie(reference, scatter, floor):
-        assert got.tobytes() == expected.tobytes()
-        return
-    # at a tie the fast projection clips from the Cholesky solution, the
-    # reference from the LU one: both stay feasible and realize the same
-    # matrix up to the rounding of the two solves
+    dictionary = dense_dictionary(geometry)
+    rng = np.random.default_rng(seed)
+    spectra = rng.uniform(0.0, 2.0, (count, 4 * geometry.n))
+    if zeros:
+        spectra[:, rng.random(4 * geometry.n) < 0.5] = 0.0
+    realized = realize_spectral(spectra, geometry)
+    mats = _hermitian(rng, geometry.n, count)
+    forms = [toeplitz.spectral_forms(mat, geometry) for mat in mats]
+    for k in range(count):
+        dense = reference_realize(spectra[k], dictionary)
+        scale = max(np.abs(dense).max(), 1e-300)
+        assert np.abs(realized[k] - dense).max() <= 1e-13 * scale
+        # one spectrum realizes as it does in a stack; every lag is copied,
+        # so the result is exactly Hermitian and exactly block-Toeplitz
+        assert (realize_spectral(spectra[k], geometry).tobytes()
+                == realized[k].tobytes())
+        assert np.array_equal(realized[k], realized[k].conj().T)
+        assert check_structure(realized[k], geometry, rtol=0.0)
+        dense_forms = reference_forms(mats[k], dictionary)
+        assert (np.abs(forms[k] - dense_forms).max()
+                <= 1e-12 * np.abs(dense_forms).max())
+
+
+# -- the ascent step ---------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(n_vert=st.integers(1, 4), n_horiz=st.integers(1, 16),
+       count=st.integers(1, 3), rank=st.integers(1, 70),
+       log_floor=st.floats(-6.0, -1.0), seed=_SEEDS)
+@example(n_vert=4, n_horiz=16, count=2, rank=70, log_floor=-6.0, seed=0)
+def test_ascent_step_matches_dense_reference(n_vert, n_horiz, count, rank,
+                                             log_floor, seed):
+    geometry = ArrayGeometry(n_vert, n_horiz)
+    dictionary = dense_dictionary(geometry)
+    rng = np.random.default_rng(seed)
+    floor = 10.0 ** log_floor
+    spectra = floor + rng.uniform(0.0, 2.0, (count, 4 * geometry.n))
+    scatters = np.array([_psd_scatter(rng, geometry.n, rank)
+                         for _ in range(count)])
+    precisions = np.array([_precision(c, geometry) for c in spectra])
+    got = toeplitz_mstep(spectra, precisions, scatters, geometry, floor)
+    assert got.shape == spectra.shape
     assert np.all(got >= floor)
-    np.testing.assert_allclose(realize_spectral(got, geometry),
-                               realize_spectral(expected, geometry),
-                               rtol=0.0, atol=1e-6 * scale)
+    for k in range(count):
+        expected = reference_ascent_step(spectra[k], scatters[k],
+                                         dictionary, floor)
+        np.testing.assert_allclose(got[k], expected, rtol=1e-9,
+                                   atol=1e-9 * np.abs(expected).max())
 
 
-def test_toeplitz_fit_matches_reference_projection_bit_for_bit(monkeypatch):
-    # EM's own scatters and floor, on a small scene
-    geometry = ArrayGeometry(2, 4)
-    data = normalize_dataset(generate_channels(SceneConfig(geometry, seed=5),
-                                               800, sample_seed=1))
-    options = EmOptions(max_iters=6, rel_loglik_tol=0.0, seed=2)
-    fast = fit_em(data, 6, "toeplitz", options, geometry=geometry)
-    monkeypatch.setattr(
-        toeplitz.BttbBasis, "project",
-        lambda basis, scatter, floor=0.0:
-            _ReferenceBasis(basis.geometry).project(scatter, floor))
-    reference = fit_em(data, 6, "toeplitz", options, geometry=geometry)
-    assert fast.spectral.tobytes() == reference.spectral.tobytes()
-    assert fast.covariances.tobytes() == reference.covariances.tobytes()
+@settings(max_examples=200, deadline=None)
+@given(n_vert=st.integers(1, 3), n_horiz=st.integers(1, 4),
+       kind=st.sampled_from(["psd", "zero"]), rank=st.integers(1, 13),
+       log_floor=st.floats(-6.0, 0.0), log_spread=st.floats(0.0, 4.0),
+       seed=_SEEDS)
+def test_ascent_step_never_lowers_q(n_vert, n_horiz, kind, rank, log_floor,
+                                    log_spread, seed):
+    # Q(C) = -log det C - tr(C^-1 S) is the Gaussian log-likelihood of a
+    # scatter S; one EM step may not lower it beyond rounding
+    geometry = ArrayGeometry(n_vert, n_horiz)
+    dictionary = dense_dictionary(geometry)
+    rng = np.random.default_rng(seed)
+    floor = 10.0 ** log_floor
+    scatter = (_psd_scatter(rng, geometry.n, rank) if kind == "psd"
+               else np.zeros((geometry.n, geometry.n), dtype=complex))
+    spectrum = floor + 10.0 ** rng.uniform(-log_spread, 0.0, 4 * geometry.n)
+    stepped = _step(spectrum, scatter, geometry, floor)
+    before = objective(spectrum, scatter, dictionary)
+    after = objective(stepped, scatter, dictionary)
+    assert after >= before - 1e-9 * (abs(before) + geometry.n)
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-3])
+@pytest.mark.parametrize("shape", [(2, 2), (1, 4), (3, 4)])
+def test_ascent_step_keeps_floored_atoms_at_the_floor(shape, floor):
+    # the step needs no active set: an atom at the floor (c' = 0) stays
+    # there, and every other one stays above it, whatever the scatter
+    geometry = ArrayGeometry(*shape)
+    n_atoms = 4 * geometry.n
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        spectrum = floor + rng.uniform(0.1, 2.0, n_atoms)
+        floored = rng.random(n_atoms) < 0.3
+        spectrum[floored] = floor
+        scatter = (_psd_scatter(rng, geometry.n, 2) if seed % 2 else
+                   _hermitian(rng, geometry.n, 1)[0])  # indefinite
+        stepped = _step(spectrum, scatter, geometry, floor)
+        assert np.array_equal(stepped[floored], spectrum[floored])
+        assert np.all(stepped >= floor)
+        if seed % 2:  # with a PSD scatter, every c' > 0 stays positive
+            assert np.all(stepped[~floored] > floor)
 
 
 @pytest.fixture
@@ -211,39 +157,140 @@ def solved_sizes(monkeypatch):
 
 
 def test_feasible_scatter_makes_no_lu_solve(solved_sizes):
-    # the spectrum of test_recovers_identifiable_spectrum: the Cholesky
-    # solution is above the floor everywhere, so no atom is clipped
-    basis = bttb_basis(GEOM)
+    # a spectrum in the range of the dictionary's Gram, realized: the start
+    # and the steps that follow it solve no linear system and never lower Q
+    dictionary = dense_dictionary(GEOM)
     rng = np.random.default_rng(1)
-    gram = np.abs(basis.dictionary @ basis.dictionary.conj().T) ** 2
-    c0 = gram @ rng.uniform(0.5, 1.5, basis.n_atoms)
+    gram = np.abs(dictionary @ dictionary.conj().T) ** 2
+    c0 = gram @ rng.uniform(0.5, 1.5, 4 * GEOM.n)
     c0 *= 1.0 / c0.min()
-    toeplitz_mstep(realize_spectral(c0, GEOM), GEOM, floor=1e-8)
+    scatter = realize_spectral(c0, GEOM)
+    spectra = [toeplitz_start(scatter, GEOM, floor=1e-8)[0]]
+    for _ in range(5):
+        spectra.append(_step(spectra[-1], scatter, GEOM, 1e-8))
     assert solved_sizes == []
+    values = [objective(c, scatter, dictionary) for c in spectra]
+    assert all(after >= before - 1e-12 * abs(before)
+               for before, after in zip(values, values[1:]))
+    assert np.all(spectra[-1] >= 1e-8)
 
 
 @pytest.mark.parametrize("floor", [0.0, 1e-3])
 @pytest.mark.parametrize("shape", [(2, 2), (1, 4), (3, 4)])
 def test_projection_never_solves_with_every_atom_free(solved_sizes, shape,
                                                       floor):
-    # where the reference loop clips, it solves the full 4N-atom system
-    # first and then exactly the free systems the fast projection solves
+    # the step clamps at the floor where the active set solved: over PSD
+    # and indefinite scatters it solves no system, with every atom free or
+    # any fewer, and the indefinite ones drive some atoms to the floor
     geometry = ArrayGeometry(*shape)
-    n_atoms = bttb_basis(geometry).n_atoms
+    n_atoms = 4 * geometry.n
     clipping = 0
     for seed in range(10):
-        scatter = _scatter(geometry, ("psd", "indefinite")[seed % 2], 2, seed)
-        _ReferenceBasis(geometry).project(scatter, floor)
-        reference_sizes = solved_sizes[:]
-        solved_sizes.clear()
-        toeplitz_mstep(scatter, geometry, floor=floor)
-        assert solved_sizes == reference_sizes[1:]
-        assert all(size < n_atoms for size in solved_sizes)
-        if reference_sizes:
-            assert reference_sizes[0] == n_atoms
-            clipping += 1
-        solved_sizes.clear()
-    assert clipping >= 5
+        rng = np.random.default_rng(seed)
+        spectrum = floor + rng.uniform(0.1, 2.0, n_atoms)
+        scatter = (_psd_scatter(rng, geometry.n, 2) if seed % 2 else
+                   _hermitian(rng, geometry.n, 1)[0])
+        stepped = _step(spectrum, scatter, geometry, floor)
+        assert solved_sizes == []
+        assert np.all(stepped >= floor)
+        clipping += bool(np.any(stepped == floor))
+    assert clipping >= 2
+
+
+def test_kkt_holds_at_a_converged_spectrum():
+    # at a maximum of Q over c' >= 0 the gradient b - a vanishes where
+    # c' > 0 and is <= 0 where c' = 0
+    geometry = ArrayGeometry(1, 3)
+    dictionary = dense_dictionary(geometry)
+    rng = np.random.default_rng(0)
+    floor = 1e-3
+    realizable = reference_realize(rng.uniform(0.5, 1.5, 12), dictionary)
+    deficient = _psd_scatter(rng, 3, 2)  # rank 2: some c' -> 0
+    for scatter, steps in ((realizable, 300), (deficient, 10_000)):
+        spectrum, _ = toeplitz_start(scatter, geometry, floor)
+        for _ in range(steps):
+            spectrum = _step(spectrum, scatter, geometry, floor)
+        a, b = ascent_terms(spectrum, scatter, dictionary)
+        excess = spectrum - floor
+        positive = excess > 1e-2 * excess.max()
+        scale = np.abs(a).max()
+        assert np.abs(b - a)[positive].max() <= 1e-5 * scale
+        assert np.all((b - a)[~positive] <= 0.0)
+    assert not positive.all()  # the rank-2 scatter has a boundary optimum
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_vert=st.integers(1, 4), n_horiz=st.integers(1, 16),
+       rank=st.integers(1, 70), log_floor=st.floats(-6.0, -1.0), seed=_SEEDS)
+def test_start_matches_dense_reference(n_vert, n_horiz, rank, log_floor,
+                                       seed):
+    geometry = ArrayGeometry(n_vert, n_horiz)
+    dictionary = dense_dictionary(geometry)
+    rng = np.random.default_rng(seed)
+    floor = 10.0 ** log_floor
+    scatter = _psd_scatter(rng, geometry.n, rank)
+    spectrum, steps = toeplitz_start(scatter, geometry, floor)
+    assert 1 <= steps <= toeplitz._START_STEPS
+    assert np.all(spectrum >= floor)
+    expected = reference_start(scatter, dictionary, floor)
+    np.testing.assert_allclose(spectrum, expected, rtol=1e-8,
+                               atol=1e-8 * np.abs(expected).max())
+
+
+def test_generic_spectrum_realization_matches():
+    # a realizable scatter is the maximum of Q; the steps find a spectrum
+    # that realizes it, though not the one that made it
+    rng = np.random.default_rng(2)
+    c0 = rng.uniform(0.0, 2.0, 16)
+    target = realize_spectral(c0, GEOM)
+    spectrum, _ = toeplitz_start(target, GEOM, floor=0.0)
+    for _ in range(500):
+        spectrum = _step(spectrum, target, GEOM, 0.0)
+    np.testing.assert_allclose(realize_spectral(spectrum, GEOM), target,
+                               atol=1e-8)
+
+
+def test_zero_scatter_returns_floor():
+    floor = 1e-5
+    zero = np.zeros((4, 4))
+    at_floor = np.full(16, floor)
+    stepped = _step(at_floor, zero, GEOM, floor)
+    np.testing.assert_array_equal(stepped, at_floor)
+    # from above, a zero scatter only pulls every entry down to the floor
+    spectrum = floor + np.linspace(0.1, 2.0, 16)
+    for _ in range(5):
+        stepped = _step(spectrum, zero, GEOM, floor)
+        assert np.all(stepped >= floor) and np.all(stepped < spectrum)
+        spectrum = stepped
+
+
+def test_toeplitz_fit_matches_dense_reference_steps(monkeypatch):
+    # EM's own scatters, precisions and floor, on a small scene
+    geometry = ArrayGeometry(2, 4)
+    dictionary = dense_dictionary(geometry)
+    data = normalize_dataset(generate_channels(SceneConfig(geometry, seed=5),
+                                               800, sample_seed=1))
+    options = EmOptions(max_iters=6, rel_loglik_tol=0.0, seed=2)
+    fast = fit_em(data, 6, "toeplitz", options, geometry=geometry)
+
+    def dense_step(spectra, precisions, scatters, geometry, floor):
+        return np.array([reference_ascent_step(c, s, dictionary, floor)
+                         for c, s in zip(spectra, scatters)])
+
+    def dense_realize(spectra, geometry):
+        realized = np.array([reference_realize(c, dictionary)
+                             for c in np.atleast_2d(spectra)])
+        return realized if np.ndim(spectra) == 2 else realized[0]
+
+    monkeypatch.setattr(gmm, "toeplitz_mstep", dense_step)
+    monkeypatch.setattr(gmm, "toeplitz_start", lambda scatter, geometry, floor:
+                        (reference_start(scatter, dictionary, floor), 0))
+    monkeypatch.setattr(gmm, "realize_spectral", dense_realize)
+    reference = fit_em(data, 6, "toeplitz", options, geometry=geometry)
+    np.testing.assert_allclose(fast.fit_log_likelihoods,
+                               reference.fit_log_likelihoods, rtol=1e-10)
+    np.testing.assert_allclose(fast.spectral, reference.spectral, rtol=1e-7,
+                               atol=1e-7 * np.abs(reference.spectral).max())
 
 
 def test_realized_spectra_pass_structure_check():
