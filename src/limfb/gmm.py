@@ -153,8 +153,11 @@ class GmmModel(_Mixture):
                 and np.isfinite(covariances).all()):
             raise ValueError("means and covariances must be finite")
         for cov in covariances:  # GEMM products are Hermitian to rounding
-            if np.abs(cov - cov.conj().T).max() > 1e-10 * np.abs(cov).max():
+            tol = max(1e-10 * np.abs(cov).max(), _TINY)  # singular PSD passes
+            if np.abs(cov - cov.conj().T).max() > tol:
                 raise ValueError("covariances must be Hermitian")
+            if zpotrf((cov + tol * np.eye(dim)).T, overwrite_a=1)[1] != 0:
+                raise ValueError("covariances must be positive semidefinite")
         if not np.all(weights > 0):  # also rejects NaN
             raise ValueError("all mixture weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -269,11 +272,15 @@ def _floor_eigenvalues(matrix, floor):
 
 
 def sample_moments(samples):
-    """Sample mean and sample covariance (normalized by L) of the rows."""
+    """Sample mean and covariance (normalized by L) of the rows in complex128,
+    the scatter summed over blocks of ``_EM_CHUNK`` centred rows."""
     x = np.asarray(samples, dtype=np.complex128)
     mean = x.mean(axis=0)
-    centered = x - mean
-    return mean, centered.T @ centered.conj() / len(x)
+    scatter = np.zeros((x.shape[1],) * 2, dtype=np.complex128)
+    for start in range(0, len(x), _EM_CHUNK):
+        centered = x[start:start + _EM_CHUNK] - mean
+        scatter += centered.T @ centered.conj()
+    return mean, scatter / len(x)
 
 
 def _kmeanspp_indices(x, n_components, rng):
@@ -390,12 +397,20 @@ def _score_matrix(weights, means, precisions, logdets):
                            const[:, None]], axis=1).T
 
 
-def _em_pass(x, score_matrix):
+def _em_buffers(n_samples, dim):
+    """The complex128 row buffer and the lift buffer of :func:`_em_pass`."""
+    width = dim * dim + 2 * dim + 1
+    chunk = max(1, min(_EM_CHUNK, _EM_CHUNK_BYTES // (8 * width), n_samples))
+    return np.empty((chunk, dim), np.complex128), np.empty((chunk, width))
+
+
+def _em_pass(x, score_matrix, buffers=None):
     """One pass of the EM E-step over the rows of ``x``, a chunk at a time.
 
     Returns each row's log mixture density and the responsibility-weighted
     sums of the lift, shape (K, N^2+2N+1), from which the M-step reads every
-    component's mass, first moment and second moment.
+    component's mass, first moment and second moment. Each chunk is upcast
+    into the row buffer of ``buffers`` (:func:`_em_buffers`; made if None).
 
     Responsibilities below the least normal float (2.2e-308) are set to
     zero before they are accumulated, since subnormal operands slow the
@@ -404,14 +419,14 @@ def _em_pass(x, score_matrix):
     1e-292; the sums were bitwise equal in every benchmark and test fit
     checked.
     """
-    n_samples, width = x.shape[0], score_matrix.shape[0]
-    chunk = max(1, min(_EM_CHUNK, _EM_CHUNK_BYTES // (8 * width), n_samples))
-    lifted = np.empty((chunk, width))
+    n_samples = x.shape[0]
+    rows, lifted = buffers or _em_buffers(*x.shape)
     log_norm = np.empty(n_samples)
     sums = np.zeros(score_matrix.shape[::-1])
-    for start in range(0, n_samples, chunk):
-        stop = min(start + chunk, n_samples)
-        phi = _lift(x[start:stop], lifted[:stop - start])
+    for start in range(0, n_samples, len(rows)):
+        stop = min(start + len(rows), n_samples)
+        rows[:stop - start] = x[start:stop]
+        phi = _lift(rows[:stop - start], lifted[:stop - start])
         scores = phi @ score_matrix
         log_norm[start:stop] = logsumexp(scores, axis=1)
         resp = np.exp(scores - log_norm[start:stop, None])
@@ -433,6 +448,9 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
     the E-step's own precisions (see :mod:`limfb.toeplitz`). Weights and
     means are exact maximizers, so the log-likelihood of either fit falls
     only by rounding or after a collapsed component is re-seeded.
+    Only initialization (sample moments, k-means++) holds a complex128 copy
+    of the rows; every pass reads the complex64 rows a chunk at a time into
+    buffers made once per fit, and keeps one 8-byte log density per row.
 
     The per-iteration average log-likelihoods are stored on the returned
     model as ``fit_log_likelihoods``; each iteration is logged at INFO. A
@@ -449,8 +467,7 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
         raise ValueError(f"unknown constraint {constraint!r}")
     if not dataset.normalized:
         raise ValueError("fit_em expects a normalized dataset")
-    x = dataset.samples.astype(np.complex128)
-    n_samples, dim = x.shape
+    n_samples, dim = dataset.samples.shape
     if n_samples < n_components:
         raise ValueError(f"need at least as many samples as components: "
                          f"K={n_components}, {n_samples} samples")
@@ -463,9 +480,11 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
             raise ValueError("geometry does not match the sample dimension")
 
     rng = np.random.default_rng(options.seed)
+    x = dataset.samples.astype(np.complex128)  # freed before the first pass
     _, global_cov = sample_moments(x)
     floor = _FLOOR_SCALE * np.trace(global_cov).real / dim
     means = x[_kmeanspp_indices(x, n_components, rng)]
+    del x
     weights = np.full(n_components, 1.0 / n_components)
     spectral = None
     if constraint == "toeplitz":
@@ -487,6 +506,7 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
                 np.broadcast_to(logdets, shape[:1]))
 
     n_quad = dim * dim
+    buffers = _em_buffers(n_samples, dim)
     log_likelihoods = []
     converged = False
     for iteration in range(options.max_iters):
@@ -495,7 +515,7 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
         score_matrix = _score_matrix(weights, means, precisions, logdets)
         if spectral is None:  # only the Toeplitz M-step reads them
             del precisions
-        log_norm, sums = _em_pass(x, score_matrix)
+        log_norm, sums = _em_pass(dataset.samples, score_matrix, buffers)
         del score_matrix
         avg_ll = float(log_norm.mean())
         delta = avg_ll - log_likelihoods[-1] if log_likelihoods else np.nan
@@ -524,7 +544,7 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
             for k in collapsed:
                 logger.warning("re-seeding collapsed component %d at "
                                "iteration %d", k, iteration)
-                means[k] = x[rng.integers(n_samples)]
+                means[k] = dataset.samples[rng.integers(n_samples)]
                 weights[k] = 1.0 / n_samples
             if spectral is None:
                 for k, scatter in enumerate(scatters):

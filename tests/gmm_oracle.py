@@ -3,7 +3,9 @@
 ``log_density`` evaluates one complex Gaussian by a per-matrix Cholesky
 factor and triangular solve, the reference the stacked scoring of the
 mixtures and the lifted EM scores are checked against;
-``sample_component`` draws from one component of a fitted model.
+``sample_component`` draws from one component of a fitted model;
+``blocked_sample_moments`` sums the sample scatter block by block, the
+order the library sums it in.
 """
 
 import numpy as np
@@ -59,3 +61,20 @@ def sample_component(model, k, count, seed):
     white = (rng.standard_normal((count, model.dim))
              + 1j * rng.standard_normal((count, model.dim))) / np.sqrt(2.0)
     return model.means[k - 1] + white @ root.T
+
+
+def blocked_sample_moments(samples, block):
+    """Sample mean and covariance (normalized by L) of complex128 rows.
+
+    The scatter is the sum, in row order, of the product of each block of
+    ``block`` rows centred on the mean of all rows.
+    """
+    x = np.asarray(samples, dtype=np.complex128)
+    mean = x.mean(axis=0)
+    products = [(x[start:start + block] - mean).T
+                @ (x[start:start + block] - mean).conj()
+                for start in range(0, len(x), block)]
+    scatter = np.zeros((x.shape[1], x.shape[1]), dtype=np.complex128)
+    for product in products:
+        scatter = scatter + product
+    return mean, scatter / len(x)

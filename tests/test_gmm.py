@@ -17,8 +17,8 @@ from limfb.scene import (ArrayGeometry, ChannelDataset, SceneConfig,
                          generate_channels, normalize_dataset)
 from limfb.toeplitz import check_structure, realize_spectral, toeplitz_start
 
-from gmm_oracle import (_chol_logdet, _log_gaussian_batch, log_density,
-                        sample_component)
+from gmm_oracle import (_chol_logdet, _log_gaussian_batch,
+                        blocked_sample_moments, log_density, sample_component)
 from scene_oracle import reference_save_model
 from toeplitz_oracle import (dense_dictionary, reference_ascent_step,
                              reference_start)
@@ -358,11 +358,13 @@ def test_lift_packs_hermitian_quadratic_forms(dim, rows, seed):
 
 # at these dimensions a chunk holds _EM_CHUNK rows; the sample counts
 # straddle its multiples
+_CHUNK_COUNTS = st.sampled_from([1, 7, gmm._EM_CHUNK - 1, gmm._EM_CHUNK,
+                                 gmm._EM_CHUNK + 1, 2 * gmm._EM_CHUNK + 37])
+
+
 @settings(max_examples=20, deadline=None)
 @given(dim=st.integers(1, 4), n_comp=st.integers(1, 4),
-       n_samples=st.sampled_from([1, 7, gmm._EM_CHUNK - 1, gmm._EM_CHUNK,
-                                  gmm._EM_CHUNK + 1, 2 * gmm._EM_CHUNK + 37]),
-       seed=_SEEDS)
+       n_samples=_CHUNK_COUNTS, seed=_SEEDS)
 def test_lift_sums_unpack_to_weighted_moments(dim, n_comp, n_samples, seed):
     rng = np.random.default_rng(seed)
     model = _random_model(n_comp, dim, seed=seed)
@@ -394,6 +396,26 @@ def test_lift_sums_unpack_to_weighted_moments(dim, n_comp, n_samples, seed):
         np.testing.assert_allclose(scatter, direct_scatter, rtol=1e-10,
                                    atol=1e-10 * np.abs(second[k]).max()
                                    / mass[k])
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.integers(1, 4), n_comp=st.integers(1, 4),
+       n_samples=_CHUNK_COUNTS, seed=_SEEDS)
+def test_em_pass_on_complex64_rows_equals_their_upcast(dim, n_comp, n_samples,
+                                                       seed):
+    # fit_em passes the dataset's complex64 rows and reuses its buffers
+    rng = np.random.default_rng(seed)
+    model = _random_model(n_comp, dim, seed=seed)
+    rows = (2.0 * _complex_normal(rng, (n_samples, dim))).astype(np.complex64)
+    inv_chols, logdets = gmm._inverse_factors(model.covariances)
+    score_matrix = gmm._score_matrix(model.weights, model.means,
+                                     gmm._precisions(inv_chols), logdets)
+    expected = gmm._em_pass(rows.astype(complex), score_matrix)
+    buffers = gmm._em_buffers(n_samples, dim)
+    for _ in range(2):  # the second pass starts from dirty buffers
+        got = gmm._em_pass(rows, score_matrix, buffers)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -538,7 +560,8 @@ def _reference_em_pass(x, score_matrix):
 
     Returns each row's log mixture density and the responsibility-weighted
     sums of the lift, shape (K, N^2+2N+1), from which the M-step reads every
-    component's mass, first moment and second moment.
+    component's mass, first moment and second moment. Each chunk is lifted
+    in complex128, so complex64 rows are scored as their upcast.
     """
     n_samples, width = x.shape[0], score_matrix.shape[0]
     chunk = max(1, min(gmm._EM_CHUNK, gmm._EM_CHUNK_BYTES // (8 * width),
@@ -548,7 +571,7 @@ def _reference_em_pass(x, score_matrix):
     sums = np.zeros(score_matrix.shape[::-1])
     for start in range(0, n_samples, chunk):
         stop = min(start + chunk, n_samples)
-        phi = gmm._lift(x[start:stop], lifted[:stop - start])
+        phi = gmm._lift(x[start:stop].astype(complex), lifted[:stop - start])
         scores = phi @ score_matrix
         log_norm[start:stop] = logsumexp(scores, axis=1)
         sums += np.exp(scores - log_norm[start:stop, None]).T @ phi
@@ -618,9 +641,10 @@ def test_fit_em_matches_reference_kernels_bit_for_bit(
 
     subnormal = []
 
-    def reference_pass(x, score_matrix):
+    def reference_pass(x, score_matrix, buffers=None):
         log_norm, sums = _reference_em_pass(x, score_matrix)
-        resp = np.exp(_lifted(x) @ score_matrix - log_norm[:, None])
+        resp = np.exp(_lifted(x.astype(complex)) @ score_matrix
+                      - log_norm[:, None])
         subnormal.append(np.count_nonzero(
             (resp > 0.0) & (resp < np.finfo(float).tiny)))
         return log_norm, sums
@@ -659,6 +683,44 @@ def test_sample_moments_match_definition():
     np.testing.assert_array_equal(mean, ref.mean(axis=0))
     centered = ref - ref.mean(axis=0)
     np.testing.assert_array_equal(cov, centered.T @ centered.conj() / 50)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 8), n_samples=_CHUNK_COUNTS,
+       offset=st.floats(-3.0, 3.0), seed=_SEEDS)
+def test_blocked_sample_moments_match_oracle_and_definition(dim, n_samples,
+                                                            offset, seed):
+    rng = np.random.default_rng(seed)
+    x = (_complex_normal(rng, (n_samples, dim)) + offset).astype(np.complex64)
+    mean, cov = sample_moments(x)
+    ref_mean, ref_cov = blocked_sample_moments(x, gmm._EM_CHUNK)
+    assert mean.tobytes() == ref_mean.tobytes()
+    assert cov.tobytes() == ref_cov.tobytes()
+    # the dense definition sums the scatter in one product
+    centered = x.astype(complex) - mean
+    dense = centered.T @ centered.conj() / n_samples
+    assert np.abs(cov - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("n_samples", [4096, 16384])
+def test_fit_em_memory_is_one_copy_of_the_rows(n_samples):
+    # beyond the complex64 dataset, a fit holds one complex128 copy during
+    # initialization, a few float64 per row (k-means++ distances, log
+    # densities) and buffers whose size does not depend on L; a centred
+    # full-size copy for the sample moments would break the bound
+    import tracemalloc
+
+    rng = np.random.default_rng(40)
+    ds = normalize_dataset(ChannelDataset(_complex_normal(rng,
+                                                          (n_samples, 16))))
+    tracemalloc.start()
+    try:
+        fit_em(ds, 4, options=EmOptions(max_iters=1, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    copy = n_samples * 16 * np.dtype(np.complex128).itemsize
+    assert peak <= copy + 8 * 8 * n_samples + (1 << 20)
 
 
 # -- observation domain ------------------------------------------------------
@@ -1032,6 +1094,16 @@ def test_model_rejects_a_covariance_that_is_not_hermitian():
     rng = np.random.default_rng(30)
     raw = _complex_normal(rng, (4, 9))
     GmmModel([1.0], np.zeros((1, 4)), [raw @ raw.conj().T / 9])
+
+
+def test_model_rejects_an_indefinite_covariance():
+    # singular PSD covariances are accepted (the zero matrix here, the
+    # rank-one sampling and the LMMSE tests); a negative eigenvalue above
+    # rounding is not
+    cov = np.diag([1.0, -1e-3, 2.0]).astype(complex)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        GmmModel([1.0], np.zeros((1, 3)), [cov])
+    GmmModel([1.0], np.zeros((1, 3)), [np.zeros((3, 3))])
 
 
 def test_model_rejects_a_negative_spectral_entry(desk_geometry):
