@@ -33,7 +33,7 @@ from .feedback import (build_dft_codebook, build_pilot_matrix,
 from .gmm import fit_em, load_model, project_to_observation, sample_moments
 from .precoding import (SwmmseOptions, _check_rho, _sum_rate_matrix,
                         directional_representatives, rci_precoders,
-                        swmmse_precoders)
+                        swmmse_precoders, swmmse_white)
 from .scene import ArrayGeometry, load_dataset, read_geometry
 
 logger = logging.getLogger(__name__)
@@ -169,7 +169,9 @@ class Experiment:
     ``config.model_paths`` (keys ``full``/``toeplitz`` or ``full.<bits>``)
     or, when training data is available, fitted on demand (logged at INFO).
     Everything derived from them is made on first use and kept in one dict;
-    a component's representative is made when a report first names it.
+    a component's representative is made when a report first names it. The
+    SWMMSE draws of the last (seed, rounds, users, dim) are kept in one slot,
+    so the designs of a constellation, which share its seed, draw once.
     """
 
     def __init__(self, config, train_dataset=None, eval_dataset=None,
@@ -190,6 +192,7 @@ class Experiment:
             raise ValueError("more users than evaluation channels")
         self.models = dict(models) if models else {}
         self._cache = {}
+        self._white = None  # (key, draws) of the last SWMMSE design
 
     # -- resources ---------------------------------------------------------
 
@@ -234,6 +237,14 @@ class Experiment:
             ("observation", constraint, bits, n_pilots, sigma_n2),
             lambda: project_to_observation(self.model_for(constraint, bits),
                                            self.pilot_setup(n_pilots, sigma_n2)))
+
+    def swmmse_white(self, seed, rounds, users, dim):
+        """The unit draws of :func:`swmmse_white`, kept for the last key."""
+        key = (seed, rounds, users, dim)
+        if self._white is None or self._white[0] != key:
+            self._white = None  # the old draws go before the new ones come
+            self._white = (key, swmmse_white(*key))
+        return self._white[1]
 
     def codebook(self, bits):
         return self._memo(("codebook", bits),
@@ -298,7 +309,10 @@ class Experiment:
         if designer == "swmmse":
             model = self.model_for(constraint, bits)
             options = SwmmseOptions(max_iters=iters, seed=swmmse_seed)
-            return swmmse_precoders(model, indices, sigma_n2, rho, options)
+            white = self.swmmse_white(swmmse_seed, iters + 1, len(indices),
+                                      model.dim)
+            return swmmse_precoders(model, indices, sigma_n2, rho, options,
+                                    white=white)
         if source.startswith("dft:"):
             chosen = self.codebook(bits).entries[indices - 1]
         else:

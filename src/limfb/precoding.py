@@ -9,7 +9,11 @@ MMSE statistics over iterations, so the precoders optimize the expected
 sum-rate under the component distributions. Its power step finds the least
 ridge that meets the budget from the previous ridge, one Cholesky
 factorization per step: the first step follows a third-order model of the
-power, so most iterations take two factorizations.
+power, so most iterations take two factorizations. A design factors in one
+workspace and keeps its per-iteration quantities in buffers made once. Its
+unit draws (:func:`swmmse_white`) depend only on the seed and the shape, so
+designs that share a seed, as the designs of one constellation in a sweep
+do, can share one draw.
 
 Rates everywhere use the bilinear pairing ``h^T v``; designers therefore
 consume conjugated representatives internally so that a representative equal
@@ -17,6 +21,7 @@ to the true channel direction yields the maximal beamforming gain.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,36 +169,37 @@ def _ill_conditioned(cov, chol):
     return info != 0 or np.trace(cov).real * np.linalg.norm(np.tril(inv)) ** 2 >= 1e13
 
 
-def _ridge_newton(solve, rho, tol, lam, bracket, zero_open, resolution):
+def _ridge_newton(solve, moments, rho, tol, lam, bracket, zero_open,
+                  resolution):
     """Safeguarded Newton on ``phi^-1/2`` (Moré & Sorensen, SIAM J. Sci. Stat.
     Comput. 1983) for the least ridge with ``rho - tol rho <= phi <= rho``.
 
-    ``solve(lam)`` gives ``(phi, top, moments, solution)`` or None where it
-    cannot resolve ``lam``: ``top`` bounds the largest eigenvalue of
-    ``A + lam I`` from above, and ``moments(n)`` gives the first ``n`` of
-    ``m_k = b^H (A + lam I)^-k b``, k = 3, 4, 5, so that ``phi' = -2 m_3``,
-    ``phi'' = 6 m_4`` and ``phi''' = -24 m_5``. Moments are asked for only
-    where a step needs them. The first step inverts the third-order Taylor
-    model of ``phi^-1/2`` as a series, unless a term of the series changes
-    the Newton step by more than ``_SERIES_TERM``; later steps are Newton
-    steps. Steps outside the bracket ``[lo, hi]`` (updated in place) go to
-    0 once while ``zero_open``, else to ``max(sqrt(lo hi), hi / 1000)``. A
+    ``solve(lam)`` gives ``(phi, top, solution)`` or None where it cannot
+    resolve ``lam``: ``top`` bounds the largest eigenvalue of ``A + lam I``
+    from above. ``moments(n)`` gives, at the ``lam`` solved last, the first
+    ``n`` of ``m_k = b^H (A + lam I)^-k b``, k = 3, 4, 5, so that
+    ``phi' = -2 m_3``, ``phi'' = 6 m_4`` and ``phi''' = -24 m_5``. Moments
+    are asked for only where a step needs them. The first step inverts the
+    third-order Taylor model of ``phi^-1/2`` as a series, unless a term of
+    the series changes the Newton step by more than ``_SERIES_TERM``; later
+    steps are Newton steps. Steps outside the bracket ``[lo, hi]`` go to 0
+    once while ``zero_open``, else to ``max(sqrt(lo hi), hi / 1000)``. A
     ridge in the window is accepted only once ``phi(0) <= rho`` is ruled
-    out.
-    Returns ``(solution, lam)``, or None when ``solve`` or the step fails.
+    out. Returns ``(solution, lam)``, or None when ``solve`` or the step
+    fails; ``bracket`` then holds the last bracket.
     """
     target = rho * (1.0 - 0.5 * tol)  # the middle of the window
-    order = 3
+    lo, hi = bracket
+    first = True
     for _ in range(_NEWTON_STEPS):
-        lo, hi = bracket
         if lam <= lo == 0.0 and zero_open:
             lam, zero_open = 0.0, False
         elif not lo < lam < hi:
-            lam = max(np.sqrt(lo * hi), 1e-3 * hi)
+            lam = max(math.sqrt(lo * hi), 1e-3 * hi)
         found = solve(lam)
         if found is None:
-            return None
-        power, top, moments, solution = found
+            break
+        power, top, solution = found
         if power <= rho and (lam == 0.0 or rho - power <= tol * rho):
             # in the window at lam > 0, phi(0) >= power + 2 m_3 lam (phi is
             # convex) leaves phi(0) <= rho open, and lam = 0 is tried first;
@@ -201,32 +207,43 @@ def _ridge_newton(solve, rho, tol, lam, bracket, zero_open, resolution):
             if (not zero_open or lam * power / top > rho - power + _EPS * rho
                     or power + 2.0 * moments(1)[0] * lam > rho):
                 return solution, lam
-            bracket[1], lam = lam, 0.0
+            hi, lam = lam, 0.0
             continue
         if power > rho:
-            bracket[0] = lam
+            lo = lam
         else:
-            bracket[1] = lam
-        slope, *higher = moments(order)
-        step = power / slope * (np.sqrt(power / target) - 1.0)
-        if higher:
+            hi = lam
+        if first:
+            slope, m4, m5 = moments(3)
+        else:
+            slope, = moments(1)
+        step = power / slope * (math.sqrt(power / target) - 1.0)
+        if first:
             # phi^-1/2 (lam + d) / phi^-1/2 (lam) = 1 + u d + a2 d^2 + a3 d^3
             # reverted as a series in the Newton step; far from the root the
             # series diverges and the Newton step stands
-            u, q4, q5 = slope / power, higher[0] / power, higher[1] / power
+            u, q4, q5 = slope / power, m4 / power, m5 / power
             b2 = 1.5 * (u - q4 / u)
             b3 = 2.5 * u * u - 4.5 * q4 + 2.0 * q5 / u
             second, third = b2 * step, (2.0 * b2 * b2 - b3) * step * step
             if max(abs(second), abs(third)) <= _SERIES_TERM:
                 step *= 1.0 - second + third
-            order = 1
-        if abs(step) <= resolution or bracket[1] - bracket[0] <= resolution:
-            return None
+            first = False
+        if abs(step) <= resolution or hi - lo <= resolution:
+            break
         lam += step
+    bracket[:] = lo, hi
     return None
 
 
-def _power_step(cov, rhs, rho, lam=0.0):
+def _power_workspace(dim):
+    """The buffer :func:`_power_step` factors ``cov + lam I`` in, in Fortran
+    order for LAPACK, and a view of its diagonal."""
+    shifted = np.empty((dim, dim), dtype=np.complex128, order="F")
+    return shifted, shifted.T.reshape(-1)[::dim + 1]  # shifted.T is C-order
+
+
+def _power_step(cov, rhs, rho, lam=0.0, workspace=None):
     """Least-ridge rows ``((cov + lam I)^-1 rhs^T)^T`` with power <= rho.
 
     Returns ``(vectors, lam, factorizations, eigen)``. The ridge is 0 when
@@ -234,47 +251,53 @@ def _power_step(cov, rhs, rho, lam=0.0):
     budget (weight outside that subspace needs unbounded power, unless it is
     no more than ``eigh`` leaks there); otherwise the power is within
     ``_POWER_TOL * rho`` of rho. The search starts from ``lam``, the
-    previous ridge, at one Cholesky factorization per step. The factor in
+    previous ridge, at one Cholesky factorization per step, each in the
+    buffer of ``workspace`` (from :func:`_power_workspace`; made here when
+    None, so a caller that steps repeatedly passes its own). The factor in
     hand also gives the power's first three derivatives by triangular
     solves: the first step uses all three, later steps the slope alone, and
     a step that ends the search solves for none of them. A singular or
     ill-conditioned ``cov`` at ``lam = 0``, or a ridge below what
     ``cov + lam I`` resolves, hands the step to one ``eigh`` (``eigen``).
     """
-    # phi(hi) <= rho
-    hi = np.linalg.norm(rhs) / np.sqrt(rho * (1.0 - 0.5 * _POWER_TOL))
+    # phi(hi) <= rho; |rhs| by the two real dots of np.linalg.norm
+    flat = rhs.ravel(order="K")
+    real, imag = flat.real, flat.imag
+    hi = (math.sqrt(real.dot(real) + imag.dot(imag))
+          / math.sqrt(rho * (1.0 - 0.5 * _POWER_TOL)))
     dim = cov.shape[0]
-    shifted = np.empty((dim, dim), dtype=np.complex128, order="F")
-    diagonal = shifted.T.reshape(-1)[::dim + 1]  # a view: shifted.T is C-order
-    rhs_t = np.asfortranarray(rhs.T)
+    shifted, diagonal = workspace or _power_workspace(dim)
+    rhs_t = np.asfortranarray(rhs.T)  # a view when rhs is C-order
     cov_diagonal = cov.diagonal().real
     trace = cov_diagonal.sum()
     factorizations = 0
+    chol = x = None
 
     def cholesky_solve(lam):
-        nonlocal factorizations
-        shifted[...] = cov
-        np.add(diagonal, lam, out=diagonal)
-        chol, info = lapack.zpotrf(shifted, lower=1, clean=0, overwrite_a=1)
+        nonlocal factorizations, chol, x
+        np.copyto(shifted, cov)
+        np.add(diagonal, lam, diagonal)
+        # positional arguments: f2py parses keywords at about 1 us a call
+        chol, info = lapack.zpotrf(shifted, 1, 0, 1)  # lower, unclean, in place
         factorizations += 1
         if info != 0 or lam == 0.0 and _ill_conditioned(cov, chol):
             return None
-        x, _ = lapack.zpotrs(chol, rhs_t, lower=1)
-
-        def moments(count):  # valid until the next solve overwrites chol
-            # m_3 = |L^-1 x|^2, m_4 = |L^-H L^-1 x|^2, m_5 = |L^-1 L^-H L^-1 x|^2
-            found, vec = [], x
-            for k in range(count):
-                vec, _ = lapack.ztrtrs(chol, vec, lower=1, trans=2 * (k % 2))
-                found.append(np.vdot(vec.T, vec.T).real)
-            return found
-
+        x, _ = lapack.zpotrs(chol, rhs_t, 1)  # lower
         x_t = x.T  # C-contiguous, so vdot copies nothing
-        return np.vdot(x_t, x_t).real, trace + dim * lam, moments, x_t
+        return np.vdot(x_t, x_t).real, trace + dim * lam, x_t
 
-    resolution = 8.0 * _EPS * np.max(cov_diagonal)
-    found = _ridge_newton(cholesky_solve, rho, _POWER_TOL, lam, [0.0, hi],
-                          True, resolution)
+    def cholesky_moments(count):
+        # m_3 = |L^-1 x|^2, m_4 = |L^-H L^-1 x|^2, m_5 = |L^-1 L^-H L^-1 x|^2;
+        # x is the solution, the later right-hand sides are overwritten
+        found, vec = [], x
+        for k in range(count):  # lower, trans 0 or 2, non-unit, lda, in place
+            vec, _ = lapack.ztrtrs(chol, vec, 1, 2 * (k % 2), 0, dim, k > 0)
+            found.append(np.vdot(vec.T, vec.T).real)
+        return found
+
+    resolution = 8.0 * _EPS * cov_diagonal.max()
+    found = _ridge_newton(cholesky_solve, cholesky_moments, rho, _POWER_TOL,
+                          lam, [0.0, hi], True, resolution)
     if found is not None:
         return *found, factorizations, False
 
@@ -294,13 +317,17 @@ def _power_step(cov, rhs, rho, lam=0.0):
     weights = coeffs_sq.sum(axis=0)
 
     def eigen_solve(lam):
+        nonlocal inv
         inv = 1.0 / (eigvals + lam)
-        return (weights @ inv ** 2, eigvals[-1] + lam,
-                lambda count: [weights @ inv ** k for k in range(3, 3 + count)],
-                None)
+        return weights @ inv ** 2, eigvals[-1] + lam, None
 
+    def eigen_moments(count):
+        return [weights @ inv ** k for k in range(3, 3 + count)]
+
+    inv = None
     bracket = [0.0, hi]
-    found = _ridge_newton(eigen_solve, rho, _POWER_TOL, lam, bracket, False, 0.0)
+    found = _ridge_newton(eigen_solve, eigen_moments, rho, _POWER_TOL, lam,
+                          bracket, False, 0.0)
     # no root when weight on an inactive direction rules lam = 0 out while
     # its eigenvalue keeps phi(0+) <= rho: the least feasible ridge tried
     # stands in
@@ -308,7 +335,21 @@ def _power_step(cov, rhs, rho, lam=0.0):
     return (coeffs / (eigvals + lam)) @ eigvecs.T, lam, factorizations, True
 
 
-def swmmse_precoders(model, indices, sigma_n2, rho, options=None):
+def swmmse_white(seed, rounds, users, dim):
+    """The unit complex normal draws of an SWMMSE design, (rounds, users, dim).
+
+    ``standard_normal((rounds, 2, users, dim))`` from ``seed``, real parts
+    then imaginary parts of each round, over sqrt(2): every design with the
+    same seed and shape draws the same array.
+    """
+    noise = np.random.default_rng(seed).standard_normal((rounds, 2, users, dim))
+    white = 1j * noise[:, 1]
+    white += noise[:, 0]
+    white /= np.sqrt(2.0)
+    return white
+
+
+def swmmse_precoders(model, indices, sigma_n2, rho, options=None, white=None):
     """Stochastic WMMSE precoders driven by mixture component samples.
 
     Per iteration t: draw one sample per user from its reported component,
@@ -316,6 +357,9 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None):
     fold the weighted statistics into running averages with step size 1/t,
     and re-solve the regularized system with the least ridge that meets the
     power budget (:func:`_power_step`, warm-started from the previous ridge).
+    ``white`` holds the unit draws of all ``max_iters + 1`` rounds, as
+    :func:`swmmse_white` makes them from ``options.seed`` (they are made
+    here when None); designs that share a seed can share them.
     The trajectory metadata records the per-iteration power, ridge,
     sampled-channel objective and precoder snapshots (used to evaluate
     sum-rate over iterations without re-running), the Cholesky factorizations
@@ -332,20 +376,20 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None):
     if np.any((comps < 0) | (comps >= model.n_components)):
         raise ValueError(f"feedback indices outside 1..{model.n_components}")
     dim = model.dim
+    shape = (options.max_iters + 1, n_users, dim)
+    if white is None:
+        white = swmmse_white(options.seed, *shape)
+    elif np.shape(white) != shape:
+        raise ValueError(f"white draws must have shape {shape}, "
+                         f"got {np.shape(white)}")
     unique, inverse = np.unique(comps, return_inverse=True)
     roots = np.stack([_component_sqrt(model.covariances[k]) for k in unique])[inverse]
-    # the draws of all T + 1 rounds (real, then imaginary parts, round by
-    # round) in one call: the same random stream as one call per round
-    noise = np.random.default_rng(options.seed).standard_normal(
-        (options.max_iters + 1, 2, n_users, dim))
-    white = (noise[:, 0] + 1j * noise[:, 1]) / np.sqrt(2.0)
     samples = (roots @ white[..., None])[..., 0]
     samples += model.means[comps]
-    del noise, white
+    del roots, white  # the design holds the samples only
 
-    conj_samples = samples.conj()
     init_norms = np.linalg.norm(samples[0], axis=1)
-    vectors = np.sqrt(rho / n_users) * conj_samples[0] / init_norms[:, None]
+    vectors = np.sqrt(rho / n_users) * samples[0].conj() / init_norms[:, None]
 
     avg_cov = np.zeros((dim, dim), dtype=np.complex128)
     avg_rhs = np.zeros((n_users, dim), dtype=np.complex128)
@@ -354,34 +398,61 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None):
     eigen_iterations = 0
     lam = 0.0
     snapshots = np.empty((options.max_iters, n_users, dim), dtype=np.complex128)
-    users = np.arange(n_users)
+    # the per-iteration quantities, each in a buffer made once per design
+    workspace = _power_workspace(dim)
+    sample_conj = np.empty((n_users, dim), dtype=np.complex128)
+    rhs_term = np.empty((n_users, dim), dtype=np.complex128)
+    left = np.empty((dim, n_users), dtype=np.complex128, order="F")
+    cov_term = np.empty((dim, dim), dtype=np.complex128)
+    gains = np.empty((n_users, n_users), dtype=np.complex128)
+    gains_sq = np.empty((n_users, n_users))
+    direct, receivers, column = np.empty((3, n_users), dtype=np.complex128)
+    weights, coef, denom = np.empty((3, n_users))
+    diagonal, sample_conj_t = gains.diagonal(), sample_conj.T
+    column_real, column_t = column.real, column[:, None]
 
     for t in range(1, options.max_iters + 1):
-        sample, sample_conj = samples[t], conj_samples[t]
-        gains = sample @ vectors.T  # gains[j, m] = h_j^T v_m
-        denom = np.sum(np.abs(gains) ** 2, axis=1) + sigma_n2
-        direct = gains[users, users]
-        receivers = direct.conj() / denom
-        mse = 1.0 - (receivers * direct).real
-        weights = np.minimum(np.maximum(1.0 / np.maximum(mse, 1e-300), 1.0),
-                             _WEIGHT_CLAMP)
+        sample = samples[t]
+        np.conjugate(sample, sample_conj)
+        np.matmul(sample, vectors.T, gains)  # gains[j, m] = h_j^T v_m
+        np.absolute(gains, gains_sq)
+        np.square(gains_sq, gains_sq)
+        np.add.reduce(gains_sq, 1, None, denom)
+        np.add(denom, sigma_n2, denom)
+        np.copyto(direct, diagonal)
+        np.conjugate(direct, receivers)
+        np.divide(receivers, denom, receivers)
+        np.multiply(receivers, direct, column)
+        np.subtract(1.0, column_real, weights)  # the MSE, then its weight
+        np.maximum(weights, 1e-300, out=weights)
+        np.divide(1.0, weights, weights)
+        np.maximum(weights, 1.0, out=weights)
+        np.minimum(weights, _WEIGHT_CLAMP, out=weights)
 
         # gamma scales the left factor before each product, which is how
         # gamma * left @ right and gamma * column * row round
         gamma = 1.0 / t
-        left = sample_conj.T * (weights * np.abs(receivers) ** 2)
-        left *= gamma
-        avg_cov *= 1.0 - gamma
-        avg_cov += left @ sample
-        column = weights * receivers.conj()
-        column *= gamma
-        avg_rhs *= 1.0 - gamma
-        avg_rhs += column[:, None] * sample_conj
+        np.absolute(receivers, coef)
+        np.square(coef, coef)
+        np.multiply(weights, coef, coef)
+        np.multiply(sample_conj_t, coef, left)
+        np.multiply(left, gamma, left)
+        np.matmul(left, sample, cov_term)
+        np.multiply(avg_cov, 1.0 - gamma, avg_cov)
+        np.add(avg_cov, cov_term, avg_cov)
+        np.conjugate(receivers, column)
+        np.multiply(weights, column, column)
+        np.multiply(column, gamma, column)
+        np.multiply(column_t, sample_conj, rhs_term)
+        np.multiply(avg_rhs, 1.0 - gamma, avg_rhs)
+        np.add(avg_rhs, rhs_term, avg_rhs)
 
         vectors, lam, factorizations[t - 1], eigen = _power_step(
-            avg_cov, avg_rhs, rho, lam)
+            avg_cov, avg_rhs, rho, lam, workspace)
         eigen_iterations += eigen
-        if not np.all(np.isfinite(vectors)):
+        # the Cholesky path returns only solutions of power <= rho, so
+        # only the eigen path can return a vector that is not finite
+        if eigen and not np.isfinite(vectors).all():
             raise RuntimeError(
                 f"stochastic WMMSE diverged at iteration {t} "
                 f"(lambda={lam}, power={np.sum(np.abs(vectors) ** 2)})")
@@ -389,8 +460,9 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None):
         lambda_track[t - 1] = lam
         snapshots[t - 1] = vectors
 
-    # the tracks of all iterations in one batched product
-    power = np.sum(np.abs(snapshots) ** 2, axis=(1, 2))
+    # the tracks of all iterations in one batched product; |v|^2 in place
+    power = np.abs(snapshots)
+    power = np.square(power, out=power).sum(axis=(1, 2))
     logger.debug("swmmse: %d iterations, %.3f factorizations per iteration, "
                  "%d on the eigen path, final ridge %.6g, final power slack "
                  "%.6g", options.max_iters, np.mean(factorizations),

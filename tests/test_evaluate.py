@@ -13,7 +13,7 @@ from limfb.evaluate import (Experiment, ExperimentConfig, SweepResult,
 from limfb.gmm import GmmModel, project_to_observation
 from limfb.precoding import (PrecoderSet, SwmmseOptions,
                              directional_representatives, rci_precoders,
-                             swmmse_precoders)
+                             swmmse_precoders, swmmse_white)
 from limfb.scene import ArrayGeometry, load_scene_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -302,6 +302,62 @@ def test_at_iterations_evaluates_only_the_requested_snapshots(
     expected = [exp.run_constellation([17, 0], iters=t)[0]["gmm-obs+swmmse"]
                 for t in (3, 12, 1)]
     assert rates["gmm-obs+swmmse"].tolist() == expected
+
+
+def test_shared_swmmse_draws_leave_every_rate_unchanged(
+        desk_train, desk_eval, desk_model, desk_tmodel, monkeypatch):
+    # both SWMMSE schemes of a constellation share its seed, so they share
+    # one draw; every rate equals that of a fresh Experiment
+    draws = []
+    real_white = evaluate.swmmse_white
+
+    def counting_white(*key):
+        draws.append(key)
+        return real_white(*key)
+
+    monkeypatch.setattr(evaluate, "swmmse_white", counting_white)
+    overrides = dict(constellations=2, iters=15,
+                     schemes=("gmm-obs+swmmse", "tgmm-obs+swmmse", "gmm-obs"))
+    exp = _experiment(desk_train, desk_eval, desk_model, desk_tmodel,
+                      **overrides)
+    result = run_sweep(exp, "snr", values=[0.0, 20.0])
+    assert len(draws) == 4  # one per constellation and point, not per design
+    for row, snr in enumerate((0.0, 20.0)):
+        for i in range(2):
+            fresh = _experiment(desk_train, desk_eval, desk_model, desk_tmodel,
+                                **overrides)
+            rates, _ = fresh.run_constellation(
+                [17, i], sigma_n2=fresh.config.rho / 10.0 ** (snr / 10.0))
+            for tag, rate in rates.items():
+                got = result.per_constellation[tag][row, i]
+                assert np.float64(got).tobytes() == np.float64(rate).tobytes()
+
+
+def test_shared_swmmse_draws_match_each_design(desk_train, desk_eval,
+                                               desk_model, monkeypatch):
+    # the slot is keyed by seed and shape: every design gets the draws it
+    # would make itself, whichever design ran before it. The second sweep
+    # reuses the first one's constellation seed at fewer iterations, and
+    # the users axis changes the shape between points
+    seen = []
+    real = evaluate.swmmse_precoders
+
+    def checking(model, indices, sigma_n2, rho, options, white=None):
+        expected = swmmse_white(options.seed, options.max_iters + 1,
+                                len(indices), model.dim)
+        assert white.tobytes() == expected.tobytes()
+        seen.append(white.shape)
+        return real(model, indices, sigma_n2, rho, options, white=white)
+
+    monkeypatch.setattr(evaluate, "swmmse_precoders", checking)
+    exp = _experiment(desk_train, desk_eval, desk_model, constellations=1,
+                      iters=9, schemes=("gmm-obs+swmmse", "gmm-perfect+swmmse"))
+    run_sweep(exp, "iterations", [2, 9])
+    run_sweep(exp, "iterations", [2, 5])
+    run_sweep(exp, "users", [2, 4, 3])
+    shapes = [(10, 4), (6, 4), (10, 2), (10, 4), (10, 3)]
+    assert seen == [(rounds, users, 16) for rounds, users in shapes
+                    for _ in range(2)]  # one design per scheme and point
 
 
 def test_monotone_snr_for_perfect_feedback(desk_train, desk_eval, desk_model):

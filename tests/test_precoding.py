@@ -7,8 +7,8 @@ from limfb import precoding
 from limfb.evaluate import sum_rate
 from limfb.gmm import GmmModel
 from limfb.precoding import (PrecoderSet, SwmmseOptions, _power_step,
-                             directional_representatives, rci_precoders,
-                             swmmse_precoders)
+                             _power_workspace, directional_representatives,
+                             rci_precoders, swmmse_precoders, swmmse_white)
 from wmmse_oracle import (deterministic_wmmse, eigen_power_step,
                           reference_power_step, reference_swmmse,
                           stochastic_wmmse)
@@ -20,6 +20,16 @@ def _degenerate_model(means, eps=1e-12):
     covs = np.stack([eps * np.eye(dim)] * n_comp)
     weights = np.full(n_comp, 1.0 / n_comp)
     return GmmModel(weights, means, covs)
+
+
+def _random_model(dim, n_comp, seed):
+    """Full-rank random components, as a fitted mixture at N = dim has."""
+    rng = np.random.default_rng(seed)
+    raw = _complex_normal(rng, (n_comp, dim, 2 * dim))
+    covs = raw @ np.swapaxes(raw, 1, 2).conj() / (2 * dim)
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2).conj())
+    return GmmModel(np.full(n_comp, 1.0 / n_comp),
+                    _complex_normal(rng, (n_comp, dim)), covs)
 
 
 # -- directional representatives ----------------------------------------------
@@ -237,16 +247,26 @@ def test_swmmse_matches_per_user_reference(desk_model):
                 <= 1e-6 * np.linalg.norm(expected))
 
 
-@pytest.mark.parametrize("seed", [0, 6, 21])
-@pytest.mark.parametrize("sigma_n2", [1.0, 0.1, 0.001])
-def test_swmmse_matches_reference_loop_bit_for_bit(desk_model, seed, sigma_n2):
-    # 8 users on 16 antennas: the first iterations take the eigen path
-    components = [2, 0, 2, 9, 15, 4, 4, 11]
-    options = SwmmseOptions(max_iters=60, seed=seed)
-    out = swmmse_precoders(desk_model, [k + 1 for k in components],
+@pytest.mark.parametrize("scale, seed, sigma_n2", [
+    pytest.param("desk", seed, sigma_n2, id=f"{sigma_n2}-{seed}")
+    for seed in (0, 6, 21) for sigma_n2 in (1.0, 0.1, 0.001)] + [
+    pytest.param("n64", 8, sigma_n2, id=f"n64-{sigma_n2}")
+    for sigma_n2 in (1.0, 0.01)])
+def test_swmmse_matches_reference_loop_bit_for_bit(desk_model, scale, seed,
+                                                   sigma_n2):
+    # 8 users on 16 antennas: the first iterations take the eigen path; the
+    # benchmark's shape, 8 users on 64 antennas (4 x 16), pins the buffers'
+    # layouts and the BLAS kernels chosen at that size
+    if scale == "desk":
+        model, components = desk_model, [2, 0, 2, 9, 15, 4, 4, 11]
+        options = SwmmseOptions(max_iters=60, seed=seed)
+    else:
+        model, components = _random_model(64, 4, 1), [1, 0, 1, 3, 2, 2, 3, 0]
+        options = SwmmseOptions(max_iters=40, seed=seed)
+    out = swmmse_precoders(model, [k + 1 for k in components],
                            sigma_n2, 1.0, options)
     vectors, objective, ridge, factorizations, eigen = reference_swmmse(
-        desk_model, components, sigma_n2, 1.0, options)
+        model, components, sigma_n2, 1.0, options)
     assert out.vectors.tobytes() == vectors.tobytes()
     assert out.metadata["objective"].tobytes() == objective.tobytes()
     assert out.metadata["ridge"].tobytes() == ridge.tobytes()
@@ -271,14 +291,22 @@ def test_swmmse_two_user_matches_deterministic_oracle():
 
 
 def test_swmmse_permutation_equivariance():
+    # two distinct components of covariance eps I: swapping the reports
+    # swaps the users' rows. Only the noise each user draws changes, which
+    # moves the samples by about sqrt(eps) and the precoders by a bounded
+    # multiple of it (0.3 to 0.75 sqrt(eps) over three draws of the means)
     rng = np.random.default_rng(11)
-    mean = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    model = _degenerate_model([mean])
+    means = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    eps = 1e-12
+    model = _degenerate_model(means, eps)
     opts = SwmmseOptions(max_iters=40, seed=3)
-    out = swmmse_precoders(model, [1, 1], 0.2, 1.0, opts)
-    swapped = swmmse_precoders(model, [1, 1], 0.2, 1.0, opts)
-    np.testing.assert_allclose(out.vectors, swapped.vectors[[0, 1]],
-                               atol=1e-5)
+    out = swmmse_precoders(model, [1, 2], 0.2, 1.0, opts)
+    swapped = swmmse_precoders(model, [2, 1], 0.2, 1.0, opts)
+    tol = 10.0 * np.sqrt(eps)
+    np.testing.assert_allclose(swapped.vectors[[1, 0]], out.vectors,
+                               rtol=0.0, atol=tol)
+    # the users' rows differ, so the swap is not the identity
+    assert np.max(np.abs(swapped.vectors - out.vectors)) > 1e4 * tol
 
 
 def test_swmmse_trajectory_metadata():
@@ -512,3 +540,88 @@ def test_power_step_keeps_zero_ridge_inside_the_window():
         vectors, lam, _, eigen = _power_step(cov, rhs, rho, start)
         assert lam == 0.0 and not eigen
         np.testing.assert_allclose(vectors, zero_vectors, rtol=1e-10)
+
+
+def _power_case(rng, dim, users, rank_cut, log_cond, log_margin, log_start):
+    """A (cov, rhs, rho, lam) power step as the properties above draw it."""
+    rank = max(1, dim - rank_cut)
+    basis, _ = np.linalg.qr(_complex_normal(rng, (dim, dim)))
+    eigvals = np.zeros(dim)
+    eigvals[:rank] = 10.0 ** -(log_cond * np.r_[0.0, rng.uniform(size=rank - 1)])
+    cov = (basis * eigvals) @ basis.conj().T
+    rhs = (basis[:, :rank] @ _complex_normal(rng, (rank, users))).T
+    zero_power = np.sum(np.abs(eigen_power_step(cov, rhs, np.inf)[0]) ** 2)
+    lam = 0.0 if log_start is None else np.exp(log_start) * rank / dim
+    return cov, np.ascontiguousarray(rhs), zero_power * np.exp(log_margin), lam
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 10), users=st.integers(1, 4),
+       steps=st.lists(st.tuples(
+           st.integers(0, 3), st.floats(0.0, 6.0), st.floats(-3.0, 3.0),
+           st.one_of(st.none(), st.floats(-3.0, 3.0)), st.booleans()),
+           min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_power_step_reusing_a_workspace_matches_fresh_steps(dim, users, steps,
+                                                            seed):
+    # whatever an earlier step left in the buffer, and whichever order cov
+    # is stored in, a step returns the bytes of a step with a fresh buffer
+    rng = np.random.default_rng(seed)
+    workspace = _power_workspace(dim)
+    for rank_cut, log_cond, log_margin, log_start, fortran in steps:
+        cov, rhs, rho, lam = _power_case(rng, dim, users, rank_cut, log_cond,
+                                         log_margin, log_start)
+        fresh = _power_step(cov, rhs, rho, lam)
+        stored = np.asfortranarray(cov) if fortran else cov
+        reused = _power_step(stored, rhs, rho, lam, workspace)
+        assert reused[0].tobytes() == fresh[0].tobytes()
+        assert reused[1:] == fresh[1:]
+        assert np.asarray(reused[1]).tobytes() == np.asarray(fresh[1]).tobytes()
+
+
+# -- the draws of a design -------------------------------------------------------
+
+def test_swmmse_white_is_the_stream_of_one_draw_per_design():
+    noise = np.random.default_rng(5).standard_normal((4, 2, 3, 2))
+    expected = (noise[:, 0] + 1j * noise[:, 1]) / np.sqrt(2.0)
+    assert swmmse_white(5, 4, 3, 2).tobytes() == expected.tobytes()
+
+
+def test_swmmse_takes_its_draws_or_makes_them(desk_model):
+    options = SwmmseOptions(max_iters=20, seed=7)
+    own = swmmse_precoders(desk_model, [3, 1, 3], 0.1, 1.0, options)
+    given = swmmse_precoders(desk_model, [3, 1, 3], 0.1, 1.0, options,
+                             white=swmmse_white(7, 21, 3, 16))
+    assert given.vectors.tobytes() == own.vectors.tobytes()
+    assert (given.metadata["precoders"].tobytes()
+            == own.metadata["precoders"].tobytes())
+    for shape in ((20, 3, 16), (21, 2, 16), (21, 3, 8), (21, 3)):
+        with pytest.raises(ValueError, match="white draws must have shape"):
+            swmmse_precoders(desk_model, [3, 1, 3], 0.1, 1.0, options,
+                             white=np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("drawn_here", [True, False])
+def test_swmmse_design_memory_stays_below_three_sample_sets(drawn_here):
+    # N=64 (4 x 16), 8 users, 300 iterations: a set is the (T + 1) J N
+    # complex of the samples. The design holds the samples, the precoder
+    # snapshots and, at the end, the power track's |v|^2; the draws made
+    # here go before the snapshots come. The earlier loop, with a
+    # conjugated copy of the samples, traced 3.75 sets (8.8 MiB); this one
+    # traces 2.60 sets either way
+    import tracemalloc
+
+    model = _random_model(64, 4, 1)
+    options = SwmmseOptions(max_iters=300, seed=2)
+    one_set = 301 * 8 * 64 * 16
+    white = None if drawn_here else swmmse_white(2, 301, 8, 64)
+    swmmse_precoders(model, [1, 2, 2, 3, 4, 1, 3, 4], 0.1, 1.0, options,
+                     white=white)  # warm-up: caches outside the design
+    tracemalloc.start()
+    try:
+        swmmse_precoders(model, [1, 2, 2, 3, 4, 1, 3, 4], 0.1, 1.0, options,
+                         white=white)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * one_set
