@@ -74,7 +74,8 @@ def _cmd_feedback(args):
     try:
         config = ExperimentConfig(
             geometry=args.geometry, train_data=args.train_data,
-            eval_data=args.data, bits=bits, users=1, pilots=args.pilots)
+            eval_data=args.data, bits=bits, users=1, pilots=args.pilots,
+            snr_db=(args.snr_db,))
         experiment = Experiment(config, models={(constraint, bits): model})
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -82,8 +83,7 @@ def _cmd_feedback(args):
     blocker = experiment.scheme_blocker(tag, bits)
     if blocker:
         raise SystemExit(f"{args.scheme}: {blocker}; pass --train-data")
-    sigma_n2 = 1.0 / 10.0 ** (args.snr_db / 10.0)
-    setup = experiment.pilot_setup(args.pilots, sigma_n2)
+    setup = experiment.pilot_setup(args.pilots, config.sigma_n2)
 
     dataset = experiment.eval
     count = len(dataset) if args.count is None else min(args.count,

@@ -20,8 +20,9 @@ with or without a ``+rci`` suffix, gets RCI (codebook schemes cannot take
 import hashlib
 import json
 import logging
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,16 +30,18 @@ from .config import read_fields, read_kv
 from .estimators import (build_omp_dictionary, estimate_gmm, estimate_lmmse,
                          estimate_omp)
 from .feedback import (build_dft_codebook, build_pilot_matrix,
-                       mixture_feedback, select_codebook_index)
+                       mixture_feedback, observe, select_codebook_index)
 from .gmm import fit_em, load_model, project_to_observation, sample_moments
-from .precoding import (SwmmseOptions, _check_rho, _sum_rate_matrix,
+from .precoding import (_check_rho, _sum_rate_matrix,
                         directional_representatives, rci_precoders,
                         swmmse_precoders, swmmse_white)
 from .scene import ArrayGeometry, load_dataset, read_geometry
 
 logger = logging.getLogger(__name__)
 
-SWEEP_AXES = ("snr", "pilots", "bits", "users", "iterations")
+# sweep axis -> the config field a point along it sets
+SWEEP_AXES = {"snr": "snr_db", "pilots": "pilots", "bits": "bits",
+              "users": "users", "iterations": "iters"}
 
 # mixture family of a tag -> the covariance constraint of its model
 MIXTURE_FAMILIES = {"gmm": "full", "tgmm": "toeplitz"}
@@ -108,17 +111,29 @@ class ExperimentConfig:
     model_paths: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("constellations", "users", "iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name in ("bits", "users", "pilots", "constellations", "iters"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name in ("users", "constellations", "iters"):
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.bits < 0:
+            raise ValueError(f"bits must be >= 0, got {self.bits}")
         if not 1 <= self.pilots <= self.geometry.n:
             raise ValueError(f"pilots must lie in 1..{self.geometry.n}, "
                              f"got {self.pilots}")
         _check_rho(self.rho)
         if not self.snr_db:
             raise ValueError("need at least one snr_db point")
+        if not np.all(np.isfinite(self.snr_db)):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         for tag in self.schemes:
             parse_scheme(tag)
+
+    @property
+    def sigma_n2(self):
+        """The noise variance of the first SNR point, rho / 10^(snr_db/10)."""
+        return self.rho / 10.0 ** (self.snr_db[0] / 10.0)
 
     @classmethod
     def desk_profile(cls, **overrides):
@@ -169,9 +184,9 @@ class Experiment:
     ``config.model_paths`` (keys ``full``/``toeplitz`` or ``full.<bits>``)
     or, when training data is available, fitted on demand (logged at INFO).
     Everything derived from them is made on first use and kept in one dict;
-    a component's representative is made when a report first names it. The
-    SWMMSE draws of the last (seed, rounds, users, dim) are kept in one slot,
-    so the designs of a constellation, which share its seed, draw once.
+    a component's representative is made when a report first names it.
+    What belongs to one constellation, its feedback and its SWMMSE draws,
+    lives in :meth:`run_constellation` only.
     """
 
     def __init__(self, config, train_dataset=None, eval_dataset=None,
@@ -192,7 +207,6 @@ class Experiment:
             raise ValueError("more users than evaluation channels")
         self.models = dict(models) if models else {}
         self._cache = {}
-        self._white = None  # (key, draws) of the last SWMMSE design
 
     # -- resources ---------------------------------------------------------
 
@@ -237,14 +251,6 @@ class Experiment:
             ("observation", constraint, bits, n_pilots, sigma_n2),
             lambda: project_to_observation(self.model_for(constraint, bits),
                                            self.pilot_setup(n_pilots, sigma_n2)))
-
-    def swmmse_white(self, seed, rounds, users, dim):
-        """The unit draws of :func:`swmmse_white`, kept for the last key."""
-        key = (seed, rounds, users, dim)
-        if self._white is None or self._white[0] != key:
-            self._white = None  # the old draws go before the new ones come
-            self._white = (key, swmmse_white(*key))
-        return self._white[1]
 
     def codebook(self, bits):
         return self._memo(("codebook", bits),
@@ -303,62 +309,53 @@ class Experiment:
         return np.array([select_codebook_index(codebook, h_hat).index
                          for h_hat in estimates])
 
-    def _precoders(self, tag, bits, indices, sigma_n2, swmmse_seed, iters):
-        source, constraint, designer = parse_scheme(tag)
-        rho = self.config.rho
-        if designer == "swmmse":
-            model = self.model_for(constraint, bits)
-            options = SwmmseOptions(max_iters=iters, seed=swmmse_seed)
-            white = self.swmmse_white(swmmse_seed, iters + 1, len(indices),
-                                      model.dim)
-            return swmmse_precoders(model, indices, sigma_n2, rho, options,
-                                    white=white)
-        if source.startswith("dft:"):
-            chosen = self.codebook(bits).entries[indices - 1]
-        else:
-            chosen = self.representatives(constraint, bits, indices)
-        return rci_precoders(chosen, sigma_n2, rho)
-
-    def run_constellation(self, seed, n_pilots=None, sigma_n2=None, bits=None,
-                          users=None, iters=None, at_iterations=None):
+    def run_constellation(self, seed, point=None, at_iterations=None):
         """Rates per scheme for one constellation draw.
 
-        All schemes see the same user channels and the same unit pilot noise
-        (common random numbers). Returns (rates, skipped). With
-        ``at_iterations`` (1-based, at most ``iters``) the rate of an
+        ``point`` is the config of a sweep point (default: the experiment's
+        config); it sets the pilots, SNR, bits, users and iterations. All
+        schemes see the same user channels and the same unit pilot noise
+        (common random numbers). Schemes of one feedback source and model
+        share one feedback call, and the SWMMSE designs share one draw,
+        made at the first of them. Returns (rates, skipped). With
+        ``at_iterations`` (1-based, at most ``point.iters``) the rate of an
         SWMMSE-designed scheme is an array, one rate per listed iteration,
         evaluated from that iteration's precoder snapshot.
         """
-        cfg = self.config
-        n_pilots = cfg.pilots if n_pilots is None else n_pilots
-        bits = cfg.bits if bits is None else bits
-        users = cfg.users if users is None else users
-        iters = cfg.iters if iters is None else iters
-        if sigma_n2 is None:
-            sigma_n2 = cfg.rho / 10.0 ** (cfg.snr_db[0] / 10.0)
+        point = self.config if point is None else point
+        bits, sigma_n2, rho = point.bits, point.sigma_n2, point.rho
         rng = np.random.default_rng(seed)
-        picks = rng.choice(len(self.eval), size=users, replace=False)
+        picks = rng.choice(len(self.eval), size=point.users, replace=False)
         channels = self.eval.samples[picks].astype(np.complex128)
-        unit_noise = (rng.standard_normal((users, n_pilots))
-                      + 1j * rng.standard_normal((users, n_pilots)))
-        unit_noise /= np.sqrt(2.0)
+        setup = self.pilot_setup(point.pilots, sigma_n2)
+        observations = observe(setup, channels, rng)
         swmmse_seed = int(rng.integers(0, 2 ** 63))
 
-        setup = self.pilot_setup(n_pilots, sigma_n2)
-        observations = (channels @ setup.pilot_matrix.T
-                        + np.sqrt(sigma_n2) * unit_noise)
-
-        rates = {}
-        skipped = {}
-        for tag in cfg.schemes:
+        rates, skipped = {}, {}
+        feedback = {}  # indices by (source, constraint)
+        white = None  # the SWMMSE draws, made for the first design
+        for tag in point.schemes:
             blocker = self.scheme_blocker(tag, bits)
             if blocker:
                 skipped[tag] = blocker
                 continue
-            indices = self.feedback(tag, bits, setup, channels, observations)
-            precoders = self._precoders(tag, bits, indices, sigma_n2,
-                                        swmmse_seed, iters)
-            if at_iterations is not None and precoders.designer == "swmmse":
+            source, constraint, designer = parse_scheme(tag)
+            if (source, constraint) not in feedback:
+                feedback[source, constraint] = self.feedback(
+                    tag, bits, setup, channels, observations)
+            indices = feedback[source, constraint]
+            if designer == "swmmse":
+                if white is None:
+                    white = swmmse_white(swmmse_seed, point.iters + 1,
+                                         point.users, self.geometry.n)
+                precoders = swmmse_precoders(self.model_for(constraint, bits),
+                                             indices, sigma_n2, rho, white)
+            else:
+                chosen = (self.codebook(bits).entries[indices - 1]
+                          if source.startswith("dft:") else
+                          self.representatives(constraint, bits, indices))
+                precoders = rci_precoders(chosen, sigma_n2, rho)
+            if at_iterations is not None and designer == "swmmse":
                 snaps = precoders.metadata["precoders"]
                 rates[tag] = np.array([sum_rate(channels, snaps[t - 1], sigma_n2)
                                        for t in at_iterations])
@@ -370,28 +367,30 @@ class Experiment:
 def axis_values(experiment, axis, values=None):
     """The points of a sweep along ``axis``: ``values`` or the defaults.
 
-    An iteration must be >= 1, a pilot count lie in 1..N, a bit width >= 0
-    and a user count in 1..len(eval); a value out of range raises
-    ValueError, as does a bit width that EM or the codebook cannot serve.
+    Each value must make a valid config (see :func:`sweep_point`), a user
+    count must not exceed len(eval), and EM and the codebook must serve a
+    bit width; otherwise ValueError names the axis and the value.
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r} (one of {SWEEP_AXES})")
-    if values is not None:
-        lo, hi = {"iterations": (1, np.inf),
-                  "pilots": (1, experiment.geometry.n),
-                  "bits": (0, np.inf),
-                  "users": (1, len(experiment.eval))}.get(axis, (-np.inf, np.inf))
-        bad = [v for v in values if not lo <= v <= hi]
-        if bad:
-            raise ValueError(f"{axis} values must lie in {lo}..{hi}, got {bad}")
-        if axis == "bits":
-            for bits in values:
-                for tag in experiment.config.schemes:
-                    if (experiment.scheme_blocker(tag, bits) is None
-                            and tag.startswith("dft:")):
-                        experiment.codebook(bits)
-        return list(values)
+        raise ValueError(f"unknown sweep axis {axis!r} "
+                         f"(one of {tuple(SWEEP_AXES)})")
     cfg = experiment.config
+    if values is not None:
+        for value in values:
+            try:
+                sweep_point(cfg, axis, value)
+                if axis == "users" and value > len(experiment.eval):
+                    raise ValueError(f"more users than the "
+                                     f"{len(experiment.eval)} evaluation "
+                                     f"channels")
+                for tag in cfg.schemes:  # fits what the bit width needs
+                    if (axis == "bits"
+                            and experiment.scheme_blocker(tag, value) is None
+                            and tag.startswith("dft:")):
+                        experiment.codebook(value)
+            except ValueError as exc:
+                raise ValueError(f"{axis} value {value!r}: {exc}") from None
+        return list(values)
     if axis == "snr":
         return list(cfg.snr_db)
     if axis == "pilots":
@@ -401,6 +400,13 @@ def axis_values(experiment, axis, values=None):
     if axis == "users":
         return [v for v in (2, 4, 8, 12, 16) if v <= len(experiment.eval)]
     return list(range(1, cfg.iters + 1))  # iterations
+
+
+def sweep_point(config, axis, value):
+    """``config`` with the field of ``axis`` set to ``value``: the snr axis
+    sets ``snr_db=(value,)``, the iterations axis ``iters``."""
+    value = (value,) if axis == "snr" else value
+    return replace(config, **{SWEEP_AXES[axis]: value})
 
 
 def mean_and_se(rates):
@@ -426,23 +432,22 @@ def run_sweep(experiment, axis, values=None):
     cfg = experiment.config
     started = time.time()
 
-    # (rows of the result, run_constellation arguments) per sweep point
+    # (rows of the result, the point's config) per sweep point
+    at_iterations = None
     if axis == "iterations":
-        points = [(slice(None), {"iters": max(values), "at_iterations": values})]
-    elif axis == "snr":
-        points = [(row, {"sigma_n2": cfg.rho / 10.0 ** (value / 10.0)})
-                  for row, value in enumerate(values)]
+        points = [(slice(None), sweep_point(cfg, axis, max(values)))]
+        at_iterations = values
     else:
-        name = {"pilots": "n_pilots", "bits": "bits", "users": "users"}[axis]
-        points = [(row, {name: int(value)}) for row, value in enumerate(values)]
+        points = [(row, sweep_point(cfg, axis, value))
+                  for row, value in enumerate(values)]
 
     n_const = cfg.constellations
     collected = {}
     skipped_all = {}
-    for row, kwargs in points:
+    for row, point in points:
         for i in range(n_const):
-            rates, skipped = experiment.run_constellation([cfg.seed, i],
-                                                          **kwargs)
+            rates, skipped = experiment.run_constellation(
+                [cfg.seed, i], point, at_iterations)
             skipped_all.update(skipped)
             for tag, rate in rates.items():
                 store = collected.setdefault(

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import dft
 
-from .precoding import _check_rho
+from .precoding import _check_noise, _check_rho
 
 logger = logging.getLogger(__name__)
 
@@ -36,8 +36,7 @@ class PilotSetup:
         if n_pilots > dim:
             raise ValueError("cannot use more pilots than antennas")
         _check_rho(rho)
-        if not sigma_n2 >= 0:  # also rejects NaN
-            raise ValueError(f"sigma_n2 must be >= 0, got {sigma_n2}")
+        _check_noise(sigma_n2, allow_zero=True)
         row_energy = np.sum(np.abs(pilot_matrix) ** 2, axis=1)
         if np.max(np.abs(row_energy - rho)) > 1e-8 * rho:
             raise ValueError("every pilot row must carry energy rho")
@@ -69,16 +68,19 @@ def build_pilot_matrix(geometry, n_pilots, *, sigma_n2, rho=1.0):
 
 
 def observe(setup, h, seed):
-    """One noisy pilot observation ``y = P h + n`` with complex AWGN.
+    """Noisy pilot observations ``y = P h + n`` of a channel (N,) or of the
+    rows of ``h`` (J, N), with complex AWGN.
 
-    ``seed`` may be an int or a numpy Generator; the noise is
+    ``seed`` may be an int or a numpy Generator. It draws all real parts of
+    the unit noise, then all imaginary parts; the noise is
     circularly-symmetric with variance ``setup.sigma_n2`` per entry.
     """
     h = np.asarray(h, dtype=np.complex128)
     rng = np.random.default_rng(seed)
-    unit = (rng.standard_normal(setup.n_pilots)
-            + 1j * rng.standard_normal(setup.n_pilots)) / np.sqrt(2.0)
-    return setup.pilot_matrix @ h + np.sqrt(setup.sigma_n2) * unit
+    shape = (*h.shape[:-1], setup.n_pilots)
+    unit = (rng.standard_normal(shape)
+            + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return h @ setup.pilot_matrix.T + np.sqrt(setup.sigma_n2) * unit
 
 
 @dataclass

@@ -11,9 +11,9 @@ ridge that meets the budget from the previous ridge, one Cholesky
 factorization per step: the first step follows a third-order model of the
 power, so most iterations take two factorizations. A design factors in one
 workspace and keeps its per-iteration quantities in buffers made once. Its
-unit draws (:func:`swmmse_white`) depend only on the seed and the shape, so
-designs that share a seed, as the designs of one constellation in a sweep
-do, can share one draw.
+unit draws are its only randomness: a caller with a seed makes them with
+:func:`swmmse_white`, and the designs of one constellation in a sweep share
+one draw.
 
 Rates everywhere use the bilinear pairing ``h^T v``; designers therefore
 consume conjugated representatives internally so that a representative equal
@@ -22,7 +22,6 @@ to the true channel direction yields the maximal beamforming gain.
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -38,18 +37,6 @@ _WEIGHT_CLAMP = 1e6
 _NEWTON_STEPS = 100
 _POWER_TOL = 1e-9  # a power step ends within _POWER_TOL * rho below rho
 _SERIES_TERM = 0.3  # the most each series term may change a Newton step
-
-
-@dataclass
-class SwmmseOptions:
-    """Stochastic WMMSE knobs; the step size is gamma_t = 1/t."""
-
-    max_iters: int = 300
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 class PrecoderSet:
@@ -349,24 +336,24 @@ def swmmse_white(seed, rounds, users, dim):
     return white
 
 
-def swmmse_precoders(model, indices, sigma_n2, rho, options=None, white=None):
+def swmmse_precoders(model, indices, sigma_n2, rho, white):
     """Stochastic WMMSE precoders driven by mixture component samples.
 
-    Per iteration t: draw one sample per user from its reported component,
-    compute scalar MMSE receivers and clamped MSE weights on the samples,
-    fold the weighted statistics into running averages with step size 1/t,
-    and re-solve the regularized system with the least ridge that meets the
-    power budget (:func:`_power_step`, warm-started from the previous ridge).
-    ``white`` holds the unit draws of all ``max_iters + 1`` rounds, as
-    :func:`swmmse_white` makes them from ``options.seed`` (they are made
-    here when None); designs that share a seed can share them.
+    ``white`` holds the unit complex normal draws of all T + 1 rounds,
+    shape (T + 1, J, N), as :func:`swmmse_white` makes them from a seed;
+    they are the design's only randomness, and designs can share them.
+    Round 0 starts the precoders; per iteration t = 1..T: draw one sample
+    per user from its reported component, compute scalar MMSE receivers and
+    clamped MSE weights on the samples, fold the weighted statistics into
+    running averages with step size 1/t, and re-solve the regularized
+    system with the least ridge that meets the power budget
+    (:func:`_power_step`, warm-started from the previous ridge).
     The trajectory metadata records the per-iteration power, ridge,
     sampled-channel objective and precoder snapshots (used to evaluate
     sum-rate over iterations without re-running), the Cholesky factorizations
     of each power step and the number of iterations that took the eigen path.
     One DEBUG line per design sums these up; nothing is logged per iteration.
     """
-    options = options or SwmmseOptions()
     _check_rho(rho)
     _check_noise(sigma_n2, allow_zero=False)
     comps = np.asarray(indices, dtype=np.intp).reshape(-1) - 1
@@ -376,12 +363,11 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None, white=None):
     if np.any((comps < 0) | (comps >= model.n_components)):
         raise ValueError(f"feedback indices outside 1..{model.n_components}")
     dim = model.dim
-    shape = (options.max_iters + 1, n_users, dim)
-    if white is None:
-        white = swmmse_white(options.seed, *shape)
-    elif np.shape(white) != shape:
-        raise ValueError(f"white draws must have shape {shape}, "
-                         f"got {np.shape(white)}")
+    shape = np.shape(white)
+    if len(shape) != 3 or shape[0] < 2 or shape[1:] != (n_users, dim):
+        raise ValueError(f"white draws must have shape (T + 1, {n_users}, "
+                         f"{dim}) with T >= 1, got {shape}")
+    n_iters = shape[0] - 1
     unique, inverse = np.unique(comps, return_inverse=True)
     roots = np.stack([_component_sqrt(model.covariances[k]) for k in unique])[inverse]
     samples = (roots @ white[..., None])[..., 0]
@@ -393,11 +379,11 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None, white=None):
 
     avg_cov = np.zeros((dim, dim), dtype=np.complex128)
     avg_rhs = np.zeros((n_users, dim), dtype=np.complex128)
-    lambda_track = np.empty(options.max_iters)
-    factorizations = np.empty(options.max_iters, dtype=np.int64)
+    lambda_track = np.empty(n_iters)
+    factorizations = np.empty(n_iters, dtype=np.int64)
     eigen_iterations = 0
     lam = 0.0
-    snapshots = np.empty((options.max_iters, n_users, dim), dtype=np.complex128)
+    snapshots = np.empty((n_iters, n_users, dim), dtype=np.complex128)
     # the per-iteration quantities, each in a buffer made once per design
     workspace = _power_workspace(dim)
     sample_conj = np.empty((n_users, dim), dtype=np.complex128)
@@ -411,7 +397,7 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None, white=None):
     diagonal, sample_conj_t = gains.diagonal(), sample_conj.T
     column_real, column_t = column.real, column[:, None]
 
-    for t in range(1, options.max_iters + 1):
+    for t in range(1, n_iters + 1):
         sample = samples[t]
         np.conjugate(sample, sample_conj)
         np.matmul(sample, vectors.T, gains)  # gains[j, m] = h_j^T v_m
@@ -465,7 +451,7 @@ def swmmse_precoders(model, indices, sigma_n2, rho, options=None, white=None):
     power = np.square(power, out=power).sum(axis=(1, 2))
     logger.debug("swmmse: %d iterations, %.3f factorizations per iteration, "
                  "%d on the eigen path, final ridge %.6g, final power slack "
-                 "%.6g", options.max_iters, np.mean(factorizations),
+                 "%.6g", n_iters, np.mean(factorizations),
                  eigen_iterations, lam, 1.0 - power[-1] / rho)
     metadata = {
         "power": power,

@@ -176,18 +176,25 @@ def _sweep_config(workspace, path, **overrides):
     ({}, ["--iters", "0"], "iters must be >= 1"),
     (dict(num_cluster=4), [], "unknown config keys"),
     ({}, ["--values", "2,x"], "invalid literal"),
-    ({}, ["--values", "4,9"], r"pilots values must lie in 1..8, got \[9\]"),
+    ({}, ["--values", "4,9"],
+     r"pilots value 9: pilots must lie in 1..8, got 9"),
     ({}, ["--axis", "users", "--values", "2,500"],
-     r"users values must lie in 1..400, got \[500\]"),
+     "users value 500: more users than the 400 evaluation channels"),
     ({}, ["--axis", "iterations", "--values", "0,4"],
-     r"iterations values must lie in 1..inf, got \[0\]"),
+     "iterations value 0: iters must be >= 1, got 0"),
     ({}, ["--axis", "bits", "--values=-1"],
-     r"bits values must lie in 0..inf, got \[-1\]"),
+     "bits value -1: bits must be >= 0, got -1"),
     ({}, ["--axis", "bits", "--values", "2,20"],
      "need at least as many samples as components: K=1048576, 1200 samples"),
+    (dict(bits=-1), [], "bits must be >= 0, got -1"),
+    (dict(snr_db="0,nan"), [], r"snr_db must be finite, got \(0.0, nan\)"),
+    (dict(snr_db="-inf"), [], r"snr_db must be finite, got \(-inf,\)"),
+    ({}, ["--axis", "snr", "--values", "0,inf"],
+     "snr value inf: snr_db must be finite"),
 ], ids=["rho-nan", "rho-zero", "iters-key", "iters-flag", "unknown-key",
         "bad-values", "pilots-range", "users-range", "iterations-range",
-        "bits-range", "bits-beyond-training"])
+        "bits-range", "bits-beyond-training", "bits-key", "snr-nan-key",
+        "snr-minus-inf-key", "snr-inf-values"])
 def test_sweep_exits_with_the_message_on_a_bad_config(
         workspace, tmp_path, capsys, overrides, extra, match):
     cfg = _sweep_config(workspace, tmp_path / "bad.cfg", **overrides)
@@ -330,6 +337,18 @@ def test_feedback_rejects_pilots_outside_the_array(workspace, capsys, pilots):
     with pytest.raises(SystemExit,
                        match=f"pilots must lie in 1..8, got {pilots}"):
         main(_feedback_args(workspace, "--pilots", pilots))
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("snr_db", ["nan", "inf", "-inf"])
+def test_feedback_rejects_an_snr_that_is_not_finite(workspace, capsys,
+                                                    snr_db):
+    args = _feedback_args(workspace, "--pilots", "4")
+    at = args.index("--snr-db")
+    args[at:at + 2] = [f"--snr-db={snr_db}"]  # "-inf" is no option
+    with pytest.raises(SystemExit,
+                       match=fr"snr_db must be finite, got \({snr_db},\)"):
+        main(args)
     assert capsys.readouterr().out == ""
 
 

@@ -1,5 +1,6 @@
 import logging
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,8 @@ from limfb.evaluate import (Experiment, ExperimentConfig, SweepResult,
                             dump_raw, emit_csv, export_trajectory_csv,
                             parse_scheme, read_sweep_csv, run_sweep, sum_rate)
 from limfb.gmm import GmmModel, project_to_observation
-from limfb.precoding import (PrecoderSet, SwmmseOptions,
-                             directional_representatives, rci_precoders,
-                             swmmse_precoders, swmmse_white)
+from limfb.precoding import (PrecoderSet, directional_representatives,
+                             rci_precoders, swmmse_precoders, swmmse_white)
 from limfb.scene import ArrayGeometry, load_scene_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -186,7 +186,8 @@ def test_perfect_equals_observed_with_invertible_noiseless_pilots(
         desk_train, desk_eval, desk_model):
     exp = _experiment(desk_train, desk_eval, desk_model,
                       schemes=("gmm-obs", "gmm-perfect"))
-    rates, _ = exp.run_constellation([17, 5], n_pilots=16, sigma_n2=1e-12)
+    point = replace(exp.config, pilots=16, snr_db=(120.0,))  # sigma_n2 1e-12
+    rates, _ = exp.run_constellation([17, 5], point)
     assert rates["gmm-obs"] == rates["gmm-perfect"]
 
 
@@ -212,12 +213,23 @@ def test_single_value_sweep_equals_constellation_mean(
 
 
 @pytest.mark.parametrize("axis, values, match", [
-    ("iterations", [0, 4], r"iterations values must lie in 1..inf, got \[0\]"),
-    ("pilots", [4, 17], r"pilots values must lie in 1..16, got \[17\]"),
-    ("users", [2, 2001], r"users values must lie in 1..2000, got \[2001\]"),
-    ("bits", [2, -1], r"bits values must lie in 0..inf, got \[-1\]"),
-    ("bits", [4, 20], "as many samples as components: K=1048576, 10000 ")],
-    ids=["iterations", "pilots", "users", "bits", "bits-beyond-training"])
+    ("iterations", [0, 4], r"^iterations value 0: iters must be >= 1, got 0$"),
+    ("pilots", [4, 17],
+     r"^pilots value 17: pilots must lie in 1..16, got 17$"),
+    ("users", [2, 2001],
+     r"^users value 2001: more users than the 2000 evaluation channels$"),
+    ("bits", [2, -1], r"^bits value -1: bits must be >= 0, got -1$"),
+    ("bits", [4, 20], "^bits value 20: need at least as many samples as "
+                      "components: K=1048576, 10000 "),
+    ("bits", [2.5], r"^bits value 2.5: bits must be an integer, got 2.5$"),
+    ("users", [2, 3.0], r"^users value 3.0: users must be an integer"),
+    ("iterations", [4, 2.5], r"^iterations value 2.5: iters must be an "
+                             r"integer, got 2.5$"),
+    ("snr", [0.0, np.nan], r"^snr value nan: snr_db must be finite"),
+    ("snr", [-np.inf], r"^snr value -inf: snr_db must be finite")],
+    ids=["iterations", "pilots", "users", "bits", "bits-beyond-training",
+         "bits-fraction", "users-float", "iterations-fraction", "snr-nan",
+         "snr-minus-inf"])
 def test_sweep_rejects_axis_values_out_of_range(
         desk_train, desk_eval, desk_model, monkeypatch, axis, values, match):
     exp = _experiment(desk_train, desk_eval, desk_model)
@@ -292,15 +304,14 @@ def test_at_iterations_evaluates_only_the_requested_snapshots(
         return real_sum_rate(*args)
 
     monkeypatch.setattr(evaluate, "sum_rate", counting_sum_rate)
-    rates, _ = exp.run_constellation([17, 0], iters=12,
-                                     at_iterations=[3, 12, 1])
+    rates, _ = exp.run_constellation([17, 0], at_iterations=[3, 12, 1])
     # three SWMMSE snapshots and one RCI design, not all 12 iterations
     assert len(calls) == 4
     assert np.ndim(rates["gmm-obs"]) == 0
     # the SWMMSE draws are a prefix-stable stream, so snapshot t is the
     # design of a run stopped after t iterations
-    expected = [exp.run_constellation([17, 0], iters=t)[0]["gmm-obs+swmmse"]
-                for t in (3, 12, 1)]
+    expected = [exp.run_constellation([17, 0], replace(exp.config, iters=t))
+                [0]["gmm-obs+swmmse"] for t in (3, 12, 1)]
     assert rates["gmm-obs+swmmse"].tolist() == expected
 
 
@@ -327,37 +338,93 @@ def test_shared_swmmse_draws_leave_every_rate_unchanged(
             fresh = _experiment(desk_train, desk_eval, desk_model, desk_tmodel,
                                 **overrides)
             rates, _ = fresh.run_constellation(
-                [17, i], sigma_n2=fresh.config.rho / 10.0 ** (snr / 10.0))
+                [17, i], replace(fresh.config, snr_db=(snr,)))
             for tag, rate in rates.items():
                 got = result.per_constellation[tag][row, i]
                 assert np.float64(got).tobytes() == np.float64(rate).tobytes()
 
 
+def _swmmse_seed(exp, seed, users):
+    """The SWMMSE seed of constellation ``seed`` at ``users`` users: the
+    draw after the user picks and the pilot noise."""
+    rng = np.random.default_rng(seed)
+    rng.choice(len(exp.eval), size=users, replace=False)
+    rng.standard_normal((users, exp.config.pilots))
+    rng.standard_normal((users, exp.config.pilots))
+    return int(rng.integers(0, 2 ** 63))
+
+
 def test_shared_swmmse_draws_match_each_design(desk_train, desk_eval,
                                                desk_model, monkeypatch):
-    # the slot is keyed by seed and shape: every design gets the draws it
-    # would make itself, whichever design ran before it. The second sweep
-    # reuses the first one's constellation seed at fewer iterations, and
-    # the users axis changes the shape between points
+    # every design gets swmmse_white(seed, iters + 1, users, N) for the seed
+    # of its own constellation. The second sweep reruns the first one's
+    # constellations at fewer iterations, and the users axis changes the
+    # shape and the seed between points
     seen = []
     real = evaluate.swmmse_precoders
 
-    def checking(model, indices, sigma_n2, rho, options, white=None):
-        expected = swmmse_white(options.seed, options.max_iters + 1,
-                                len(indices), model.dim)
+    def checking(model, indices, sigma_n2, rho, white):
+        seed = _swmmse_seed(exp, [17, len(seen) // 2 % 2], len(indices))
+        expected = swmmse_white(seed, len(white), len(indices), model.dim)
         assert white.tobytes() == expected.tobytes()
         seen.append(white.shape)
-        return real(model, indices, sigma_n2, rho, options, white=white)
+        return real(model, indices, sigma_n2, rho, white)
 
     monkeypatch.setattr(evaluate, "swmmse_precoders", checking)
-    exp = _experiment(desk_train, desk_eval, desk_model, constellations=1,
+    exp = _experiment(desk_train, desk_eval, desk_model, constellations=2,
                       iters=9, schemes=("gmm-obs+swmmse", "gmm-perfect+swmmse"))
     run_sweep(exp, "iterations", [2, 9])
     run_sweep(exp, "iterations", [2, 5])
     run_sweep(exp, "users", [2, 4, 3])
     shapes = [(10, 4), (6, 4), (10, 2), (10, 4), (10, 3)]
+    # one design per scheme, constellation and point
     assert seen == [(rounds, users, 16) for rounds, users in shapes
-                    for _ in range(2)]  # one design per scheme and point
+                    for _ in range(4)]
+
+
+def test_feedback_runs_once_per_source_and_model(
+        desk_train, desk_eval, desk_model, desk_tmodel, monkeypatch):
+    # an +swmmse scheme reuses the indices of the plain scheme of its source
+    # and model; every rate equals that of a one-scheme Experiment
+    schemes = ("gmm-obs", "tgmm-obs", "gmm-obs+swmmse", "tgmm-obs+swmmse")
+    exp = _experiment(desk_train, desk_eval, desk_model, desk_tmodel,
+                      constellations=2, iters=6, schemes=schemes)
+    calls = []
+    feedback = exp.feedback
+
+    def counting_feedback(tag, *args):
+        calls.append(parse_scheme(tag)[:2])
+        return feedback(tag, *args)
+
+    monkeypatch.setattr(exp, "feedback", counting_feedback)
+    result = run_sweep(exp, "snr", values=[0.0, 20.0])
+    # two constellations at two points, one call per (source, constraint)
+    assert calls == [("obs", "full"), ("obs", "toeplitz")] * 4
+    for tag in schemes:
+        alone = _experiment(desk_train, desk_eval, desk_model, desk_tmodel,
+                            constellations=2, iters=6, schemes=(tag,))
+        for row, snr in enumerate((0.0, 20.0)):
+            point = replace(alone.config, snr_db=(snr,))
+            for i in range(2):
+                rate = alone.run_constellation([17, i], point)[0][tag]
+                got = result.per_constellation[tag][row, i]
+                assert np.float64(got).tobytes() == np.float64(rate).tobytes()
+
+
+def test_no_swmmse_draw_without_a_runnable_swmmse_scheme(
+        desk_eval, desk_model, monkeypatch):
+    # without training data there is no Toeplitz model, so tgmm-obs+swmmse
+    # is skipped
+    monkeypatch.setattr(evaluate, "swmmse_white",
+                        lambda *args: pytest.fail("drew SWMMSE noise"))
+    config = ExperimentConfig.desk_profile(
+        users=4, constellations=2, seed=17,
+        schemes=("gmm-obs", "gmm-perfect+rci", "dft:omp", "tgmm-obs+swmmse"))
+    exp = Experiment(config, eval_dataset=desk_eval,
+                     models={("full", 4): desk_model})
+    result = run_sweep(exp, "snr", values=[0.0, 10.0])
+    assert result.schemes == ["gmm-obs", "gmm-perfect+rci", "dft:omp"]
+    assert set(result.metadata["skipped"]) == {"tgmm-obs+swmmse"}
 
 
 def test_monotone_snr_for_perfect_feedback(desk_train, desk_eval, desk_model):
@@ -429,8 +496,7 @@ def test_dump_raw_round_trip(tmp_path, desk_train, desk_eval, desk_model):
 def test_export_trajectory_csv(tmp_path):
     mean = np.array([1.0, 0.5j, -0.25, 0.1], dtype=complex)
     model = GmmModel([1.0], [mean], [1e-10 * np.eye(4)])
-    out = swmmse_precoders(model, [1], 0.1, 1.0,
-                           SwmmseOptions(max_iters=12, seed=0))
+    out = swmmse_precoders(model, [1], 0.1, 1.0, swmmse_white(0, 13, 1, 4))
     path = tmp_path / "traj.csv"
     export_trajectory_csv(out, path)
     lines = path.read_text().splitlines()
@@ -502,9 +568,21 @@ def test_experiment_config_without_profile_reads_the_array_keys(tmp_path):
     (dict(rho=np.nan), "rho"), (dict(rho=np.inf), "rho"),
     (dict(rho=0.0), "rho"), (dict(rho=-1.0), "rho"),
     (dict(iters=0), "iters"), (dict(snr_db=()), "snr_db"),
-    (dict(constellations=0), "constellations"), (dict(users=0), "users")],
+    (dict(constellations=0), "constellations"), (dict(users=0), "users"),
+    (dict(bits=-1), "bits must be >= 0, got -1"),
+    (dict(bits=2.5), "bits must be an integer, got 2.5"),
+    (dict(constellations=2.5), "constellations must be an integer"),
+    (dict(users=2.0), "users must be an integer"),
+    (dict(pilots=4.0), "pilots must be an integer"),
+    (dict(iters=1.5), "iters must be an integer"),
+    (dict(snr_db=(10.0, np.nan)), "snr_db must be finite"),
+    (dict(snr_db=(np.inf,)), "snr_db must be finite"),
+    (dict(snr_db=(-np.inf,)), "snr_db must be finite")],
     ids=["rho-nan", "rho-inf", "rho-zero", "rho-negative", "iters",
-         "snr_db", "constellations", "users"])
+         "snr_db", "constellations", "users", "bits-negative",
+         "bits-fraction", "constellations-fraction", "users-float",
+         "pilots-float", "iters-fraction", "snr-nan", "snr-inf",
+         "snr-minus-inf"])
 def test_experiment_config_rejects_bad_values(overrides, match):
     with pytest.raises(ValueError, match=match):
         ExperimentConfig.desk_profile(**overrides)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import dft
 
 from limfb.feedback import (FeedbackReport, PilotSetup, build_dft_codebook,
@@ -51,9 +53,12 @@ def test_pilot_setup_rejects_bad_rho(desk_geometry, rho):
         build_pilot_matrix(desk_geometry, 4, sigma_n2=0.1, rho=rho)
 
 
-@pytest.mark.parametrize("sigma_n2", [-0.1, np.nan])
+@pytest.mark.parametrize("sigma_n2", [-0.1, np.nan, np.inf, -np.inf])
 def test_pilot_setup_rejects_bad_noise_variance(desk_geometry, sigma_n2):
-    with pytest.raises(ValueError, match="sigma_n2 must be >= 0"):
+    pilot_matrix = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.1).pilot_matrix
+    with pytest.raises(ValueError, match="sigma_n2 must be finite and >= 0"):
+        PilotSetup(pilot_matrix, 1.0, sigma_n2)
+    with pytest.raises(ValueError, match="sigma_n2 must be finite and >= 0"):
         build_pilot_matrix(desk_geometry, 4, sigma_n2=sigma_n2)
 
 
@@ -78,6 +83,39 @@ def test_observe_deterministic(desk_geometry):
     setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.3)
     h = np.ones(16, dtype=complex)
     assert np.array_equal(observe(setup, h, seed=2), observe(setup, h, seed=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_vert=st.integers(1, 4), n_horiz=st.integers(1, 16),
+       pilots=st.integers(1, 64), users=st.integers(1, 9),
+       sigma_n2=st.sampled_from([0.0, 1e-3, 0.1, 2.5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n_vert=4, n_horiz=16, pilots=8, users=8, sigma_n2=0.1, seed=1)
+@example(n_vert=1, n_horiz=1, pilots=1, users=1, sigma_n2=0.0, seed=0)
+def test_observe_rows_match_the_inline_and_single_row_forms(
+        n_vert, n_horiz, pilots, users, sigma_n2, seed):
+    # rows: all real parts of the unit noise, then all imaginary parts, as
+    # a constellation's observations were written out; one row: the noise
+    # of a single observation and P h
+    geometry = ArrayGeometry(n_vert, n_horiz)
+    pilots = min(pilots, geometry.n)
+    setup = build_pilot_matrix(geometry, pilots, sigma_n2=sigma_n2)
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((users, geometry.n)) + 1j * rng.standard_normal(
+        (users, geometry.n))
+
+    rng = np.random.default_rng(seed)
+    unit = (rng.standard_normal((users, pilots))
+            + 1j * rng.standard_normal((users, pilots))) / np.sqrt(2)
+    inline = rows @ setup.pilot_matrix.T + np.sqrt(sigma_n2) * unit
+    assert observe(setup, rows, seed).tobytes() == inline.tobytes()
+
+    rng = np.random.default_rng(seed)
+    unit = (rng.standard_normal(pilots)
+            + 1j * rng.standard_normal(pilots)) / np.sqrt(2.0)
+    single = setup.pilot_matrix @ rows[0] + np.sqrt(setup.sigma_n2) * unit
+    assert observe(setup, rows[0], seed).tobytes() == single.tobytes()
+    assert observe(setup, rows[:1], seed)[0].tobytes() == single.tobytes()
 
 
 def test_observe_noise_moments(desk_geometry):

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from limfb import precoding
 from limfb.evaluate import sum_rate
 from limfb.gmm import GmmModel
-from limfb.precoding import (PrecoderSet, SwmmseOptions, _power_step,
-                             _power_workspace, directional_representatives,
-                             rci_precoders, swmmse_precoders, swmmse_white)
+from limfb.precoding import (PrecoderSet, _power_step, _power_workspace,
+                             directional_representatives, rci_precoders,
+                             swmmse_precoders, swmmse_white)
 from wmmse_oracle import (deterministic_wmmse, eigen_power_step,
                           reference_power_step, reference_swmmse,
                           stochastic_wmmse)
@@ -20,6 +20,12 @@ def _degenerate_model(means, eps=1e-12):
     covs = np.stack([eps * np.eye(dim)] * n_comp)
     weights = np.full(n_comp, 1.0 / n_comp)
     return GmmModel(weights, means, covs)
+
+
+def _design(model, indices, sigma_n2, rho, iters, seed):
+    """An SWMMSE design of ``iters`` iterations on the draws of ``seed``."""
+    white = swmmse_white(seed, iters + 1, len(indices), model.dim)
+    return swmmse_precoders(model, indices, sigma_n2, rho, white)
 
 
 def _random_model(dim, n_comp, seed):
@@ -206,8 +212,7 @@ def test_swmmse_single_user_reaches_capacity():
     mean = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     model = _degenerate_model([mean])
     rho, sigma_n2 = 1.0, 0.1
-    out = swmmse_precoders(model, [1], sigma_n2, rho,
-                           SwmmseOptions(max_iters=300, seed=0))
+    out = _design(model, [1], sigma_n2, rho, iters=300, seed=0)
     capacity = np.log2(1.0 + rho * np.sum(np.abs(mean) ** 2) / sigma_n2)
     achieved = sum_rate(mean[None, :], out, sigma_n2)
     assert achieved > 0.99 * capacity
@@ -218,8 +223,7 @@ def test_swmmse_power_constraint_every_iteration():
     means = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     model = _degenerate_model(means, eps=0.01)
     rho = 1.3
-    out = swmmse_precoders(model, [1, 2], 0.2, rho,
-                           SwmmseOptions(max_iters=120, seed=1))
+    out = _design(model, [1, 2], 0.2, rho, iters=120, seed=1)
     assert np.all(out.metadata["power"] <= rho + 1e-6)
 
 
@@ -227,9 +231,8 @@ def test_swmmse_deterministic_given_seed():
     rng = np.random.default_rng(8)
     means = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     model = _degenerate_model(means, eps=0.05)
-    opts = SwmmseOptions(max_iters=50, seed=9)
-    a = swmmse_precoders(model, [1, 2], 0.1, 1.0, opts)
-    b = swmmse_precoders(model, [1, 2], 0.1, 1.0, opts)
+    a = _design(model, [1, 2], 0.1, 1.0, iters=50, seed=9)
+    b = _design(model, [1, 2], 0.1, 1.0, iters=50, seed=9)
     assert np.array_equal(a.vectors, b.vectors)
 
 
@@ -239,8 +242,7 @@ def test_swmmse_matches_per_user_reference(desk_model):
     components = [2, 0, 2, 9]
     indices = [k + 1 for k in components]
     for sigma_n2 in (1.0, 0.1, 0.01):
-        out = swmmse_precoders(desk_model, indices, sigma_n2, 1.0,
-                               SwmmseOptions(max_iters=40, seed=6))
+        out = _design(desk_model, indices, sigma_n2, 1.0, iters=40, seed=6)
         expected = stochastic_wmmse(desk_model, components, sigma_n2, 1.0,
                                     iters=40, seed=6)
         assert (np.linalg.norm(out.vectors - expected)
@@ -259,14 +261,14 @@ def test_swmmse_matches_reference_loop_bit_for_bit(desk_model, scale, seed,
     # layouts and the BLAS kernels chosen at that size
     if scale == "desk":
         model, components = desk_model, [2, 0, 2, 9, 15, 4, 4, 11]
-        options = SwmmseOptions(max_iters=60, seed=seed)
+        iters = 60
     else:
         model, components = _random_model(64, 4, 1), [1, 0, 1, 3, 2, 2, 3, 0]
-        options = SwmmseOptions(max_iters=40, seed=seed)
-    out = swmmse_precoders(model, [k + 1 for k in components],
-                           sigma_n2, 1.0, options)
+        iters = 40
+    out = _design(model, [k + 1 for k in components], sigma_n2, 1.0,
+                  iters, seed)
     vectors, objective, ridge, factorizations, eigen = reference_swmmse(
-        model, components, sigma_n2, 1.0, options)
+        model, components, sigma_n2, 1.0, iters, seed)
     assert out.vectors.tobytes() == vectors.tobytes()
     assert out.metadata["objective"].tobytes() == objective.tobytes()
     assert out.metadata["ridge"].tobytes() == ridge.tobytes()
@@ -281,8 +283,7 @@ def test_swmmse_two_user_matches_deterministic_oracle():
     channels = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     sigma_n2, rho = 0.1, 1.0
     model = _degenerate_model(channels)
-    out = swmmse_precoders(model, [1, 2], sigma_n2, rho,
-                           SwmmseOptions(max_iters=300, seed=2))
+    out = _design(model, [1, 2], sigma_n2, rho, iters=300, seed=2)
     achieved = sum_rate(channels, out, sigma_n2)
     oracle_vectors = deterministic_wmmse(channels, sigma_n2, rho)
     oracle = sum_rate(channels,
@@ -299,9 +300,8 @@ def test_swmmse_permutation_equivariance():
     means = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     eps = 1e-12
     model = _degenerate_model(means, eps)
-    opts = SwmmseOptions(max_iters=40, seed=3)
-    out = swmmse_precoders(model, [1, 2], 0.2, 1.0, opts)
-    swapped = swmmse_precoders(model, [2, 1], 0.2, 1.0, opts)
+    out = _design(model, [1, 2], 0.2, 1.0, iters=40, seed=3)
+    swapped = _design(model, [2, 1], 0.2, 1.0, iters=40, seed=3)
     tol = 10.0 * np.sqrt(eps)
     np.testing.assert_allclose(swapped.vectors[[1, 0]], out.vectors,
                                rtol=0.0, atol=tol)
@@ -313,8 +313,7 @@ def test_swmmse_trajectory_metadata():
     rng = np.random.default_rng(12)
     means = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     model = _degenerate_model(means, eps=0.02)
-    opts = SwmmseOptions(max_iters=25, seed=4)
-    out = swmmse_precoders(model, [1, 2], 0.1, 1.0, opts)
+    out = _design(model, [1, 2], 0.1, 1.0, iters=25, seed=4)
     assert out.metadata["precoders"].shape == (25, 2, 3)
     assert len(out.metadata["objective"]) == 25
     assert out.designer == "swmmse"
@@ -323,16 +322,16 @@ def test_swmmse_trajectory_metadata():
 def test_swmmse_validates_reports():
     model = _degenerate_model([[1.0 + 0j, 0.0]])
     with pytest.raises(ValueError, match=r"outside 1\.\.1"):
-        swmmse_precoders(model, [2], 0.1, 1.0)
+        _design(model, [2], 0.1, 1.0, iters=3, seed=0)
     with pytest.raises(ValueError):
-        swmmse_precoders(model, [1], 0.0, 1.0)
+        _design(model, [1], 0.0, 1.0, iters=3, seed=0)
 
 
 @pytest.mark.parametrize("sigma_n2", [-0.5, np.nan, np.inf, -np.inf])
 def test_designers_reject_invalid_noise_variance(sigma_n2):
     model = _degenerate_model([[1.0 + 0j, 0.5j]])
     with pytest.raises(ValueError, match="sigma_n2 must be finite and > 0"):
-        swmmse_precoders(model, [1], sigma_n2, 1.0)
+        _design(model, [1], sigma_n2, 1.0, iters=3, seed=0)
     with pytest.raises(ValueError, match="sigma_n2 must be finite and >= 0"):
         rci_precoders(np.array([[1.0 + 0j, 0.5j]]), sigma_n2, 1.0)
 
@@ -342,8 +341,7 @@ def test_swmmse_logs_one_summary_per_design(caplog):
     means = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     model = _degenerate_model(means, eps=0.02)
     with caplog.at_level("DEBUG", logger="limfb.precoding"):
-        out = swmmse_precoders(model, [1, 2], 0.1, 1.0,
-                               SwmmseOptions(max_iters=30, seed=4))
+        out = _design(model, [1, 2], 0.1, 1.0, iters=30, seed=4)
     records = [r for r in caplog.records if r.name == "limfb.precoding"]
     assert len(records) == 1 and records[0].levelname == "DEBUG"
     message = records[0].getMessage()
@@ -359,7 +357,7 @@ def test_swmmse_logs_one_summary_per_design(caplog):
 def test_designers_reject_invalid_power_budget(rho):
     model = _degenerate_model([[1.0 + 0j, 0.5j]])
     with pytest.raises(ValueError, match="rho"):
-        swmmse_precoders(model, [1], 0.1, rho)
+        _design(model, [1], 0.1, rho, iters=3, seed=0)
     with pytest.raises(ValueError, match="rho"):
         rci_precoders(np.array([[1.0 + 0j, 0.5j]]), 0.1, rho)
 
@@ -368,8 +366,8 @@ def test_swmmse_power_step_work_at_desk_scale(desk_model):
     # N=16, 8 users: the first iteration's statistics have rank 8, so the
     # eigen path runs there; later steps start from the previous ridge, and
     # the higher-order first step mostly lands in the window
-    out = swmmse_precoders(desk_model, [1, 3, 3, 5, 8, 11, 14, 16],
-                           0.1, 1.0, SwmmseOptions(max_iters=300, seed=5))
+    out = _design(desk_model, [1, 3, 3, 5, 8, 11, 14, 16], 0.1, 1.0,
+                  iters=300, seed=5)
     factorizations = out.metadata["factorizations"]
     assert factorizations.shape == (300,)
     assert out.metadata["eigen_iterations"] >= 1
@@ -587,40 +585,43 @@ def test_swmmse_white_is_the_stream_of_one_draw_per_design():
     assert swmmse_white(5, 4, 3, 2).tobytes() == expected.tobytes()
 
 
-def test_swmmse_takes_its_draws_or_makes_them(desk_model):
-    options = SwmmseOptions(max_iters=20, seed=7)
-    own = swmmse_precoders(desk_model, [3, 1, 3], 0.1, 1.0, options)
-    given = swmmse_precoders(desk_model, [3, 1, 3], 0.1, 1.0, options,
-                             white=swmmse_white(7, 21, 3, 16))
-    assert given.vectors.tobytes() == own.vectors.tobytes()
-    assert (given.metadata["precoders"].tobytes()
-            == own.metadata["precoders"].tobytes())
-    for shape in ((20, 3, 16), (21, 2, 16), (21, 3, 8), (21, 3)):
+def test_swmmse_takes_its_iterations_from_its_draws(desk_model):
+    # T = len(white) - 1, and a prefix of the draws is the design stopped
+    # after that many iterations
+    white = swmmse_white(7, 21, 3, 16)
+    full = swmmse_precoders(desk_model, [3, 1, 3], 0.1, 1.0, white)
+    short = swmmse_precoders(desk_model, [3, 1, 3], 0.1, 1.0, white[:11])
+    assert full.metadata["precoders"].shape == (20, 3, 16)
+    assert (short.metadata["precoders"].tobytes()
+            == full.metadata["precoders"][:10].tobytes())
+    for shape in ((1, 3, 16), (21, 2, 16), (21, 3, 8), (21, 3)):
         with pytest.raises(ValueError, match="white draws must have shape"):
-            swmmse_precoders(desk_model, [3, 1, 3], 0.1, 1.0, options,
-                             white=np.zeros(shape, dtype=complex))
+            swmmse_precoders(desk_model, [3, 1, 3], 0.1, 1.0,
+                             np.zeros(shape, dtype=complex))
 
 
 @pytest.mark.parametrize("drawn_here", [True, False])
 def test_swmmse_design_memory_stays_below_three_sample_sets(drawn_here):
     # N=64 (4 x 16), 8 users, 300 iterations: a set is the (T + 1) J N
     # complex of the samples. The design holds the samples, the precoder
-    # snapshots and, at the end, the power track's |v|^2; the draws made
-    # here go before the snapshots come. The earlier loop, with a
-    # conjugated copy of the samples, traced 3.75 sets (8.8 MiB); this one
-    # traces 2.60 sets either way
+    # snapshots and, at the end, the power track's |v|^2; draws made here
+    # and handed over go before the snapshots come. The earlier loop, with
+    # a conjugated copy of the samples, traced 3.75 sets (8.8 MiB); this
+    # one traces 2.60 sets either way
     import tracemalloc
 
     model = _random_model(64, 4, 1)
-    options = SwmmseOptions(max_iters=300, seed=2)
+    indices = [1, 2, 2, 3, 4, 1, 3, 4]
     one_set = 301 * 8 * 64 * 16
-    white = None if drawn_here else swmmse_white(2, 301, 8, 64)
-    swmmse_precoders(model, [1, 2, 2, 3, 4, 1, 3, 4], 0.1, 1.0, options,
-                     white=white)  # warm-up: caches outside the design
+    white = swmmse_white(2, 301, 8, 64)
+    swmmse_precoders(model, indices, 0.1, 1.0, white)  # warm-up: caches
     tracemalloc.start()
     try:
-        swmmse_precoders(model, [1, 2, 2, 3, 4, 1, 3, 4], 0.1, 1.0, options,
-                         white=white)
+        if drawn_here:  # only the design holds these draws
+            swmmse_precoders(model, indices, 0.1, 1.0,
+                             swmmse_white(2, 301, 8, 64))
+        else:
+            swmmse_precoders(model, indices, 0.1, 1.0, white)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -131,7 +131,7 @@ def stochastic_wmmse(model, components, sigma_n2, rho, iters, seed):
     """Reference stochastic WMMSE: per-user sampling loop, eigen power step.
 
     ``components`` are 0-based component indices, one per user; the random
-    stream is the one ``swmmse_precoders`` draws with ``seed``.
+    stream is the one ``swmmse_white(seed, iters + 1, J, N)`` draws.
     """
     n_users, dim = len(components), model.dim
     roots = [np.linalg.cholesky(model.covariances[k]) for k in components]
@@ -209,17 +209,19 @@ def reference_power_step(cov, rhs, rho, tol, lam=0.0):
     return (coeffs / (eigvals + lam)) @ eigvecs.T, lam, factorizations, True
 
 
-def reference_swmmse(model, components, sigma_n2, rho, options):
+def reference_swmmse(model, components, sigma_n2, rho, iters, seed):
     """The stochastic WMMSE loop drawing one round at a time.
 
-    ``components`` are 0-based, one per user. Returns ``(vectors,
-    objective, ridge, factorizations, eigen_iterations)``.
+    ``components`` are 0-based, one per user; the rounds come from one
+    stream of ``seed``, as ``swmmse_white(seed, iters + 1, J, N)`` draws
+    them. Returns ``(vectors, objective, ridge, factorizations,
+    eigen_iterations)``.
     """
     n_users, dim = len(components), model.dim
     unique, inverse = np.unique(components, return_inverse=True)
     roots = np.stack([_component_sqrt(model.covariances[k]) for k in unique])[inverse]
     means = model.means[components]
-    rng = np.random.default_rng(options.seed)
+    rng = np.random.default_rng(seed)
 
     def draw():
         white = (rng.standard_normal((n_users, dim))
@@ -232,13 +234,13 @@ def reference_swmmse(model, components, sigma_n2, rho, options):
 
     avg_cov = np.zeros((dim, dim), dtype=np.complex128)
     avg_rhs = np.zeros((n_users, dim), dtype=np.complex128)
-    objective_track = np.empty(options.max_iters)
-    lambda_track = np.empty(options.max_iters)
-    factorizations = np.empty(options.max_iters, dtype=np.int64)
+    objective_track = np.empty(iters)
+    lambda_track = np.empty(iters)
+    factorizations = np.empty(iters, dtype=np.int64)
     eigen_iterations = 0
     lam = 0.0
 
-    for t in range(1, options.max_iters + 1):
+    for t in range(1, iters + 1):
         samples = draw()
         gains = samples @ vectors.T  # gains[j, m] = h_j^T v_m
         denom = np.sum(np.abs(gains) ** 2, axis=1) + sigma_n2
