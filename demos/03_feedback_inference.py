@@ -4,7 +4,10 @@ The mixture route projects the channel-domain model into the observation
 domain once (per pilot configuration and SNR) and then picks the component
 with the largest responsibility of each noisy observation; no channel
 estimate is ever formed. The codebook route estimates the channel first and
-correlates it against a DFT grid.
+correlates it against a DFT grid. The projected mixture carries its own
+LMMSE filters and channel means, so the mixture estimator takes it alone;
+the plain LMMSE estimator is the same estimator on the one Gaussian of the
+training moments.
 """
 
 import numpy as np
@@ -40,7 +43,7 @@ observations = np.array([observe(setup, h, seed=[100, j])
 from_obs = mixture_feedback(observation_model, observations)
 from_csi = mixture_feedback(model, channels)
 agree = int(np.sum(from_obs == from_csi))
-h_gmm = estimate_gmm(model, observation_model, observations)
+h_gmm = estimate_gmm(observation_model, observations)
 
 rows = []
 for j, y in enumerate(observations):

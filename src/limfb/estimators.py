@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .feedback import _dft_beams
-from .gmm import GmmModel, project_to_observation
+from .gmm import _Mixture, project_to_observation
 
 _REFIT_RIDGE = 1e-10
 
@@ -19,26 +19,26 @@ def estimate_lmmse(mean, cov, setup, y):
     """LMMSE channel estimate from first and second order statistics.
 
     ``h_hat = m + S P^H (P S P^H + sigma_n2 I)^-1 (y - P m)`` with ``m`` and
-    ``S`` the supplied mean and covariance: :func:`estimate_gmm` with one
-    component, so ``y`` is (n_p,) or (J, n_p) as there.
+    ``S`` (possibly singular) the supplied moments: :func:`estimate_gmm` on
+    one projected Gaussian, so ``y`` is (n_p,) or (J, n_p) as there.
     """
-    model = GmmModel([1.0], [mean], [cov])
-    return estimate_gmm(model, project_to_observation(model, setup), y)
+    return estimate_gmm(
+        project_to_observation(_Mixture([1.0], [mean], [cov]), setup), y)
 
 
-def estimate_gmm(model, obs, y):
+def estimate_gmm(obs, y):
     """Convex combination of per-component LMMSE estimates.
 
     ``obs`` is ``project_to_observation(model, setup)``: its
-    responsibilities of the pilot observation weight its precomputed
-    component filters. ``y`` is one observation (n_p,) or the rows (J, n_p)
+    responsibilities of the pilot observation weight its component filters
+    and channel means. ``y`` is one observation (n_p,) or the rows (J, n_p)
     of J users, which gives (J, N) estimates.
     """
     if obs.filters is None:
         raise ValueError("obs carries no filters; use project_to_observation")
     resp = np.atleast_2d(obs.responsibilities(y))
     innovation = np.atleast_2d(y) - obs.means[:, None, :]
-    h_hat = resp @ model.means + np.einsum(
+    h_hat = resp @ obs.channel_means + np.einsum(
         "jk,knp,kjp->jn", resp, obs.filters, innovation, optimize=True)
     return h_hat[0] if np.ndim(y) == 1 else h_hat
 

@@ -127,6 +127,13 @@ class ExperimentConfig:
             raise ValueError("need at least one snr_db point")
         if not np.all(np.isfinite(self.snr_db)):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        for snr in self.snr_db:  # in Python floats, which raise on overflow
+            try:
+                noise = float(self.rho) / 10.0 ** (float(snr) / 10.0)
+            except (OverflowError, ZeroDivisionError):
+                noise = 0.0
+            if not 0.0 < noise < np.inf:
+                raise ValueError(f"snr_db {snr}: no finite noise variance > 0")
         for tag in self.schemes:
             parse_scheme(tag)
 
@@ -293,11 +300,9 @@ class Experiment:
                                          setup.sigma_n2)
             if source == "obs":
                 return mixture_feedback(obs, observations)
-        if source == "dft:perfect":
+            estimates = estimate_gmm(obs, observations)
+        elif source == "dft:perfect":
             estimates = channels
-        elif constraint:
-            estimates = estimate_gmm(self.model_for(constraint, bits), obs,
-                                     observations)
         elif source == "dft:lmmse":
             estimates = estimate_lmmse(*self.train_stats(), setup, observations)
         else:

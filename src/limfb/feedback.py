@@ -144,9 +144,11 @@ def select_codebook_index(codebook, h_hat):
     """Codebook entry with the largest correlation magnitude |c_k^H h_hat|.
 
     Ties resolve to the smallest index; an all-zero input is flagged as
-    degenerate and reports index 1.
+    degenerate (index 1); an inf or NaN entry raises ValueError.
     """
     h_hat = np.asarray(h_hat, dtype=np.complex128)
+    if not np.all(np.isfinite(h_hat)):
+        raise ValueError("channel estimate contains infs or NaNs")
     scores = np.abs(codebook.entries.conj() @ h_hat)
     if not np.any(scores > 0.0):
         return FeedbackReport(1, degenerate=True)

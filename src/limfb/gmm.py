@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky
 from scipy.linalg.lapack import zpotrf, ztrtrs
 from scipy.special import logsumexp
 
@@ -128,7 +127,7 @@ def _log_responsibilities(self, x):
 
 
 class GmmModel(_Mixture):
-    """K-component complex Gaussian mixture with realized covariances.
+    """K complex Gaussians with realized, positive definite covariances.
 
     ``constraint`` records how the covariances were produced; for
     ``"toeplitz"`` the defining nonnegative spectral vectors are kept in
@@ -153,11 +152,11 @@ class GmmModel(_Mixture):
                 and np.isfinite(covariances).all()):
             raise ValueError("means and covariances must be finite")
         for cov in covariances:  # GEMM products are Hermitian to rounding
-            tol = max(1e-10 * np.abs(cov).max(), _TINY)  # singular PSD passes
+            tol = max(1e-10 * np.abs(cov).max(), _TINY)
             if np.abs(cov - cov.conj().T).max() > tol:
                 raise ValueError("covariances must be Hermitian")
-            if zpotrf((cov + tol * np.eye(dim)).T, overwrite_a=1)[1] != 0:
-                raise ValueError("covariances must be positive semidefinite")
+            if zpotrf(cov, lower=1)[1] != 0:  # on a copy, as sampling does
+                raise ValueError("covariances must be positive definite")
         if not np.all(weights > 0):  # also rejects NaN
             raise ValueError("all mixture weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -188,9 +187,9 @@ class ObservationGmm(_Mixture):
     Component k has mean ``P mu_k`` and covariance
     ``S_k = P C_k P^H + sigma_n^2 I``. The covariance factors are stacked
     here, so scoring costs O(n_p^2) per row and component whatever the
-    channel dimension. ``filters`` (K, N, n_p), set by
-    :func:`project_to_observation`, holds the LMMSE filters
-    ``C_k P^H S_k^-1`` of the channel-domain components.
+    channel dimension. :func:`project_to_observation` sets what the mixture
+    estimator reads: ``filters`` (K, N, n_p), the LMMSE filters
+    ``C_k P^H S_k^-1``, and ``channel_means`` (K, N), the ``mu_k``.
     """
 
     def __init__(self, weights, means, covariances):
@@ -201,7 +200,7 @@ class ObservationGmm(_Mixture):
             raise ValueError(
                 "observation covariance is not positive definite; "
                 "use sigma_n2 > 0") from exc
-        self.filters = None
+        self.filters = self.channel_means = None
 
     log_responsibilities = _log_responsibilities
 
@@ -209,8 +208,8 @@ class ObservationGmm(_Mixture):
 def project_to_observation(model, setup):
     """Observation-domain mixture and LMMSE filters for a pilot setup.
 
-    All K projected covariances ``P C_k P^H + sigma_n^2 I`` come from one
-    stacked product; see ObservationGmm.
+    ``model`` may be any channel mixture; only the projected covariances
+    ``P C_k P^H + sigma_n^2 I`` (one stacked product) are factored.
     """
     pilot = setup.pilot_matrix
     if pilot.shape[1] != model.dim:
@@ -221,17 +220,8 @@ def project_to_observation(model, setup):
     # C_k P^H S_k^-1 = (L_k^-1 P C_k)^H L_k^-1, with S_k = L_k L_k^H
     inv_chols = obs._factors[0]
     obs.filters = np.swapaxes(inv_chols @ projected, 1, 2).conj() @ inv_chols
+    obs.channel_means = model.means
     return obs
-
-
-def _component_sqrt(cov):
-    """Matrix square root for sampling; eigenvalue fallback when not PD."""
-    try:
-        return cholesky(cov, lower=True)
-    except np.linalg.LinAlgError:
-        logger.warning("covariance Cholesky failed; using clipped eigen square root")
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
 def param_count(n_components, dim, constraint):

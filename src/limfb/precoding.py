@@ -24,9 +24,7 @@ import logging
 import math
 
 import numpy as np
-from scipy.linalg import lapack
-
-from .gmm import _component_sqrt
+from scipy.linalg import cholesky, lapack
 
 logger = logging.getLogger(__name__)
 
@@ -61,6 +59,16 @@ class PrecoderSet:
         return float(np.sum(np.abs(self.vectors) ** 2))
 
 
+def _component_indices(indices, n_comp):
+    """The 1-based ``indices`` as a flat array of integers in 1..n_comp."""
+    found = np.asarray(indices).reshape(-1)
+    if found.size and found.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, got {found.dtype}")
+    if np.any((found < 1) | (found > n_comp)):
+        raise ValueError(f"component indices outside 1..{n_comp}")
+    return found.astype(np.intp)
+
+
 def directional_representatives(model, indices):
     """Unit dominant eigenvectors of ``C_k + mu_k mu_k^H`` for the 1-based
     ``indices`` (repeats allowed), from one stacked ``eigh``.
@@ -68,10 +76,7 @@ def directional_representatives(model, indices):
     The largest-magnitude entry is made real positive. Near-degenerate top
     eigenvalues are logged; any maximizer is returned in that case.
     """
-    n_comp = model.n_components
-    indices = np.asarray(indices, dtype=np.intp).reshape(-1)
-    if np.any((indices < 1) | (indices > n_comp)):
-        raise ValueError(f"component indices outside 1..{n_comp}")
+    indices = _component_indices(indices, model.n_components)
     means = model.means[indices - 1]
     corr = (model.covariances[indices - 1]
             + means[:, :, None] * means[:, None, :].conj())
@@ -101,8 +106,8 @@ def rci_precoders(representatives, sigma_n2, rho):
     _check_rho(rho)
     _check_noise(sigma_n2, allow_zero=True)
     reps = np.asarray(representatives, dtype=np.complex128)
-    if reps.ndim != 2 or reps.shape[0] < 1:
-        raise ValueError("need a (J, N) matrix of representatives")
+    if reps.ndim != 2 or reps.shape[0] < 1 or not np.isfinite(reps).all():
+        raise ValueError("need a finite (J, N) matrix of representatives")
     norms = np.linalg.norm(reps, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("representatives must be nonzero")
@@ -356,12 +361,10 @@ def swmmse_precoders(model, indices, sigma_n2, rho, white):
     """
     _check_rho(rho)
     _check_noise(sigma_n2, allow_zero=False)
-    comps = np.asarray(indices, dtype=np.intp).reshape(-1) - 1
+    comps = _component_indices(indices, model.n_components) - 1
     n_users = len(comps)
     if n_users < 1:
         raise ValueError("need at least one feedback index")
-    if np.any((comps < 0) | (comps >= model.n_components)):
-        raise ValueError(f"feedback indices outside 1..{model.n_components}")
     dim = model.dim
     shape = np.shape(white)
     if len(shape) != 3 or shape[0] < 2 or shape[1:] != (n_users, dim):
@@ -369,8 +372,8 @@ def swmmse_precoders(model, indices, sigma_n2, rho, white):
                          f"{dim}) with T >= 1, got {shape}")
     n_iters = shape[0] - 1
     unique, inverse = np.unique(comps, return_inverse=True)
-    roots = np.stack([_component_sqrt(model.covariances[k]) for k in unique])[inverse]
-    samples = (roots @ white[..., None])[..., 0]
+    roots = [cholesky(model.covariances[k], lower=True) for k in unique]
+    samples = (np.stack(roots)[inverse] @ white[..., None])[..., 0]
     samples += model.means[comps]
     del roots, white  # the design holds the samples only
 

@@ -11,8 +11,6 @@ order the library sums it in.
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from limfb.gmm import _component_sqrt
-
 
 def _chol_logdet(cov):
     """Lower Cholesky factor and real log-determinant of a Hermitian PD matrix."""
@@ -57,7 +55,7 @@ def sample_component(model, k, count, seed):
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
-    root = _component_sqrt(model.covariances[k - 1])
+    root = cholesky(model.covariances[k - 1], lower=True)
     white = (rng.standard_normal((count, model.dim))
              + 1j * rng.standard_normal((count, model.dim))) / np.sqrt(2.0)
     return model.means[k - 1] + white @ root.T

@@ -121,7 +121,7 @@ def test_criterion_3_oracle_equivalence(desk_geometry):
         model = GmmModel([1.0], [mean], [cov])
         setup = build_pilot_matrix(desk_geometry, 6, sigma_n2=0.4)
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        a = estimate_gmm(model, project_to_observation(model, setup), y)
+        a = estimate_gmm(project_to_observation(model, setup), y)
         b = estimate_lmmse(mean, cov, setup, y)
         lmmse_ok &= bool(np.max(np.abs(a - b))
                          <= 1e-10 * max(1.0, np.max(np.abs(b))))

@@ -125,7 +125,7 @@ def test_feedback_command_matches_per_user_inference(workspace, tmp_path,
             index = int(np.argmax(obs.log_responsibilities(y))) + 1
         else:
             if scheme in ("dft:gmm", "dft:tgmm"):
-                h_hat = estimate_gmm(model, obs, y)
+                h_hat = estimate_gmm(obs, y)
             elif scheme == "dft:lmmse":
                 h_hat = estimate_lmmse(mean, cov, setup, y)
             else:

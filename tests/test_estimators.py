@@ -27,7 +27,7 @@ def test_gmm_estimate_inverts_identity_pilots():
     rng = np.random.default_rng(0)
     y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     obs = project_to_observation(model, setup)
-    np.testing.assert_allclose(estimate_gmm(model, obs, y), y, atol=1e-4)
+    np.testing.assert_allclose(estimate_gmm(obs, y), y, atol=1e-4)
 
 
 def test_gmm_estimate_zero_innovation_returns_mean(desk_geometry):
@@ -37,7 +37,7 @@ def test_gmm_estimate_zero_innovation_returns_mean(desk_geometry):
     setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.5)
     y = setup.pilot_matrix @ mean
     obs = project_to_observation(model, setup)
-    np.testing.assert_allclose(estimate_gmm(model, obs, y), mean, atol=1e-12)
+    np.testing.assert_allclose(estimate_gmm(obs, y), mean, atol=1e-12)
 
 
 def test_gmm_estimate_matches_dense_oracle():
@@ -66,7 +66,7 @@ def test_gmm_estimate_matches_dense_oracle():
     resp = np.array(dens) / np.sum(dens)
     oracle = resp[0] * parts[0] + resp[1] * parts[1]
     obs = project_to_observation(model, setup)
-    np.testing.assert_allclose(estimate_gmm(model, obs, y), oracle, rtol=1e-10)
+    np.testing.assert_allclose(estimate_gmm(obs, y), oracle, rtol=1e-10)
 
 
 def _loop_estimate_gmm(model, setup, y):
@@ -114,10 +114,10 @@ def test_batched_gmm_estimate_matches_component_loop(dim, n_comp, pilot_frac,
                + 1j * rng.standard_normal((users, n_pilots)))
     ref = np.array([_loop_estimate_gmm(model, setup, row) for row in y])
     bound = 1e-10 * max(1.0, np.abs(ref).max())
-    batched = estimate_gmm(model, obs, y)
+    batched = estimate_gmm(obs, y)
     assert batched.shape == (users, dim)
     assert np.abs(batched - ref).max() <= bound
-    assert np.abs(estimate_gmm(model, obs, y[0]) - ref[0]).max() <= bound
+    assert np.abs(estimate_gmm(obs, y[0]) - ref[0]).max() <= bound
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -129,9 +129,9 @@ def test_gmm_estimate_rejects_non_finite_observations(desk_geometry, value):
     y = np.ones((3, 4), dtype=complex)
     y[2, 1] = value
     with pytest.raises(ValueError, match="infs or NaNs"):
-        estimate_gmm(model, obs, y)
+        estimate_gmm(obs, y)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        estimate_gmm(model, obs, y[2])
+        estimate_gmm(obs, y[2])
     for rows in (y, y[2]):
         with pytest.raises(ValueError, match="infs or NaNs"):
             estimate_lmmse(model.means[0], model.covariances[0], setup, rows)
@@ -144,7 +144,7 @@ def test_gmm_estimate_needs_projected_filters(desk_geometry):
     bare = ObservationGmm(projected.weights, projected.means,
                           projected.covariances)
     with pytest.raises(ValueError, match="project_to_observation"):
-        estimate_gmm(model, bare, np.ones(4))
+        estimate_gmm(bare, np.ones(4))
 
 
 # -- LMMSE ---------------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_lmmse_equals_single_component_gmm(desk_geometry):
     y = observe(setup, mean + rng.standard_normal(16), seed=4)
     obs = project_to_observation(model, setup)
     np.testing.assert_allclose(estimate_lmmse(mean, cov, setup, y),
-                               estimate_gmm(model, obs, y), rtol=1e-10)
+                               estimate_gmm(obs, y), rtol=1e-10)
 
 
 def test_lmmse_zero_innovation(desk_geometry):

@@ -226,10 +226,12 @@ def test_single_value_sweep_equals_constellation_mean(
     ("iterations", [4, 2.5], r"^iterations value 2.5: iters must be an "
                              r"integer, got 2.5$"),
     ("snr", [0.0, np.nan], r"^snr value nan: snr_db must be finite"),
-    ("snr", [-np.inf], r"^snr value -inf: snr_db must be finite")],
+    ("snr", [-np.inf], r"^snr value -inf: snr_db must be finite"),
+    ("snr", [10.0, 4000.0], r"^snr value 4000.0: snr_db 4000.0: no finite "
+                            r"noise variance > 0$")],
     ids=["iterations", "pilots", "users", "bits", "bits-beyond-training",
          "bits-fraction", "users-float", "iterations-fraction", "snr-nan",
-         "snr-minus-inf"])
+         "snr-minus-inf", "snr-noise-underflow"])
 def test_sweep_rejects_axis_values_out_of_range(
         desk_train, desk_eval, desk_model, monkeypatch, axis, values, match):
     exp = _experiment(desk_train, desk_eval, desk_model)
@@ -577,12 +579,16 @@ def test_experiment_config_without_profile_reads_the_array_keys(tmp_path):
     (dict(iters=1.5), "iters must be an integer"),
     (dict(snr_db=(10.0, np.nan)), "snr_db must be finite"),
     (dict(snr_db=(np.inf,)), "snr_db must be finite"),
-    (dict(snr_db=(-np.inf,)), "snr_db must be finite")],
+    (dict(snr_db=(-np.inf,)), "snr_db must be finite"),
+    (dict(snr_db=(10.0, 4000.0)), "^snr_db 4000.0: no finite noise"),
+    (dict(snr_db=(-4000.0,)), "^snr_db -4000.0: no finite noise"),
+    (dict(snr_db=(-3000.0,), rho=1e300), "^snr_db -3000.0: no finite")],
     ids=["rho-nan", "rho-inf", "rho-zero", "rho-negative", "iters",
          "snr_db", "constellations", "users", "bits-negative",
          "bits-fraction", "constellations-fraction", "users-float",
          "pilots-float", "iters-fraction", "snr-nan", "snr-inf",
-         "snr-minus-inf"])
+         "snr-minus-inf", "snr-noise-underflow", "snr-noise-overflow",
+         "snr-noise-overflow-at-rho"])
 def test_experiment_config_rejects_bad_values(overrides, match):
     with pytest.raises(ValueError, match=match):
         ExperimentConfig.desk_profile(**overrides)

@@ -199,6 +199,19 @@ def test_select_zero_input_flags_degenerate(desk_geometry):
     assert report.index == 1 and report.degenerate
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_select_rejects_a_non_finite_estimate(desk_geometry, value):
+    # such an estimate used to be reported as a degenerate zero input
+    cb = build_dft_codebook(desk_geometry, 4)
+    h = np.zeros(16, dtype=complex)
+    h[5] = value
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        select_codebook_index(cb, h)
+    h[3] = 1.0
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        select_codebook_index(cb, h)
+
+
 def test_feedback_report_flag_is_keyword_only():
     assert FeedbackReport(3) == FeedbackReport(3, degenerate=False)
     with pytest.raises(TypeError):

@@ -760,12 +760,13 @@ def test_projection_matches_dense_oracle():
 
 
 def test_projection_requires_pd_at_zero_noise():
-    # rank-deficient channel covariance makes P C P^H singular at sigma=0
-    model = GmmModel([1.0], np.zeros((1, 4)),
-                     [np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)])
+    # rank-deficient LMMSE moments make P C P^H singular at sigma=0
+    from limfb.estimators import estimate_lmmse
+
+    cov = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     setup = build_pilot_matrix(ArrayGeometry(2, 2), 2, sigma_n2=0.0)
     with pytest.raises(ValueError, match="sigma_n2"):
-        project_to_observation(model, setup)
+        estimate_lmmse(np.zeros(4), cov, setup, np.ones(2))
 
 
 def test_single_component_observation_responsibility(desk_geometry):
@@ -901,46 +902,6 @@ def test_sampling_moments():
     rel = np.linalg.norm(emp - model.covariances[0]) \
         / np.linalg.norm(model.covariances[0])
     assert rel < 0.05
-
-
-def test_sampling_falls_back_to_eigen_root(caplog):
-    import logging
-
-    # rank-one covariance: Cholesky fails, eigen square root takes over and
-    # all draws stay in the span of the single eigenvector
-    direction = np.array([1.0, 1j, -1.0, 0.5]) / np.sqrt(3.25)
-    cov = np.outer(direction, direction.conj())
-    model = GmmModel([1.0], [np.zeros(4)], [cov])
-    with caplog.at_level(logging.WARNING, logger="limfb.gmm"):
-        draws = sample_component(model, 1, 200, seed=1)
-    assert any("eigen" in rec.message for rec in caplog.records)
-    projector = np.eye(4) - np.outer(direction, direction.conj())
-    # leakage out of the span is sqrt(clipped eigenvalue noise) ~ 1e-8
-    assert np.max(np.abs(draws @ projector.T)) < 1e-6
-
-
-def test_component_sqrt_fallback_logs_exact_message(caplog):
-    import logging
-
-    # the benchmark tracer counts fallbacks by this message
-    cov = np.diag([1.0, -1e-3, 2.0]).astype(complex)
-    with caplog.at_level(logging.WARNING, logger="limfb.gmm"):
-        root = gmm._component_sqrt(cov)
-    assert [rec.getMessage() for rec in caplog.records] == [
-        "covariance Cholesky failed; using clipped eigen square root"]
-    np.testing.assert_allclose(root @ root.conj().T,
-                               np.diag([1.0, 0.0, 2.0]), atol=1e-12)
-
-
-def test_component_sqrt_rejects_non_finite_covariance(caplog):
-    import logging
-
-    cov = np.eye(3, dtype=complex)
-    cov[1, 1] = np.nan
-    with caplog.at_level(logging.WARNING, logger="limfb.gmm"):
-        with pytest.raises(ValueError):
-            gmm._component_sqrt(cov)
-    assert not caplog.records
 
 
 def test_sampling_validates_component_index():
@@ -1097,13 +1058,57 @@ def test_model_rejects_a_covariance_that_is_not_hermitian():
 
 
 def test_model_rejects_an_indefinite_covariance():
-    # singular PSD covariances are accepted (the zero matrix here, the
-    # rank-one sampling and the LMMSE tests); a negative eigenvalue above
-    # rounding is not
-    cov = np.diag([1.0, -1e-3, 2.0]).astype(complex)
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        GmmModel([1.0], np.zeros((1, 3)), [cov])
-    GmmModel([1.0], np.zeros((1, 3)), [np.zeros((3, 3))])
+    # every component must be positive definite, as scoring and sampling
+    # factor it: indefinite, zero, rank-one and NaN covariances are refused
+    direction = np.array([1.0, 1j, -1.0]) / np.sqrt(3.0)
+    nan = np.eye(3, dtype=complex)
+    nan[1, 1] = np.nan
+    for cov, message in [
+            (np.diag([1.0, -1e-3, 2.0]), "positive definite"),
+            (np.zeros((3, 3)), "positive definite"),
+            (np.outer(direction, direction.conj()), "positive definite"),
+            (nan, "finite")]:
+        with pytest.raises(ValueError, match=message) as info:
+            GmmModel([1.0], np.zeros((1, 3)), [cov])
+        assert "\n" not in str(info.value)
+    GmmModel([1.0], np.zeros((1, 3)), [1e-300 * np.eye(3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 8), ulps=st.integers(-8, 8), seed=_SEEDS)
+@example(dim=4, ulps=-2, seed=0)
+@example(dim=4, ulps=2, seed=0)
+def test_model_accepts_a_covariance_exactly_when_it_factors(dim, ulps, seed):
+    # least eigenvalue a few rounding units of the largest above or below 0:
+    # the model holds exactly the covariances its sampling factors
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(_complex_normal(rng, (dim, dim)))[0]
+    eigvals = rng.uniform(0.5, 2.0, dim)
+    eigvals[0] = ulps * np.finfo(float).eps
+    cov = (basis * eigvals) @ basis.conj().T
+    cov = 0.5 * (cov + cov.conj().T)
+    try:
+        cholesky(cov, lower=True)
+        factors = True
+    except np.linalg.LinAlgError:
+        factors = False
+    try:
+        GmmModel([1.0], np.zeros((1, dim)), [cov])
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == "covariances must be positive definite"
+        accepted = False
+    assert accepted == factors
+
+
+def test_fitted_fixtures_stay_positive_definite_after_save_and_load(
+        tmp_path, desk_model, desk_tmodel, desk_geometry):
+    for model in (desk_model, desk_tmodel):
+        path = tmp_path / f"{model.constraint}.lfbm"
+        save_model(model, path)
+        loaded = load_model(path, geometry=desk_geometry)
+        for cov in loaded.covariances:
+            cholesky(cov, lower=True)
 
 
 def test_model_rejects_a_negative_spectral_entry(desk_geometry):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,16 @@ def test_representatives_reject_indices_out_of_range(desk_model):
     for bad in ([0], [17], [3, -1]):
         with pytest.raises(ValueError, match="outside 1..16"):
             directional_representatives(desk_model, bad)
+    # a fractional index used to be truncated to a component
+    for bad in ([1.7], np.array([2.0, 3.0]), [True], [1 + 0j]):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            directional_representatives(desk_model, bad)
+    full = directional_representatives(desk_model, np.arange(1, 17))
+    for good in ([2, 5], np.array([2, 5], dtype=np.int32),
+                 np.array([2, 5], dtype=np.uint8)):
+        assert (directional_representatives(desk_model, good).tobytes()
+                == full[[1, 4]].tobytes())
+    assert directional_representatives(desk_model, []).shape == (0, 16)
 
 
 # -- RCI -----------------------------------------------------------------------
@@ -150,6 +162,17 @@ def test_rci_rejects_zero_representative():
     reps = np.zeros((2, 3), dtype=complex)
     with pytest.raises(ValueError):
         rci_precoders(reps, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_rci_rejects_a_non_finite_representative(caplog, value):
+    # such a row used to reach the ridge fallback before PrecoderSet
+    reps = np.eye(2, 3, dtype=complex)
+    reps[1, 2] = value
+    with caplog.at_level(logging.DEBUG, logger="limfb.precoding"):
+        with pytest.raises(ValueError, match="need a finite"):
+            rci_precoders(reps, 0.1, 1.0)
+    assert not caplog.records
 
 
 def test_rci_power_budget_exact():
@@ -323,6 +346,15 @@ def test_swmmse_validates_reports():
     model = _degenerate_model([[1.0 + 0j, 0.0]])
     with pytest.raises(ValueError, match=r"outside 1\.\.1"):
         _design(model, [2], 0.1, 1.0, iters=3, seed=0)
+    for bad in ([1.7], np.array([1.0])):
+        with pytest.raises(ValueError, match="must be integers"):
+            _design(model, bad, 0.1, 1.0, iters=3, seed=0)
+    with pytest.raises(ValueError, match="at least one"):
+        _design(model, [], 0.1, 1.0, iters=3, seed=0)
+    reference = _design(model, [1], 0.1, 1.0, iters=3, seed=0)
+    for good in (np.array([1], dtype=np.int32), np.array([1], dtype=np.uint8)):
+        assert (_design(model, good, 0.1, 1.0, iters=3, seed=0).vectors.tobytes()
+                == reference.vectors.tobytes())
     with pytest.raises(ValueError):
         _design(model, [1], 0.0, 1.0, iters=3, seed=0)
 

@@ -10,9 +10,8 @@ optimized designer must reproduce bit for bit.
 """
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import cholesky, lapack
 
-from limfb.gmm import _component_sqrt
 from limfb.precoding import _NEWTON_STEPS, _WEIGHT_CLAMP, _power_step
 
 
@@ -219,7 +218,8 @@ def reference_swmmse(model, components, sigma_n2, rho, iters, seed):
     """
     n_users, dim = len(components), model.dim
     unique, inverse = np.unique(components, return_inverse=True)
-    roots = np.stack([_component_sqrt(model.covariances[k]) for k in unique])[inverse]
+    roots = np.stack([cholesky(model.covariances[k], lower=True)
+                      for k in unique])[inverse]
     means = model.means[components]
     rng = np.random.default_rng(seed)
 
