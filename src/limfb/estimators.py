@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .feedback import _dft_beams
-from .gmm import _Mixture, project_to_observation
+from .gmm import _EM_CHUNK_BYTES, _Mixture, project_to_observation
 
 _REFIT_RIDGE = 1e-10
 
@@ -29,17 +29,23 @@ def estimate_lmmse(mean, cov, setup, y):
 def estimate_gmm(obs, y):
     """Convex combination of per-component LMMSE estimates.
 
-    ``obs`` is ``project_to_observation(model, setup)``: its
-    responsibilities of the pilot observation weight its component filters
-    and channel means. ``y`` is one observation (n_p,) or the rows (J, n_p)
-    of J users, which gives (J, N) estimates.
+    ``obs`` is ``project_to_observation(model, setup)``: the
+    responsibilities of each observation weight its component estimates
+    ``mu_k + F_k (y - P mu_k)``. ``y`` is one observation (n_p,) or the rows
+    (J, n_p) of J users, which gives (J, N) estimates. Every product has the
+    row as its batch axis, so a user's estimate depends on that row alone.
     """
     if obs.filters is None:
         raise ValueError("obs carries no filters; use project_to_observation")
-    resp = np.atleast_2d(obs.responsibilities(y))
-    innovation = np.atleast_2d(y) - obs.means[:, None, :]
-    h_hat = resp @ obs.channel_means + np.einsum(
-        "jk,knp,kjp->jn", resp, obs.filters, innovation, optimize=True)
+    resp = np.atleast_2d(obs.responsibilities(y))[:, None, :]
+    rows = np.atleast_2d(y)[:, None, :]
+    n_comp, dim, n_pilots = obs.filters.shape
+    stacked = obs.filters.reshape(-1, n_pilots).T  # F_k y for all k at once
+    offsets = obs.channel_means - (obs.filters @ obs.means[..., None])[..., 0]
+    block = max(1, _EM_CHUNK_BYTES // (16 * n_comp * dim))  # rows per 4 MiB
+    h_hat = np.concatenate([resp[s:s + block] @ (offsets + (
+        rows[s:s + block] @ stacked).reshape(-1, n_comp, dim))
+        for s in range(0, len(rows), block)])[:, 0]
     return h_hat[0] if np.ndim(y) == 1 else h_hat
 
 
@@ -58,7 +64,7 @@ def _refit(sensing, support, y):
         coeff = cho_solve(cho_factor(gram), rhs)
         if not np.all(np.isfinite(coeff)):
             raise np.linalg.LinAlgError
-    except Exception:
+    except np.linalg.LinAlgError:
         ridge = _REFIT_RIDGE * np.eye(len(support))
         coeff = np.linalg.solve(gram + ridge, rhs)
     return coeff

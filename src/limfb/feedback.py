@@ -158,8 +158,8 @@ def select_codebook_index(codebook, h_hat):
 def mixture_feedback(mixture, points):
     """1-based index of the most responsible component, one per row.
 
-    ``mixture`` scores the rows in one call: an observation mixture scores
-    pilot observations, a channel-domain model scores channels.
+    An observation mixture scores pilot observations, a channel-domain
+    model channels; a user's index depends on that user's row alone.
     """
     log_resp = mixture.log_responsibilities(np.atleast_2d(points))
     return np.argmax(log_resp, axis=1) + 1

@@ -14,7 +14,6 @@ import logging
 import struct
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import zpotrf, ztrtrs
@@ -70,18 +69,15 @@ def _inverse_factors(covariances):
 
 
 class _Mixture:
-    """Weights, means and covariances of K complex Gaussians, scored at once.
-
-    The covariance factors are stacked as (K, d, d) inverse Cholesky factors
-    L_k^-1, so one batched product whitens every row against every
-    component: ``log CN(x; mu_k, C_k) = -d log(pi) - log det C_k
-    - ||L_k^-1 (x - mu_k)||^2``.
-    """
+    """Weights, means and covariances of K complex Gaussians, scored row by
+    row through the EM score matrix W of :func:`_score_matrix` (2.2 MB at
+    d=64, K=64), made on first use and kept instead of its factors."""
 
     def __init__(self, weights, means, covariances):
         self.weights = np.asarray(weights, dtype=float)
         self.means = np.asarray(means, dtype=np.complex128)
         self.covariances = np.asarray(covariances, dtype=np.complex128)
+        self._scores = None
 
     @property
     def n_components(self):
@@ -91,26 +87,12 @@ class _Mixture:
     def dim(self):
         return self.means.shape[1]
 
-    @cached_property
-    def _factors(self):
-        """Stacked L_k^-1 and log det C_k, factorized on first use."""
-        return _inverse_factors(self.covariances)
-
-    def component_log_densities(self, x):
-        """Per-component log densities: (K,) at a vector, (J, K) at J rows."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-        if x.ndim > 2 or x.shape[-1] != self.dim:
-            raise ValueError(f"expected a vector or rows of dimension "
-                             f"{self.dim}, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("input contains infs or NaNs")
-        inv_chols, logdets = self._factors
-        white = (np.atleast_2d(x) - self.means[:, None, :]) @ np.swapaxes(
-            inv_chols, 1, 2)
-        quad = np.einsum("kjd,kjd->jk", white.real, white.real) + np.einsum(
-            "kjd,kjd->jk", white.imag, white.imag)
-        out = -self.dim * np.log(np.pi) - logdets - quad
-        return out[0] if x.ndim == 1 else out
+    def _factor(self):
+        """Keep W; return the inverse factors L_k^-1 for more products."""
+        inv_chols, logdets = _inverse_factors(self.covariances)
+        self._scores = _score_matrix(self.weights, self.means,
+                                     _precisions(inv_chols), logdets)
+        return inv_chols
 
     def responsibilities(self, x):
         return np.exp(self.log_responsibilities(x))
@@ -119,11 +101,24 @@ class _Mixture:
 def _log_responsibilities(self, x):
     """Log posterior component probabilities: (K,) at a vector, (J, K) at rows.
 
-    Assigned in each mixture class body, so either class's method can be
-    replaced on its own.
+    Each row's lift times W is one product of a batch whose axis is the
+    row, so a row's result depends on that row alone. Assigned in each
+    mixture class body, so either class's method can be replaced on its own.
     """
-    scores = np.log(self.weights) + self.component_log_densities(x)
-    return scores - logsumexp(scores, axis=-1, keepdims=True)
+    x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
+    if x.ndim > 2 or x.shape[-1] != self.dim:
+        raise ValueError(f"expected a vector or rows of dimension "
+                         f"{self.dim}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input contains infs or NaNs")
+    if self._scores is None:
+        self._factor()
+    rows = np.atleast_2d(x)
+    scores = np.empty((len(rows), 1, self.n_components))
+    for start, stop, phi in _lifted_chunks(rows):
+        np.matmul(phi[:, None, :], self._scores, out=scores[start:stop])
+    out = (scores - logsumexp(scores, axis=-1, keepdims=True))[:, 0]
+    return out[0] if x.ndim == 1 else out
 
 
 class GmmModel(_Mixture):
@@ -132,8 +127,7 @@ class GmmModel(_Mixture):
     ``constraint`` records how the covariances were produced; for
     ``"toeplitz"`` the defining nonnegative spectral vectors are kept in
     ``spectral`` (shape (K, 4N)) alongside the realized dense matrices.
-    Instances are immutable after construction; density factorizations are
-    stacked on first use.
+    Instances are immutable after construction.
     """
 
     def __init__(self, weights, means, covariances, constraint="full",
@@ -185,23 +179,14 @@ class ObservationGmm(_Mixture):
     """Mixture of the pilot observations induced by a channel-domain mixture.
 
     Component k has mean ``P mu_k`` and covariance
-    ``S_k = P C_k P^H + sigma_n^2 I``. The covariance factors are stacked
-    here, so scoring costs O(n_p^2) per row and component whatever the
-    channel dimension. :func:`project_to_observation` sets what the mixture
-    estimator reads: ``filters`` (K, N, n_p), the LMMSE filters
-    ``C_k P^H S_k^-1``, and ``channel_means`` (K, N), the ``mu_k``.
+    ``S_k = P C_k P^H + sigma_n^2 I``, so scoring costs O(n_p^2) per row
+    and component whatever the channel dimension. From one factorization
+    of each S_k, :func:`project_to_observation` makes the score matrix and
+    ``filters`` (K, N, n_p), the LMMSE filters ``C_k P^H S_k^-1``; it also
+    sets ``channel_means`` (K, N), the ``mu_k``. A bare mixture has neither.
     """
 
-    def __init__(self, weights, means, covariances):
-        super().__init__(weights, means, covariances)
-        try:
-            self._factors  # factorize now, so a singular projection fails here
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "observation covariance is not positive definite; "
-                "use sigma_n2 > 0") from exc
-        self.filters = self.channel_means = None
-
+    filters = channel_means = None
     log_responsibilities = _log_responsibilities
 
 
@@ -209,7 +194,8 @@ def project_to_observation(model, setup):
     """Observation-domain mixture and LMMSE filters for a pilot setup.
 
     ``model`` may be any channel mixture; only the projected covariances
-    ``P C_k P^H + sigma_n^2 I`` (one stacked product) are factored.
+    ``P C_k P^H + sigma_n^2 I`` (one stacked product) are factored, once,
+    so a singular projection fails here.
     """
     pilot = setup.pilot_matrix
     if pilot.shape[1] != model.dim:
@@ -217,8 +203,12 @@ def project_to_observation(model, setup):
     projected = pilot @ model.covariances
     covs = projected @ pilot.conj().T + setup.sigma_n2 * np.eye(pilot.shape[0])
     obs = ObservationGmm(model.weights, model.means @ pilot.T, covs)
+    try:
+        inv_chols = obs._factor()
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("observation covariance is not positive definite; "
+                         "use sigma_n2 > 0") from exc
     # C_k P^H S_k^-1 = (L_k^-1 P C_k)^H L_k^-1, with S_k = L_k L_k^H
-    inv_chols = obs._factors[0]
     obs.filters = np.swapaxes(inv_chols @ projected, 1, 2).conj() @ inv_chols
     obs.channel_means = model.means
     return obs
@@ -394,13 +384,22 @@ def _em_buffers(n_samples, dim):
     return np.empty((chunk, dim), np.complex128), np.empty((chunk, width))
 
 
+def _lifted_chunks(x, buffers=None):
+    """(start, stop, phi) per chunk of rows, lifted in :func:`_em_buffers`."""
+    rows, lifted = buffers or _em_buffers(*x.shape)
+    for start in range(0, len(x), len(rows)):
+        stop = min(start + len(rows), len(x))
+        rows[:stop - start] = x[start:stop]
+        yield start, stop, _lift(rows[:stop - start], lifted[:stop - start])
+
+
 def _em_pass(x, score_matrix, buffers=None):
     """One pass of the EM E-step over the rows of ``x``, a chunk at a time.
 
     Returns each row's log mixture density and the responsibility-weighted
     sums of the lift, shape (K, N^2+2N+1), from which the M-step reads every
-    component's mass, first moment and second moment. Each chunk is upcast
-    into the row buffer of ``buffers`` (:func:`_em_buffers`; made if None).
+    component's mass, first moment and second moment, over the chunks of
+    :func:`_lifted_chunks`.
 
     Responsibilities below the least normal float (2.2e-308) are set to
     zero before they are accumulated, since subnormal operands slow the
@@ -409,14 +408,9 @@ def _em_pass(x, score_matrix, buffers=None):
     1e-292; the sums were bitwise equal in every benchmark and test fit
     checked.
     """
-    n_samples = x.shape[0]
-    rows, lifted = buffers or _em_buffers(*x.shape)
-    log_norm = np.empty(n_samples)
+    log_norm = np.empty(x.shape[0])
     sums = np.zeros(score_matrix.shape[::-1])
-    for start in range(0, n_samples, len(rows)):
-        stop = min(start + len(rows), n_samples)
-        rows[:stop - start] = x[start:stop]
-        phi = _lift(rows[:stop - start], lifted[:stop - start])
+    for start, stop, phi in _lifted_chunks(x, buffers):
         scores = phi @ score_matrix
         log_norm[start:stop] = logsumexp(scores, axis=1)
         resp = np.exp(scores - log_norm[start:stop, None])

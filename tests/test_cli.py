@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from limfb import evaluate
-from limfb.cli import main
+from limfb.cli import FEEDBACK_SCHEMES, main
 from limfb.estimators import (build_omp_dictionary, estimate_gmm,
                               estimate_lmmse, estimate_omp)
 from limfb.feedback import (build_dft_codebook, build_pilot_matrix, observe,
@@ -133,6 +133,24 @@ def test_feedback_command_matches_per_user_inference(workspace, tmp_path,
             index = select_codebook_index(codebook, h_hat).index
         expected.append(f"{j},{index},{scheme}")
     assert out_path.read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize("scheme", FEEDBACK_SCHEMES)
+def test_feedback_reports_of_fewer_users_are_a_prefix(workspace, tmp_path,
+                                                      scheme):
+    """A user's report depends on that user alone, not on --count."""
+    reports = {}
+    for count in (40, 17, 1):
+        out_path = tmp_path / f"fb{count}.csv"
+        main(["feedback", "--model", str(workspace / "model.lfbm"),
+              "--scheme", scheme, "--pilots", "4", "--snr-db", "10",
+              "--data", str(workspace / "eval.lfbd"), "--geometry", "2x4",
+              "--train-data", str(workspace / "train.lfbd"),
+              "--count", str(count), "--seed", "3", "--out", str(out_path)])
+        reports[count] = out_path.read_text().splitlines()
+    assert len(reports[40]) == 41
+    for count in (17, 1):
+        assert reports[count] == reports[40][:count + 1]
 
 
 def test_sweep_and_report(workspace, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 
+from limfb import estimators
 from limfb.estimators import (build_omp_dictionary, estimate_gmm,
                               estimate_lmmse, estimate_omp, omp_support)
 from limfb.feedback import PilotSetup, build_pilot_matrix, observe
@@ -233,6 +234,32 @@ def test_omp_two_sparse_support_matches_exhaustive_search(desk_geometry):
     assert len(support) == 2 and set(support) == best
     estimate = estimate_omp(setup, dictionary, y)
     assert np.linalg.norm(setup.pilot_matrix @ estimate - y) < 1e-8
+
+
+@pytest.mark.parametrize("support", [[0, 0, 5], [1, 3]])
+def test_refit_ridges_a_support_cholesky_rejects(support):
+    # a repeated atom, or an all-zero one, makes the Gram matrix singular
+    rng = np.random.default_rng(0)
+    sensing = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
+    sensing[:, 3] = 0.0
+    y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    atoms = sensing[:, support]
+    gram = atoms.conj().T @ atoms
+    with pytest.raises(np.linalg.LinAlgError):
+        cho_factor(gram)
+    ridged = np.linalg.solve(
+        gram + estimators._REFIT_RIDGE * np.eye(len(support)),
+        atoms.conj().T @ y)
+    np.testing.assert_array_equal(estimators._refit(sensing, support, y),
+                                  ridged)
+
+
+def test_refit_does_not_ridge_over_a_non_finite_sensing_matrix():
+    # cho_factor rejects NaN with ValueError; a ridged solve would hide it
+    sensing = np.eye(4, dtype=complex)
+    sensing[2, 1] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        estimators._refit(sensing, [0, 1], np.ones(4, dtype=complex))
 
 
 def test_omp_dictionary_shape_and_norms(desk_geometry):

@@ -113,7 +113,9 @@ def test_responsibilities_invariant_to_common_score_scale():
     # normalization; equivalent to shifting all log scores
     model = _random_model(4, 3, seed=4)
     x = np.ones(3) * (1 + 1j)
-    scores = np.log(model.weights) + model.component_log_densities(x)
+    scores = np.log(model.weights) + np.array(
+        [log_density(x, mean, cov)
+         for mean, cov in zip(model.means, model.covariances)])
     shifted = scores + np.log(123.456)
 
     def softmax(s):
@@ -374,11 +376,17 @@ def test_lift_sums_unpack_to_weighted_moments(dim, n_comp, n_samples, seed):
                                      gmm._precisions(inv_chols), logdets)
     log_norm, sums = gmm._em_pass(x, score_matrix)
 
-    # direct evaluation: per-component densities and weighted scatters
-    scores = np.log(model.weights) + np.array(
-        [model.component_log_densities(row) for row in x])
-    resp = np.exp(scores - log_norm[:, None])
-    np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=1e-10)
+    # direct evaluation: per-component oracle densities, the mixture's
+    # responsibilities and the weighted scatters
+    scores = np.log(model.weights) + np.column_stack(
+        [_log_gaussian_batch(x, mean, *_chol_logdet(cov))
+         for mean, cov in zip(model.means, model.covariances)])
+    np.testing.assert_allclose(np.exp(scores - log_norm[:, None]).sum(axis=1),
+                               1.0, rtol=1e-10)
+    resp = model.responsibilities(x)
+    np.testing.assert_allclose(
+        resp, np.exp(scores - logsumexp(scores, axis=1, keepdims=True)),
+        rtol=1e-10, atol=1e-300)
     mass = resp.sum(axis=0)
     n_quad = dim * dim
     np.testing.assert_allclose(sums[:, -1], mass, rtol=1e-10)
@@ -780,8 +788,8 @@ def test_single_component_observation_responsibility(desk_geometry):
 
 
 # -- batched scoring ---------------------------------------------------------
-# GmmModel and ObservationGmm score a (J, d) batch against the stacked
-# (K, d, d) factors; the per-row triangular solve of _log_gaussian_batch is
+# GmmModel and ObservationGmm score each row of a (J, d) batch through the
+# lifted score matrix; the per-row triangular solve of _log_gaussian_batch is
 # the reference.
 
 def _conditioned_mixtures(rng, n_comp, dim, cond):
@@ -804,17 +812,22 @@ def test_batched_scores_match_per_row_oracle(dim, n_comp, rows, log_cond,
     near = model.means[0] + _complex_normal(rng, (rows, dim)) @ np.linalg.cholesky(
         model.covariances[0]).T
     x = np.concatenate([near, 3.0 * _complex_normal(rng, (rows, dim))])
-    ref = np.empty((len(x), n_comp))
+    densities = np.empty((len(x), n_comp))
     for k in range(n_comp):
         chol, logdet = _chol_logdet(model.covariances[k])
-        ref[:, k] = _log_gaussian_batch(x, model.means[k], chol, logdet)
-    bound = 1e-9 * np.maximum(1.0, np.abs(ref))
+        densities[:, k] = _log_gaussian_batch(x, model.means[k], chol, logdet)
+    scores = np.log(model.weights) + densities
+    ref = scores - logsumexp(scores, axis=1, keepdims=True)
+    # a log-responsibility takes the error of its own score and of the
+    # row's normalizer, each within the bound on the row's largest density
+    bound = 2e-9 * np.maximum(1.0, np.abs(densities)).max(axis=1,
+                                                          keepdims=True)
     for mixture in (model, obs):
-        got = mixture.component_log_densities(x)
+        got = mixture.log_responsibilities(x)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= bound)
-        single = np.array([mixture.component_log_densities(row) for row in x])
-        assert np.all(np.abs(single - ref) <= bound)
+        single = np.array([mixture.log_responsibilities(row) for row in x])
+        np.testing.assert_array_equal(single, got)
 
 
 @settings(max_examples=50, deadline=None)
