@@ -41,12 +41,12 @@ def estimate_gmm(obs, y):
     rows = np.atleast_2d(y)[:, None, :]
     n_comp, dim, n_pilots = obs.filters.shape
     stacked = obs.filters.reshape(-1, n_pilots).T  # F_k y for all k at once
-    offsets = obs.channel_means - (obs.filters @ obs.means[..., None])[..., 0]
     block = max(1, _EM_CHUNK_BYTES // (16 * n_comp * dim))  # rows per 4 MiB
-    h_hat = np.concatenate([resp[s:s + block] @ (offsets + (
-        rows[s:s + block] @ stacked).reshape(-1, n_comp, dim))
-        for s in range(0, len(rows), block)])[:, 0]
-    return h_hat[0] if np.ndim(y) == 1 else h_hat
+    est = np.empty((len(rows), 1, dim), dtype=np.complex128)
+    for s in range(0, len(rows), block):
+        part = (rows[s:s + block] @ stacked).reshape(-1, n_comp, dim)
+        np.matmul(resp[s:s + block], obs.offsets + part, out=est[s:s + block])
+    return est[0, 0] if np.ndim(y) == 1 else est[:, 0]
 
 
 def build_omp_dictionary(geometry):

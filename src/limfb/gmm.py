@@ -183,10 +183,10 @@ class ObservationGmm(_Mixture):
     and component whatever the channel dimension. From one factorization
     of each S_k, :func:`project_to_observation` makes the score matrix and
     ``filters`` (K, N, n_p), the LMMSE filters ``C_k P^H S_k^-1``; it also
-    sets ``channel_means`` (K, N), the ``mu_k``. A bare mixture has neither.
+    sets ``offsets`` (K, N), ``mu_k - F_k P mu_k``. A bare one has neither.
     """
 
-    filters = channel_means = None
+    filters = offsets = None
     log_responsibilities = _log_responsibilities
 
 
@@ -210,7 +210,7 @@ def project_to_observation(model, setup):
                          "use sigma_n2 > 0") from exc
     # C_k P^H S_k^-1 = (L_k^-1 P C_k)^H L_k^-1, with S_k = L_k L_k^H
     obs.filters = np.swapaxes(inv_chols @ projected, 1, 2).conj() @ inv_chols
-    obs.channel_means = model.means
+    obs.offsets = model.means - (obs.filters @ obs.means[..., None])[..., 0]
     return obs
 
 

@@ -148,6 +148,16 @@ def test_gmm_estimate_needs_projected_filters(desk_geometry):
         estimate_gmm(bare, np.ones(4))
 
 
+def test_estimates_of_no_rows_are_empty(desk_geometry):
+    model = _random_mixture(np.random.default_rng(9), 3, 16)
+    setup = build_pilot_matrix(desk_geometry, 4, sigma_n2=0.1)
+    obs = project_to_observation(model, setup)
+    none = np.empty((0, 4), dtype=complex)
+    assert estimate_gmm(obs, none).shape == (0, 16)
+    lmmse = estimate_lmmse(model.means[0], model.covariances[0], setup, none)
+    assert lmmse.shape == (0, 16)
+
+
 # -- LMMSE ---------------------------------------------------------------------
 
 def test_lmmse_equals_single_component_gmm(desk_geometry):

@@ -818,10 +818,10 @@ def test_batched_scores_match_per_row_oracle(dim, n_comp, rows, log_cond,
         densities[:, k] = _log_gaussian_batch(x, model.means[k], chol, logdet)
     scores = np.log(model.weights) + densities
     ref = scores - logsumexp(scores, axis=1, keepdims=True)
-    # a log-responsibility takes the error of its own score and of the
-    # row's normalizer, each within the bound on the row's largest density
-    bound = 2e-9 * np.maximum(1.0, np.abs(densities)).max(axis=1,
-                                                          keepdims=True)
+    # each score is held to 1e-9 of its own density; to first order the
+    # normalizer's error is the responsibility-weighted mean of those errors
+    tol = 1e-9 * np.maximum(1.0, np.abs(densities))
+    bound = tol + (np.exp(ref) * tol).sum(axis=1, keepdims=True)
     for mixture in (model, obs):
         got = mixture.log_responsibilities(x)
         assert got.shape == ref.shape
@@ -885,6 +885,9 @@ def test_projection_stores_lmmse_filters():
         oracle = model.covariances[k] @ pilot.conj().T @ np.linalg.inv(
             obs.covariances[k])
         np.testing.assert_allclose(obs.filters[k], oracle, rtol=1e-10)
+        np.testing.assert_allclose(
+            obs.offsets[k], model.means[k] - oracle @ pilot @ model.means[k],
+            rtol=1e-10)
 
 
 # -- sampling ----------------------------------------------------------------
