@@ -190,8 +190,11 @@ class Experiment:
     Models are keyed by (constraint, bits). Missing models are loaded from
     ``config.model_paths`` (keys ``full``/``toeplitz`` or ``full.<bits>``)
     or, when training data is available, fitted on demand (logged at INFO).
-    Everything derived from them is made on first use and kept in one dict;
-    a component's representative is made when a report first names it.
+    What a model alone determines, its score matrix and its components'
+    representatives, is kept on the model and outlives the Experiment.
+    Pilot setups, codebooks, observation mixtures and training statistics
+    are made on first use and kept in one dict here: an observation mixture
+    (0.7 MB at N=K=64 and 8 pilots) is freed with the Experiment.
     What belongs to one constellation, its feedback and its SWMMSE draws,
     lives in :meth:`run_constellation` only.
     """
@@ -262,15 +265,6 @@ class Experiment:
     def codebook(self, bits):
         return self._memo(("codebook", bits),
                           lambda: build_dft_codebook(self.geometry, bits))
-
-    def representatives(self, constraint, bits, indices):
-        """Rows for the 1-based component ``indices``, each computed once."""
-        cache = self._memo(("representatives", constraint, bits), dict)
-        missing = [k for k in dict.fromkeys(indices) if k not in cache]
-        if missing:
-            model = self.model_for(constraint, bits)
-            cache.update(zip(missing, directional_representatives(model, missing)))
-        return np.vstack([cache[k] for k in indices])
 
     def scheme_blocker(self, tag, bits):
         """Reason this scheme cannot run under the current resources, or None."""
@@ -358,7 +352,8 @@ class Experiment:
             else:
                 chosen = (self.codebook(bits).entries[indices - 1]
                           if source.startswith("dft:") else
-                          self.representatives(constraint, bits, indices))
+                          directional_representatives(
+                              self.model_for(constraint, bits), indices))
                 precoders = rci_precoders(chosen, sigma_n2, rho)
             if at_iterations is not None and designer == "swmmse":
                 snaps = precoders.metadata["precoders"]
@@ -435,7 +430,7 @@ def run_sweep(experiment, axis, values=None):
     """
     values = axis_values(experiment, axis, values)
     cfg = experiment.config
-    started = time.time()
+    started = time.perf_counter()
 
     # (rows of the result, the point's config) per sweep point
     at_iterations = None
@@ -468,7 +463,7 @@ def run_sweep(experiment, axis, values=None):
         "master_seed": cfg.seed,
         "constellations": n_const,
         "skipped": skipped_all,
-        "runtime_s": time.time() - started,
+        "runtime_s": time.perf_counter() - started,
     }
     return SweepResult(axis=axis, values=values, schemes=schemes, means=means,
                        std_errors=std_errors, per_constellation=collected,

@@ -71,13 +71,16 @@ def _inverse_factors(covariances):
 class _Mixture:
     """Weights, means and covariances of K complex Gaussians, scored row by
     row through the EM score matrix W of :func:`_score_matrix` (2.2 MB at
-    d=64, K=64), made on first use and kept instead of its factors."""
+    d=64, K=64), made on first use and kept instead of its factors. The
+    rows of :func:`~limfb.precoding.directional_representatives` are kept
+    too, by 1-based component, each made on its first request."""
 
     def __init__(self, weights, means, covariances):
         self.weights = np.asarray(weights, dtype=float)
         self.means = np.asarray(means, dtype=np.complex128)
         self.covariances = np.asarray(covariances, dtype=np.complex128)
         self._scores = None
+        self._representatives = {}
 
     @property
     def n_components(self):

@@ -29,7 +29,7 @@ from scipy.linalg import cholesky, lapack
 logger = logging.getLogger(__name__)
 
 _POWER_SLACK = 1e-6
-_EIGEN_GAP_TIE = 1e-10
+_EIGEN_GAP_TIE = 1e-8  # of the top; ill-conditioned fits move C_k by ~1e-8
 _EPS = np.finfo(float).eps
 _WEIGHT_CLAMP = 1e6
 _NEWTON_STEPS = 100
@@ -71,25 +71,33 @@ def _component_indices(indices, n_comp):
 
 def directional_representatives(model, indices):
     """Unit dominant eigenvectors of ``C_k + mu_k mu_k^H`` for the 1-based
-    ``indices`` (repeats allowed), from one stacked ``eigh``.
+    ``indices`` (repeats allowed), as a fresh (J, N) array.
 
-    The largest-magnitude entry is made real positive. Near-degenerate top
-    eigenvalues are logged; any maximizer is returned in that case.
+    A component's row is computed on its first request and kept on the
+    model; one stacked ``eigh`` covers the components still missing, and
+    its rows equal the rows computed alone. The largest-magnitude entry is
+    made real positive. A top eigenvalue gap below ``_EIGEN_GAP_TIE`` of
+    the top eigenvalue is logged; any maximizer is returned in that case.
     """
     indices = _component_indices(indices, model.n_components)
-    means = model.means[indices - 1]
-    corr = (model.covariances[indices - 1]
-            + means[:, :, None] * means[:, None, :].conj())
-    eigvals, eigvecs = np.linalg.eigh(corr)
-    reps = np.empty((len(indices), model.dim), dtype=np.complex128)
-    for row, k in enumerate(indices):
-        if model.dim > 1 and eigvals[row, -1] - eigvals[row, -2] < _EIGEN_GAP_TIE:
-            logger.warning("component %d has a near-degenerate dominant eigenvalue", k)
-        vec = eigvecs[row, :, -1]
-        pivot = np.argmax(np.abs(vec))
-        vec = vec * (vec[pivot] / abs(vec[pivot])).conj()
-        reps[row] = vec / np.linalg.norm(vec)
-    return reps
+    kept = model._representatives
+    missing = [k for k in dict.fromkeys(indices.tolist()) if k not in kept]
+    if missing:
+        rows = np.array(missing) - 1
+        means = model.means[rows]
+        corr = (model.covariances[rows]
+                + means[:, :, None] * means[:, None, :].conj())
+        eigvals, eigvecs = np.linalg.eigh(corr)
+        for row, k in enumerate(missing):
+            top = eigvals[row, -1]
+            if model.dim > 1 and top - eigvals[row, -2] < _EIGEN_GAP_TIE * top:
+                logger.warning("component %d has a near-degenerate dominant eigenvalue", k)
+            vec = eigvecs[row, :, -1]
+            pivot = np.argmax(np.abs(vec))
+            vec = vec * (vec[pivot] / abs(vec[pivot])).conj()
+            kept[k] = vec / np.linalg.norm(vec)
+    return np.array([kept[k] for k in indices.tolist()],
+                    dtype=np.complex128).reshape(len(indices), model.dim)
 
 
 def rci_precoders(representatives, sigma_n2, rho):

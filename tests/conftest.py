@@ -2,7 +2,7 @@
 
 import pytest
 
-from limfb.gmm import EmOptions, fit_em
+from limfb.gmm import EmOptions, GmmModel, fit_em
 from limfb.scene import (ArrayGeometry, SceneConfig, generate_channels,
                          normalize_dataset)
 
@@ -41,3 +41,13 @@ def desk_model(desk_train):
 def desk_tmodel(desk_train):
     options = EmOptions(max_iters=50, rel_loglik_tol=0.0, seed=3)
     return fit_em(desk_train, 16, "toeplitz", options, geometry=DESK_GEOMETRY)
+
+
+@pytest.fixture(scope="session")
+def cold_copy():
+    """A function returning an equal GmmModel with nothing cached: the
+    session models keep whatever earlier tests derived from them."""
+    def copy(model):
+        return GmmModel(model.weights, model.means, model.covariances,
+                        model.constraint, model.spectral, model.geometry)
+    return copy

@@ -141,9 +141,16 @@ def test_run_constellation_matches_hand_driven_pipeline(
 
 
 def test_representatives_are_computed_once_per_used_component(
-        desk_train, desk_eval, desk_model, desk_tmodel, monkeypatch):
-    exp = _experiment(desk_train, desk_eval, desk_model, desk_tmodel,
-                      schemes=("gmm-obs", "gmm-perfect", "tgmm-obs"))
+        desk_train, desk_eval, desk_model, desk_tmodel, cold_copy,
+        monkeypatch):
+    # fresh copies: the session models may hold rows from earlier tests
+    full_model, toeplitz_model = cold_copy(desk_model), cold_copy(desk_tmodel)
+
+    def experiment():
+        return _experiment(desk_train, desk_eval, full_model, toeplitz_model,
+                           schemes=("gmm-obs", "gmm-perfect", "tgmm-obs"))
+
+    exp = experiment()
     used = {"full": set(), "toeplitz": set()}
     feedback = exp.feedback
 
@@ -164,22 +171,27 @@ def test_representatives_are_computed_once_per_used_component(
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     first, _ = exp.run_constellation([17, 0])
     assert sum(eigh_rows) == len(used["full"]) + len(used["toeplitz"])
-    for constraint in ("full", "toeplitz"):
-        assert (set(exp._cache[("representatives", constraint, 4)])
-                == used[constraint])
+    assert set(full_model._representatives) == used["full"]
+    assert set(toeplitz_model._representatives) == used["toeplitz"]
 
-    # the same constellation again: every representative comes from the cache
+    # the same constellation again: every representative comes from the model
     eigh_rows.clear()
     again, _ = exp.run_constellation([17, 0])
+    assert again == first and eigh_rows == []
+    # so does a second Experiment on the same models
+    again, _ = experiment().run_constellation([17, 0])
     assert again == first and eigh_rows == []
     # a new constellation computes only the components not seen before
     seen = len(used["full"]) + len(used["toeplitz"])
     exp.run_constellation([17, 1])
     assert sum(eigh_rows) == len(used["full"]) + len(used["toeplitz"]) - seen
-    # cached rows are the rows of the full matrix, bit for bit
-    full = directional_representatives(desk_model, np.arange(1, 17))
-    for k, row in exp._cache[("representatives", "full", 4)].items():
-        assert row.tobytes() == full[k - 1].tobytes()
+    # kept rows are a cold model's rows of the full matrix, bit for bit
+    for model, source in ((full_model, desk_model),
+                          (toeplitz_model, desk_tmodel)):
+        cold = directional_representatives(cold_copy(source),
+                                           np.arange(1, 17))
+        for k, row in model._representatives.items():
+            assert row.tobytes() == cold[k - 1].tobytes()
 
 
 def test_perfect_equals_observed_with_invertible_noiseless_pilots(
@@ -239,6 +251,17 @@ def test_sweep_rejects_axis_values_out_of_range(
                         lambda *args, **kwargs: pytest.fail("sweep ran"))
     with pytest.raises(ValueError, match=match):
         run_sweep(exp, axis, values=values)
+
+
+def test_sweep_runtime_ignores_wall_clock_steps(desk_eval, desk_model,
+                                                monkeypatch):
+    exp = Experiment(ExperimentConfig.desk_profile(
+        users=2, constellations=1, seed=1, schemes=("gmm-perfect",)),
+        eval_dataset=desk_eval, models={("full", 4): desk_model})
+    clock = iter([2e9])  # the wall clock steps back by 1e9 s after one read
+    monkeypatch.setattr(evaluate.time, "time", lambda: next(clock, 1e9))
+    result = run_sweep(exp, "snr", values=[10.0])
+    assert 0.0 <= result.metadata["runtime_s"] < 1e3
 
 
 def test_sweep_prefix_stability(desk_train, desk_eval, desk_model):

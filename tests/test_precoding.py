@@ -89,15 +89,41 @@ def test_representatives_matrix(desk_model):
 
 @settings(max_examples=100, deadline=None)
 @given(indices=st.lists(st.integers(1, 16), max_size=40))
-def test_representative_rows_match_the_full_matrix(desk_model, indices):
-    # any subset, order or repeats: the same eigh per component, bit for bit
-    full = directional_representatives(desk_model, np.arange(1, 17))
-    rows = directional_representatives(desk_model, indices)
+def test_representative_rows_match_the_full_matrix(desk_model, cold_copy,
+                                                   indices):
+    # any subset, order or repeats: the same eigh per component, bit for
+    # bit, each side computed on a model with nothing kept
+    full = directional_representatives(cold_copy(desk_model), np.arange(1, 17))
+    rows = directional_representatives(cold_copy(desk_model), indices)
     assert rows.shape == (len(indices), 16)
     assert rows.tobytes() == full[np.array(indices, dtype=int) - 1].tobytes()
+    # and a warm model returns the same rows in a fresh array
+    again = directional_representatives(desk_model, indices)
+    assert again.tobytes() == rows.tobytes()
+    again[...] = 0.0
+    assert directional_representatives(desk_model, indices).tobytes() == (
+        rows.tobytes())
 
 
-def test_representatives_reject_indices_out_of_range(desk_model):
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_near_degenerate_warning_is_relative_to_the_top_eigenvalue(
+        caplog, cold_copy, scale):
+    # component 1: the top two eigenvalues tie to 1e-9 relative;
+    # component 2: a relative gap of 0.5, never a tie at any scale
+    covs = scale * np.array([np.diag([1.0, 1.0 - 1e-9, 0.5, 0.25]),
+                             np.diag([1.0, 0.5, 0.25, 0.125])]) + 0j
+    model = GmmModel([0.5, 0.5], np.zeros((2, 4)), covs)
+    message = "component 1 has a near-degenerate dominant eigenvalue"
+    with caplog.at_level(logging.WARNING, logger="limfb.precoding"):
+        directional_representatives(model, [1, 2, 1])
+        directional_representatives(model, [2, 1])
+        assert [r.getMessage() for r in caplog.records] == [message]
+        directional_representatives(cold_copy(model), [1])  # once per model
+    assert [r.getMessage() for r in caplog.records] == [message, message]
+    assert all(r.levelno == logging.WARNING for r in caplog.records)
+
+
+def test_representatives_reject_indices_out_of_range(desk_model, cold_copy):
     for bad in ([0], [17], [3, -1]):
         with pytest.raises(ValueError, match="outside 1..16"):
             directional_representatives(desk_model, bad)
@@ -108,7 +134,8 @@ def test_representatives_reject_indices_out_of_range(desk_model):
     full = directional_representatives(desk_model, np.arange(1, 17))
     for good in ([2, 5], np.array([2, 5], dtype=np.int32),
                  np.array([2, 5], dtype=np.uint8)):
-        assert (directional_representatives(desk_model, good).tobytes()
+        assert (directional_representatives(cold_copy(desk_model),
+                                            good).tobytes()
                 == full[[1, 4]].tobytes())
     assert directional_representatives(desk_model, []).shape == (0, 16)
 

@@ -2,8 +2,10 @@
 
 A terminal infers its own index from its own pilots, so feedback, mixture
 scores and channel estimates of a row must not depend on which other rows
-share the call. These properties must hold at any BLAS thread count; CI
-runs this file with one and with two OpenBLAS threads.
+share the call. Likewise a component's representative, kept on the model
+by the request that first needs it, must not depend on that request. These
+properties must hold at any BLAS thread count; CI runs this file with one
+and with two OpenBLAS threads.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from limfb.estimators import estimate_gmm, estimate_lmmse
 from limfb.evaluate import Experiment, ExperimentConfig
 from limfb.feedback import PilotSetup, observe
 from limfb.gmm import GmmModel, project_to_observation
+from limfb.precoding import directional_representatives
 
 FEEDBACK_SOURCES = ("gmm-obs", "tgmm-obs", "gmm-perfect", "tgmm-perfect",
                     "dft:perfect", "dft:gmm", "dft:tgmm", "dft:lmmse",
@@ -86,6 +89,42 @@ def test_paper_scale_rows_equal_their_one_row_calls(n_pilots):
     setup = _random_setup(rng, n_pilots, 64, 0.1)
     _assert_rows_equal_one_row_calls(model, setup,
                                      _complex_normal(rng, (130, 64)))
+
+
+def _assert_kept_rows_equal_rows_made_alone(make_model, requests):
+    """Rows returned while ``requests`` fill a model's cache in turn equal
+    the rows each component gets alone on a model with nothing kept."""
+    cold = make_model()  # one request per component: each row made alone
+    alone = [directional_representatives(cold, [k])[0].tobytes()
+             for k in range(1, cold.n_components + 1)]
+    model = make_model()
+    for request in requests:
+        rows = directional_representatives(model, request)
+        for k, row in zip(request, rows):
+            assert row.tobytes() == alone[k - 1], (request, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 12), n_comp=st.integers(1, 6), seed=_SEEDS,
+       data=st.data())
+def test_a_representative_does_not_depend_on_the_request_that_made_it(
+        dim, n_comp, seed, data):
+    requests = data.draw(st.lists(
+        st.lists(st.integers(1, n_comp), max_size=2 * n_comp), min_size=1))
+    _assert_kept_rows_equal_rows_made_alone(
+        lambda: _random_mixture(np.random.default_rng(seed), n_comp, dim),
+        requests)
+
+
+@pytest.mark.parametrize("order", ["stacked", "reversed", "shuffled"])
+def test_paper_scale_representatives_do_not_depend_on_the_request(order):
+    rng = np.random.default_rng(64)
+    indices = np.arange(1, 65)
+    requests = {"stacked": [indices], "reversed": [indices[::-1]],
+                "shuffled": np.array_split(rng.permutation(indices), 5)}
+    _assert_kept_rows_equal_rows_made_alone(
+        lambda: _random_mixture(np.random.default_rng(1), 64, 64),
+        requests[order])
 
 
 @pytest.fixture(scope="module")
