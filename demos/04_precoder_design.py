@@ -4,7 +4,9 @@ Directional: represent each user by the dominant eigenvector of its
 component correlation matrix and invert jointly (RCI). Generative: redraw
 channel samples from the reported components every iteration and run the
 stochastic WMMSE, which trades extra compute for higher sum-rate. The
-design's randomness is its unit draws: one (T + 1, J, N) array from a seed.
+design's randomness is its unit draws: one (T + 1, J, N) array from a seed,
+turned into channel samples of the reported components once, before the
+design. Designs with the same components and draws can share the samples.
 """
 
 import tempfile
@@ -16,7 +18,7 @@ from limfb import (ArrayGeometry, EmOptions, SceneConfig, build_pilot_matrix,
                    directional_representatives, export_trajectory_csv, fit_em,
                    generate_channels, mixture_feedback, normalize_dataset,
                    observe, project_to_observation, rci_precoders, sum_rate,
-                   swmmse_precoders, swmmse_white)
+                   swmmse_precoders, swmmse_samples, swmmse_white)
 
 geometry = ArrayGeometry(2, 8, 1.0, 0.5)
 scene = SceneConfig(geometry, seed=7)
@@ -42,7 +44,8 @@ print(f"\nRCI: power {rci.power:.6f} (budget {rho}), "
       f"sum-rate {sum_rate(channels, rci, sigma_n2):.3f} bps/Hz")
 
 white = swmmse_white(1, 301, n_users, geometry.n)  # T = 300 iterations
-swmmse = swmmse_precoders(model, indices, sigma_n2, rho, white)
+samples = swmmse_samples(model, indices, white)  # (T + 1, J, N)
+swmmse = swmmse_precoders(samples, sigma_n2, rho)
 print(f"SWMMSE: power {swmmse.power:.6f}, "
       f"sum-rate {sum_rate(channels, swmmse, sigma_n2):.3f} bps/Hz")
 

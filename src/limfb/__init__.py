@@ -18,7 +18,8 @@ from .gmm import (EmOptions, GmmModel, ObservationGmm, fit_em, load_model,
                   param_count, project_to_observation, sample_moments,
                   save_model)
 from .precoding import (PrecoderSet, directional_representatives,
-                        rci_precoders, swmmse_precoders, swmmse_white)
+                        rci_precoders, swmmse_precoders, swmmse_samples,
+                        swmmse_white)
 from .scene import (ArrayGeometry, ChannelDataset, SceneConfig,
                     generate_channels, load_dataset, load_scene_config,
                     normalize_dataset, save_dataset, steering_vector)

@@ -121,8 +121,13 @@ def _cmd_sweep(args):
         raise SystemExit(str(exc))
     result = run_sweep(experiment, args.axis, values=values)
     emit_csv(result, args.out)
-    for tag, reason in result.metadata["skipped"].items():
-        print(f"skipped {tag}: {reason}")
+    for tag, reasons in result.metadata["skipped"].items():
+        if tag in result.schemes:  # it ran at the other points
+            for value, reason in reasons.items():
+                print(f"skipped {tag} at {args.axis} {value:g}: {reason}")
+        else:
+            for reason in dict.fromkeys(reasons.values()):
+                print(f"skipped {tag}: {reason}")
     if args.dump_raw:
         dump_raw(result, args.dump_raw)
     print(f"wrote {len(result.values)} axis points x "

@@ -34,7 +34,7 @@ from .feedback import (build_dft_codebook, build_pilot_matrix,
 from .gmm import fit_em, load_model, project_to_observation, sample_moments
 from .precoding import (_check_rho, _sum_rate_matrix,
                         directional_representatives, rci_precoders,
-                        swmmse_precoders, swmmse_white)
+                        swmmse_precoders, swmmse_samples, swmmse_white)
 from .scene import ArrayGeometry, load_dataset, read_geometry
 
 logger = logging.getLogger(__name__)
@@ -195,8 +195,9 @@ class Experiment:
     Pilot setups, codebooks, observation mixtures and training statistics
     are made on first use and kept in one dict here: an observation mixture
     (0.7 MB at N=K=64 and 8 pilots) is freed with the Experiment.
-    What belongs to one constellation, its feedback and its SWMMSE draws,
-    lives in :meth:`run_constellation` only.
+    What belongs to one constellation at all its points, its feedback and
+    its SWMMSE draws and sample sets, lives in one
+    :meth:`run_constellation` call only.
     """
 
     def __init__(self, config, train_dataset=None, eval_dataset=None,
@@ -308,60 +309,90 @@ class Experiment:
         return np.array([select_codebook_index(codebook, h_hat).index
                          for h_hat in estimates])
 
-    def run_constellation(self, seed, point=None, at_iterations=None):
-        """Rates per scheme for one constellation draw.
+    def run_constellation(self, seed, points=None, at_iterations=None):
+        """Rates per scheme at every point of one constellation draw.
 
-        ``point`` is the config of a sweep point (default: the experiment's
-        config); it sets the pilots, SNR, bits, users and iterations. All
+        ``points`` are the configs of the sweep points (default: the
+        experiment's config alone); each sets the pilots, SNR, bits, users
+        and iterations. Every point draws from ``seed`` afresh, so all its
         schemes see the same user channels and the same unit pilot noise
-        (common random numbers). Schemes of one feedback source and model
-        share one feedback call, and the SWMMSE designs share one draw,
-        made at the first of them. Returns (rates, skipped). With
-        ``at_iterations`` (1-based, at most ``point.iters``) the rate of an
-        SWMMSE-designed scheme is an array, one rate per listed iteration,
-        evaluated from that iteration's precoder snapshot.
-        """
-        point = self.config if point is None else point
-        bits, sigma_n2, rho = point.bits, point.sigma_n2, point.rho
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(len(self.eval), size=point.users, replace=False)
-        channels = self.eval.samples[picks].astype(np.complex128)
-        setup = self.pilot_setup(point.pilots, sigma_n2)
-        observations = observe(setup, channels, rng)
-        swmmse_seed = int(rng.integers(0, 2 ** 63))
+        (common random numbers), and a point's rates do not depend on the
+        other points. Returns one (rates, skipped) pair per point. With
+        ``at_iterations`` (1-based, at most each point's ``iters``) the rate
+        of an SWMMSE-designed scheme is an array, one rate per listed
+        iteration, evaluated from that iteration's precoder snapshot.
 
-        rates, skipped = {}, {}
-        feedback = {}  # indices by (source, constraint)
-        white = None  # the SWMMSE draws, made for the first design
-        for tag in point.schemes:
-            blocker = self.scheme_blocker(tag, bits)
-            if blocker:
-                skipped[tag] = blocker
-                continue
-            source, constraint, designer = parse_scheme(tag)
-            if (source, constraint) not in feedback:
-                feedback[source, constraint] = self.feedback(
-                    tag, bits, setup, channels, observations)
-            indices = feedback[source, constraint]
-            if designer == "swmmse":
-                if white is None:
-                    white = swmmse_white(swmmse_seed, point.iters + 1,
-                                         point.users, self.geometry.n)
-                precoders = swmmse_precoders(self.model_for(constraint, bits),
-                                             indices, sigma_n2, rho, white)
-            else:
+        Work that the points share is done once per call: schemes of one
+        feedback source and model share their indices at a point, and
+        perfect-CSI indices, which do not depend on the SNR or the pilots,
+        are shared across points. The SWMMSE designs run last, grouped by
+        their draw (seed, T + 1, J) and then by their sample set (model,
+        indices, draw), so the call holds at most one draw and one sample
+        set at a time, and designs with equal inputs share both.
+        """
+        points = [self.config] if points is None else points
+        results = []
+        feedback = {}  # indices by source, model, users and point
+        designs = {}  # draw -> sample set -> [(indices, rates, tag, ...)]
+        for row, point in enumerate(points):
+            bits = point.bits
+            rng = np.random.default_rng(seed)
+            picks = rng.choice(len(self.eval), size=point.users, replace=False)
+            channels = self.eval.samples[picks].astype(np.complex128)
+            setup = self.pilot_setup(point.pilots, point.sigma_n2)
+            observations = observe(setup, channels, rng)
+            draw = (int(rng.integers(0, 2 ** 63)), point.iters + 1,
+                    point.users)
+
+            rates, skipped = {}, {}
+            results.append((rates, skipped))
+            for tag in point.schemes:
+                blocker = self.scheme_blocker(tag, bits)
+                if blocker:
+                    skipped[tag] = blocker
+                    continue
+                source, constraint, designer = parse_scheme(tag)
+                # perfect CSI sees neither the SNR nor the pilots
+                key = (source, constraint, bits, point.users,
+                       None if source.endswith("perfect") else row)
+                if key not in feedback:
+                    feedback[key] = self.feedback(tag, bits, setup, channels,
+                                                  observations)
+                indices = feedback[key]
+                if designer == "swmmse":  # designed below
+                    sample_set = (constraint, bits, indices.tobytes())
+                    designs.setdefault(draw, {}).setdefault(
+                        sample_set, []).append(
+                            (indices, rates, tag, channels, point))
+                    continue
                 chosen = (self.codebook(bits).entries[indices - 1]
                           if source.startswith("dft:") else
                           directional_representatives(
                               self.model_for(constraint, bits), indices))
-                precoders = rci_precoders(chosen, sigma_n2, rho)
-            if at_iterations is not None and designer == "swmmse":
-                snaps = precoders.metadata["precoders"]
-                rates[tag] = np.array([sum_rate(channels, snaps[t - 1], sigma_n2)
-                                       for t in at_iterations])
-            else:
-                rates[tag] = sum_rate(channels, precoders, sigma_n2)
-        return rates, skipped
+                rates[tag] = sum_rate(channels, rci_precoders(
+                    chosen, point.sigma_n2, point.rho), point.sigma_n2)
+
+        for draw, sets in designs.items():
+            white = swmmse_white(*draw, self.geometry.n)
+            for (constraint, bits, _), group in sets.items():
+                samples = swmmse_samples(self.model_for(constraint, bits),
+                                         group[0][0], white)
+                for _, rates, tag, channels, point in group:
+                    rates[tag] = _swmmse_rates(samples, channels, point,
+                                               at_iterations)
+                del samples  # before the next set is made
+            del white
+        return results
+
+
+def _swmmse_rates(samples, channels, point, at_iterations):
+    """The rate of one SWMMSE design, or its rates at ``at_iterations``."""
+    precoders = swmmse_precoders(samples, point.sigma_n2, point.rho)
+    if at_iterations is None:
+        return sum_rate(channels, precoders, point.sigma_n2)
+    snaps = precoders.metadata["precoders"]
+    return np.array([sum_rate(channels, snaps[t - 1], point.sigma_n2)
+                     for t in at_iterations])
 
 
 def axis_values(experiment, axis, values=None):
@@ -422,39 +453,48 @@ def mean_and_se(rates):
 def run_sweep(experiment, axis, values=None):
     """Monte-Carlo sweep of an :class:`Experiment` along one axis.
 
-    ``axis`` is one of SWEEP_AXES. Constellation i reuses the seed
-    [master_seed, i] at every axis point, so extending the grid or the
-    constellation count leaves earlier per-constellation values unchanged.
-    The iterations axis runs one SWMMSE trajectory per constellation and
-    evaluates the rates at the requested checkpoints only.
+    ``axis`` is one of SWEEP_AXES. The sweep is constellation-major: one
+    :meth:`Experiment.run_constellation` call per constellation covers every
+    point. Constellation i reuses the seed [master_seed, i] at every axis
+    point, so extending the grid or the constellation count leaves earlier
+    per-constellation values unchanged. The iterations axis runs one SWMMSE
+    trajectory per constellation and evaluates the rates at the requested
+    checkpoints only. A scheme that cannot run at a point (see
+    :meth:`Experiment.scheme_blocker`) has NaN rates there, and
+    ``metadata["skipped"]`` maps it to {axis value: reason}; a scheme
+    skipped at every point is left out of ``schemes``.
     """
     values = axis_values(experiment, axis, values)
     cfg = experiment.config
     started = time.perf_counter()
 
-    # (rows of the result, the point's config) per sweep point
+    # the point configs, and the rows of the result each point fills
     at_iterations = None
     if axis == "iterations":
-        points = [(slice(None), sweep_point(cfg, axis, max(values)))]
+        points = [sweep_point(cfg, axis, max(values))]
+        rows = [slice(None)]
         at_iterations = values
     else:
-        points = [(row, sweep_point(cfg, axis, value))
-                  for row, value in enumerate(values)]
+        points = [sweep_point(cfg, axis, value) for value in values]
+        rows = [slice(row, row + 1) for row in range(len(values))]
 
     n_const = cfg.constellations
-    collected = {}
-    skipped_all = {}
-    for row, point in points:
-        for i in range(n_const):
-            rates, skipped = experiment.run_constellation(
-                [cfg.seed, i], point, at_iterations)
-            skipped_all.update(skipped)
+    collected = {tag: np.full((len(values), n_const), np.nan)
+                 for tag in cfg.schemes}
+    ran, skipped_at = set(), {}
+    for i in range(n_const):
+        found = experiment.run_constellation([cfg.seed, i], points,
+                                             at_iterations)
+        for row, (rates, skipped) in zip(rows, found):
             for tag, rate in rates.items():
-                store = collected.setdefault(
-                    tag, np.empty((len(values), n_const)))
-                store[row, i] = rate
+                collected[tag][row, i] = rate
+            ran.update(rates)
+            for tag, reason in skipped.items():
+                skipped_at.setdefault(tag, {}).update(
+                    dict.fromkeys(values[row], reason))
 
-    schemes = [tag for tag in cfg.schemes if tag in collected]
+    schemes = [tag for tag in cfg.schemes if tag in ran]
+    collected = {tag: collected[tag] for tag in schemes}
     means, std_errors = {}, {}
     for tag in schemes:
         means[tag], std_errors[tag] = mean_and_se(collected[tag])
@@ -462,7 +502,7 @@ def run_sweep(experiment, axis, values=None):
         "config_hash": cfg.config_hash(),
         "master_seed": cfg.seed,
         "constellations": n_const,
-        "skipped": skipped_all,
+        "skipped": skipped_at,
         "runtime_s": time.perf_counter() - started,
     }
     return SweepResult(axis=axis, values=values, schemes=schemes, means=means,

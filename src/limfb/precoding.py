@@ -3,17 +3,19 @@
 Two designers are provided. Regularized channel inversion (RCI) turns one
 channel representative per user into a jointly regularized inverse, scaled
 by a single common factor to meet the power budget. The stochastic WMMSE
-designer never sees a representative: it redraws one channel sample per user
+designer never sees a representative: it takes one channel sample per user
 and iteration from the reported mixture component and averages the weighted
 MMSE statistics over iterations, so the precoders optimize the expected
 sum-rate under the component distributions. Its power step finds the least
 ridge that meets the budget from the previous ridge, one Cholesky
 factorization per step: the first step follows a third-order model of the
 power, so most iterations take two factorizations. A design factors in one
-workspace and keeps its per-iteration quantities in buffers made once. Its
-unit draws are its only randomness: a caller with a seed makes them with
-:func:`swmmse_white`, and the designs of one constellation in a sweep share
-one draw.
+workspace and keeps its per-iteration quantities in buffers made once.
+Sampling is split from the design: a caller with a seed makes the unit
+draws with :func:`swmmse_white`, turns them into the samples of the
+reported components with :func:`swmmse_samples`, and designs from those
+with :func:`swmmse_precoders`. In a sweep, the designs of one constellation
+share one draw, and designs with equal model and indices one sample set.
 
 Rates everywhere use the bilinear pairing ``h^T v``; designers therefore
 consume conjugated representatives internally so that a representative equal
@@ -24,7 +26,7 @@ import logging
 import math
 
 import numpy as np
-from scipy.linalg import cholesky, lapack
+from scipy.linalg import blas, cholesky, lapack
 
 logger = logging.getLogger(__name__)
 
@@ -349,17 +351,46 @@ def swmmse_white(seed, rounds, users, dim):
     return white
 
 
-def swmmse_precoders(model, indices, sigma_n2, rho, white):
+def swmmse_samples(model, indices, white):
+    """The channel samples of an SWMMSE design, shape (T + 1, J, N).
+
+    User j's rows are ``mu_k + L_k w`` for its 1-based component ``k`` and
+    its unit draws ``w = white[:, j]`` (T + 1 rounds, from
+    :func:`swmmse_white`), where ``L_k L_k^H = C_k``: one matrix product per
+    user, so a user's samples equal, bit for bit, those it makes alone.
+    Designs with equal (model, indices, draws) share one sample set.
+    """
+    comps = _component_indices(indices, model.n_components) - 1
+    n_users, dim = len(comps), model.dim
+    if n_users < 1:
+        raise ValueError("need at least one feedback index")
+    shape = np.shape(white)
+    if len(shape) != 3 or shape[0] < 2 or shape[1:] != (n_users, dim):
+        raise ValueError(f"white draws must have shape (T + 1, {n_users}, "
+                         f"{dim}) with T >= 1, got {shape}")
+    samples = np.empty(shape, dtype=np.complex128)
+    roots = {}  # L_k^T by component, so each round is the row w^T L_k^T
+    for j, k in enumerate(comps.tolist()):
+        if k not in roots:
+            roots[k] = cholesky(model.covariances[k], lower=True).T
+        rows = samples[:, j]
+        np.matmul(white[:, j], roots[k], out=rows)
+        rows += model.means[k]
+    return samples
+
+
+def swmmse_precoders(samples, sigma_n2, rho):
     """Stochastic WMMSE precoders driven by mixture component samples.
 
-    ``white`` holds the unit complex normal draws of all T + 1 rounds,
-    shape (T + 1, J, N), as :func:`swmmse_white` makes them from a seed;
-    they are the design's only randomness, and designs can share them.
-    Round 0 starts the precoders; per iteration t = 1..T: draw one sample
-    per user from its reported component, compute scalar MMSE receivers and
-    clamped MSE weights on the samples, fold the weighted statistics into
-    running averages with step size 1/t, and re-solve the regularized
-    system with the least ridge that meets the power budget
+    ``samples`` holds one channel sample per user and round for all T + 1
+    rounds, shape (T + 1, J, N), as :func:`swmmse_samples` makes them; they
+    are the design's only randomness, and designs can share them.
+    Round 0 starts the precoders; per iteration t = 1..T: take round t's
+    samples, compute scalar MMSE receivers and clamped MSE weights on them,
+    fold the weighted statistics into running averages with step size 1/t
+    (the covariance in one BLAS call, ``zgemm`` with beta = 1 - 1/t, in
+    Fortran order as the power step factors it), and re-solve the
+    regularized system with the least ridge that meets the power budget
     (:func:`_power_step`, warm-started from the previous ridge).
     The trajectory metadata records the per-iteration power, ridge,
     sampled-channel objective and precoder snapshots (used to evaluate
@@ -369,26 +400,17 @@ def swmmse_precoders(model, indices, sigma_n2, rho, white):
     """
     _check_rho(rho)
     _check_noise(sigma_n2, allow_zero=False)
-    comps = _component_indices(indices, model.n_components) - 1
-    n_users = len(comps)
-    if n_users < 1:
-        raise ValueError("need at least one feedback index")
-    dim = model.dim
-    shape = np.shape(white)
-    if len(shape) != 3 or shape[0] < 2 or shape[1:] != (n_users, dim):
-        raise ValueError(f"white draws must have shape (T + 1, {n_users}, "
-                         f"{dim}) with T >= 1, got {shape}")
-    n_iters = shape[0] - 1
-    unique, inverse = np.unique(comps, return_inverse=True)
-    roots = [cholesky(model.covariances[k], lower=True) for k in unique]
-    samples = (np.stack(roots)[inverse] @ white[..., None])[..., 0]
-    samples += model.means[comps]
-    del roots, white  # the design holds the samples only
+    samples = np.asarray(samples, dtype=np.complex128)
+    shape = samples.shape
+    if len(shape) != 3 or shape[0] < 2 or 0 in shape[1:]:
+        raise ValueError(f"samples must have shape (T + 1, J, N) with T >= 1 "
+                         f"and J, N >= 1, got {shape}")
+    n_iters, n_users, dim = shape[0] - 1, shape[1], shape[2]
 
     init_norms = np.linalg.norm(samples[0], axis=1)
     vectors = np.sqrt(rho / n_users) * samples[0].conj() / init_norms[:, None]
 
-    avg_cov = np.zeros((dim, dim), dtype=np.complex128)
+    avg_cov = np.zeros((dim, dim), dtype=np.complex128, order="F")
     avg_rhs = np.zeros((n_users, dim), dtype=np.complex128)
     lambda_track = np.empty(n_iters)
     factorizations = np.empty(n_iters, dtype=np.int64)
@@ -400,7 +422,6 @@ def swmmse_precoders(model, indices, sigma_n2, rho, white):
     sample_conj = np.empty((n_users, dim), dtype=np.complex128)
     rhs_term = np.empty((n_users, dim), dtype=np.complex128)
     left = np.empty((dim, n_users), dtype=np.complex128, order="F")
-    cov_term = np.empty((dim, dim), dtype=np.complex128)
     gains = np.empty((n_users, n_users), dtype=np.complex128)
     gains_sq = np.empty((n_users, n_users))
     direct, receivers, column = np.empty((3, n_users), dtype=np.complex128)
@@ -427,16 +448,16 @@ def swmmse_precoders(model, indices, sigma_n2, rho, white):
         np.minimum(weights, _WEIGHT_CLAMP, out=weights)
 
         # gamma scales the left factor before each product, which is how
-        # gamma * left @ right and gamma * column * row round
+        # gamma * left @ right and gamma * column * row round; zgemm scales
+        # avg_cov by 1 - gamma, then adds the product, in place
         gamma = 1.0 / t
         np.absolute(receivers, coef)
         np.square(coef, coef)
         np.multiply(weights, coef, coef)
         np.multiply(sample_conj_t, coef, left)
         np.multiply(left, gamma, left)
-        np.matmul(left, sample, cov_term)
-        np.multiply(avg_cov, 1.0 - gamma, avg_cov)
-        np.add(avg_cov, cov_term, avg_cov)
+        avg_cov = blas.zgemm(1.0, left, sample.T, 1.0 - gamma, avg_cov,
+                             0, 1, 1)  # op(sample.T) = sample; overwrite
         np.conjugate(receivers, column)
         np.multiply(weights, column, column)
         np.multiply(column, gamma, column)

@@ -17,7 +17,7 @@ from limfb.feedback import (build_dft_codebook, build_pilot_matrix,
                             select_codebook_index)
 from limfb.gmm import GmmModel, param_count, project_to_observation
 from limfb.precoding import (PrecoderSet, directional_representatives,
-                             swmmse_precoders, swmmse_white)
+                             swmmse_precoders, swmmse_samples, swmmse_white)
 from limfb.scene import ArrayGeometry
 from limfb.toeplitz import check_structure
 from wmmse_oracle import deterministic_wmmse
@@ -171,8 +171,8 @@ def test_criterion_4_swmmse_sanity():
 
     mean = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     single = GmmModel([1.0], [mean], [1e-12 * np.eye(4)])
-    out1 = swmmse_precoders(single, [1], sigma_n2, rho,
-                            swmmse_white(0, 301, 1, 4))
+    out1 = swmmse_precoders(
+        swmmse_samples(single, [1], swmmse_white(0, 301, 1, 4)), sigma_n2, rho)
     capacity = np.log2(1.0 + rho * np.sum(np.abs(mean) ** 2) / sigma_n2)
     achieved = sum_rate(mean[None, :], out1, sigma_n2)
     single_ok = achieved >= 0.99 * capacity
@@ -181,8 +181,8 @@ def test_criterion_4_swmmse_sanity():
         + 1j * np.random.default_rng(0).standard_normal((2, 2))
     channels = channels[:2]
     two = GmmModel([0.5, 0.5], channels, np.stack([1e-12 * np.eye(2)] * 2))
-    out2 = swmmse_precoders(two, [1, 2], sigma_n2, rho,
-                            swmmse_white(1, 301, 2, 2))
+    out2 = swmmse_precoders(
+        swmmse_samples(two, [1, 2], swmmse_white(1, 301, 2, 2)), sigma_n2, rho)
     oracle_vectors = deterministic_wmmse(channels, sigma_n2, rho)
     oracle = sum_rate(channels, PrecoderSet(oracle_vectors, rho, "o"),
                       sigma_n2)

@@ -249,6 +249,26 @@ def test_bits_sweep_refuses_a_codebook_the_array_cannot_split(
     assert ran == [] and not out.exists() and capsys.readouterr().out == ""
 
 
+def test_sweep_names_the_points_a_scheme_was_skipped_at(workspace, tmp_path,
+                                                        capsys):
+    # no training data and a full model for B=2 only: gmm-obs runs at B=2
+    # and is skipped at B=3, tgmm-obs is skipped at both
+    cfg = _sweep_config(workspace, tmp_path / "skip.cfg", train_data="",
+                        schemes="gmm-obs, dft:perfect, tgmm-obs")
+    out = tmp_path / "skip.csv"
+    main(["sweep", "--config", str(cfg), "--axis", "bits", "--values", "2,3",
+          "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(lines[:3]) == [
+        "skipped gmm-obs at bits 3: no full model for B=3",
+        "skipped tgmm-obs: no toeplitz model for B=2",
+        "skipped tgmm-obs: no toeplitz model for B=3"]
+    _, header, rows = evaluate.read_sweep_csv(out)
+    assert header == ["bits", "gmm-obs_mean", "gmm-obs_se",
+                      "dft:perfect_mean", "dft:perfect_se"]
+    assert not np.isnan(rows[0][1]) and np.isnan(rows[1][1])
+
+
 def test_report_of_one_constellation_has_zero_standard_error(
         workspace, tmp_path, capsys):
     cfg = _sweep_config(workspace, tmp_path / "one.cfg", constellations=1)

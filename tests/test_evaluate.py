@@ -11,9 +11,11 @@ from limfb.config import read_kv
 from limfb.evaluate import (Experiment, ExperimentConfig, SweepResult,
                             dump_raw, emit_csv, export_trajectory_csv,
                             parse_scheme, read_sweep_csv, run_sweep, sum_rate)
-from limfb.gmm import GmmModel, project_to_observation
+from limfb.feedback import observe
+from limfb.gmm import EmOptions, GmmModel, fit_em, project_to_observation
 from limfb.precoding import (PrecoderSet, directional_representatives,
-                             rci_precoders, swmmse_precoders, swmmse_white)
+                             rci_precoders, swmmse_precoders, swmmse_samples,
+                             swmmse_white)
 from limfb.scene import ArrayGeometry, load_scene_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -107,8 +109,8 @@ def test_feedback_is_one_index_array_for_every_scheme(
 
 def test_run_constellation_deterministic(desk_train, desk_eval, desk_model):
     exp = _experiment(desk_train, desk_eval, desk_model)
-    a, _ = exp.run_constellation([17, 0])
-    b, _ = exp.run_constellation([17, 0])
+    [(a, _)] = exp.run_constellation([17, 0])
+    [(b, _)] = exp.run_constellation([17, 0])
     assert a == b
 
 
@@ -118,7 +120,7 @@ def test_run_constellation_matches_hand_driven_pipeline(
     exp = _experiment(desk_train, desk_eval, desk_model,
                       schemes=("gmm-obs",))
     seed = [17, 3]
-    rates, _ = exp.run_constellation(seed)
+    [(rates, _)] = exp.run_constellation(seed)
 
     cfg = exp.config
     sigma_n2 = cfg.rho / 10.0 ** (cfg.snr_db[0] / 10.0)
@@ -169,17 +171,17 @@ def test_representatives_are_computed_once_per_used_component(
 
     monkeypatch.setattr(exp, "feedback", recording_feedback)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    first, _ = exp.run_constellation([17, 0])
+    [(first, _)] = exp.run_constellation([17, 0])
     assert sum(eigh_rows) == len(used["full"]) + len(used["toeplitz"])
     assert set(full_model._representatives) == used["full"]
     assert set(toeplitz_model._representatives) == used["toeplitz"]
 
     # the same constellation again: every representative comes from the model
     eigh_rows.clear()
-    again, _ = exp.run_constellation([17, 0])
+    [(again, _)] = exp.run_constellation([17, 0])
     assert again == first and eigh_rows == []
     # so does a second Experiment on the same models
-    again, _ = experiment().run_constellation([17, 0])
+    [(again, _)] = experiment().run_constellation([17, 0])
     assert again == first and eigh_rows == []
     # a new constellation computes only the components not seen before
     seen = len(used["full"]) + len(used["toeplitz"])
@@ -199,7 +201,7 @@ def test_perfect_equals_observed_with_invertible_noiseless_pilots(
     exp = _experiment(desk_train, desk_eval, desk_model,
                       schemes=("gmm-obs", "gmm-perfect"))
     point = replace(exp.config, pilots=16, snr_db=(120.0,))  # sigma_n2 1e-12
-    rates, _ = exp.run_constellation([17, 5], point)
+    [(rates, _)] = exp.run_constellation([17, 5], [point])
     assert rates["gmm-obs"] == rates["gmm-perfect"]
 
 
@@ -209,7 +211,7 @@ def test_skipped_schemes_are_reported(desk_eval, desk_model):
         schemes=("gmm-obs", "tgmm-obs", "dft:lmmse"))
     exp = Experiment(config, eval_dataset=desk_eval,
                      models={("full", 4): desk_model})
-    rates, skipped = exp.run_constellation([1, 0])
+    [(rates, skipped)] = exp.run_constellation([1, 0])
     assert "gmm-obs" in rates
     assert set(skipped) == {"tgmm-obs", "dft:lmmse"}
 
@@ -220,7 +222,8 @@ def test_single_value_sweep_equals_constellation_mean(
         desk_train, desk_eval, desk_model):
     exp = _experiment(desk_train, desk_eval, desk_model)
     result = run_sweep(exp, "snr", values=[10.0])
-    direct = [exp.run_constellation([17, i])[0]["gmm-obs"] for i in range(8)]
+    direct = [exp.run_constellation([17, i])[0][0]["gmm-obs"]
+              for i in range(8)]
     assert result.means["gmm-obs"][0] == np.mean(direct)
 
 
@@ -329,21 +332,22 @@ def test_at_iterations_evaluates_only_the_requested_snapshots(
         return real_sum_rate(*args)
 
     monkeypatch.setattr(evaluate, "sum_rate", counting_sum_rate)
-    rates, _ = exp.run_constellation([17, 0], at_iterations=[3, 12, 1])
+    [(rates, _)] = exp.run_constellation([17, 0], at_iterations=[3, 12, 1])
     # three SWMMSE snapshots and one RCI design, not all 12 iterations
     assert len(calls) == 4
     assert np.ndim(rates["gmm-obs"]) == 0
     # the SWMMSE draws are a prefix-stable stream, so snapshot t is the
     # design of a run stopped after t iterations
-    expected = [exp.run_constellation([17, 0], replace(exp.config, iters=t))
-                [0]["gmm-obs+swmmse"] for t in (3, 12, 1)]
+    expected = [exp.run_constellation([17, 0], [replace(exp.config, iters=t)])
+                [0][0]["gmm-obs+swmmse"] for t in (3, 12, 1)]
     assert rates["gmm-obs+swmmse"].tolist() == expected
 
 
 def test_shared_swmmse_draws_leave_every_rate_unchanged(
         desk_train, desk_eval, desk_model, desk_tmodel, monkeypatch):
-    # both SWMMSE schemes of a constellation share its seed, so they share
-    # one draw; every rate equals that of a fresh Experiment
+    # every SWMMSE design of a constellation, at every SNR point, uses the
+    # same seed, so they share one draw; every rate equals that of a fresh
+    # Experiment run at that point alone
     draws = []
     real_white = evaluate.swmmse_white
 
@@ -357,13 +361,13 @@ def test_shared_swmmse_draws_leave_every_rate_unchanged(
     exp = _experiment(desk_train, desk_eval, desk_model, desk_tmodel,
                       **overrides)
     result = run_sweep(exp, "snr", values=[0.0, 20.0])
-    assert len(draws) == 4  # one per constellation and point, not per design
+    assert len(draws) == 2  # one per constellation, not per point or design
     for row, snr in enumerate((0.0, 20.0)):
         for i in range(2):
             fresh = _experiment(desk_train, desk_eval, desk_model, desk_tmodel,
                                 **overrides)
-            rates, _ = fresh.run_constellation(
-                [17, i], replace(fresh.config, snr_db=(snr,)))
+            [(rates, _)] = fresh.run_constellation(
+                [17, i], [replace(fresh.config, snr_db=(snr,))])
             for tag, rate in rates.items():
                 got = result.per_constellation[tag][row, i]
                 assert np.float64(got).tobytes() == np.float64(rate).tobytes()
@@ -381,30 +385,42 @@ def _swmmse_seed(exp, seed, users):
 
 def test_shared_swmmse_draws_match_each_design(desk_train, desk_eval,
                                                desk_model, monkeypatch):
-    # every design gets swmmse_white(seed, iters + 1, users, N) for the seed
-    # of its own constellation. The second sweep reruns the first one's
-    # constellations at fewer iterations, and the users axis changes the
-    # shape and the seed between points
-    seen = []
-    real = evaluate.swmmse_precoders
-
-    def checking(model, indices, sigma_n2, rho, white):
-        seed = _swmmse_seed(exp, [17, len(seen) // 2 % 2], len(indices))
-        expected = swmmse_white(seed, len(white), len(indices), model.dim)
-        assert white.tobytes() == expected.tobytes()
-        seen.append(white.shape)
-        return real(model, indices, sigma_n2, rho, white)
-
-    monkeypatch.setattr(evaluate, "swmmse_precoders", checking)
+    # every design samples swmmse_white(seed, iters + 1, users, N) for the
+    # seed of its own constellation and point. The second sweep reruns the
+    # first one's constellations at fewer iterations, and the users axis
+    # changes the shape and the seed between points
     exp = _experiment(desk_train, desk_eval, desk_model, constellations=2,
                       iters=9, schemes=("gmm-obs+swmmse", "gmm-perfect+swmmse"))
+    constellation, seen = [], []
+    real_run = exp.run_constellation
+    real_samples, real_design = evaluate.swmmse_samples, evaluate.swmmse_precoders
+
+    def recording_run(seed, *args):
+        constellation[:] = [seed]
+        return real_run(seed, *args)
+
+    def checking_samples(model, indices, white):
+        seed = _swmmse_seed(exp, constellation[0], len(indices))
+        expected = swmmse_white(seed, len(white), len(indices), model.dim)
+        assert white.tobytes() == expected.tobytes()
+        return real_samples(model, indices, white)
+
+    def recording_design(samples, sigma_n2, rho):
+        seen.append(samples.shape)
+        return real_design(samples, sigma_n2, rho)
+
+    monkeypatch.setattr(exp, "run_constellation", recording_run)
+    monkeypatch.setattr(evaluate, "swmmse_samples", checking_samples)
+    monkeypatch.setattr(evaluate, "swmmse_precoders", recording_design)
     run_sweep(exp, "iterations", [2, 9])
     run_sweep(exp, "iterations", [2, 5])
     run_sweep(exp, "users", [2, 4, 3])
-    shapes = [(10, 4), (6, 4), (10, 2), (10, 4), (10, 3)]
-    # one design per scheme, constellation and point
-    assert seen == [(rounds, users, 16) for rounds, users in shapes
-                    for _ in range(4)]
+    # one design per scheme, constellation and point; a sweep runs the
+    # points of one constellation before the next constellation
+    per_constellation = [[(10, 4)], [(6, 4)], [(10, 2), (10, 4), (10, 3)]]
+    assert seen == [(rounds, users, 16)
+                    for shapes in per_constellation for _ in range(2)
+                    for rounds, users in shapes for _ in range(2)]
 
 
 def test_feedback_runs_once_per_source_and_model(
@@ -431,9 +447,152 @@ def test_feedback_runs_once_per_source_and_model(
         for row, snr in enumerate((0.0, 20.0)):
             point = replace(alone.config, snr_db=(snr,))
             for i in range(2):
-                rate = alone.run_constellation([17, i], point)[0][tag]
+                rate = alone.run_constellation([17, i], [point])[0][0][tag]
                 got = result.per_constellation[tag][row, i]
                 assert np.float64(got).tobytes() == np.float64(rate).tobytes()
+
+
+ALL_SCHEMES = ("gmm-obs", "tgmm-obs", "gmm-perfect", "tgmm-perfect",
+               "dft:perfect", "dft:gmm", "dft:tgmm", "dft:lmmse", "dft:omp",
+               "gmm-obs+swmmse", "tgmm-obs+swmmse", "gmm-perfect+swmmse")
+
+
+@pytest.fixture(scope="module")
+def two_bit_models(desk_train, desk_geometry):
+    options = EmOptions(max_iters=5, seed=2)
+    return {(constraint, 2): fit_em(desk_train, 4, constraint, options,
+                                    geometry=desk_geometry)
+            for constraint in ("full", "toeplitz")}
+
+
+def _fresh_swmmse_rates(exp, seed, point, tag, at_iterations):
+    """The rates of one SWMMSE design of ``tag`` at ``point``, replayed by
+    hand on samples made for this design alone."""
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(exp.eval), size=point.users, replace=False)
+    channels = exp.eval.samples[picks].astype(np.complex128)
+    setup = exp.pilot_setup(point.pilots, point.sigma_n2)
+    observations = observe(setup, channels, rng)
+    white = swmmse_white(int(rng.integers(0, 2 ** 63)), point.iters + 1,
+                         point.users, exp.geometry.n)
+    indices = exp.feedback(tag, point.bits, setup, channels, observations)
+    model = exp.model_for(parse_scheme(tag)[1], point.bits)
+    out = swmmse_precoders(swmmse_samples(model, indices, white),
+                           point.sigma_n2, point.rho)
+    snaps = out.metadata["precoders"]
+    return [sum_rate(channels, snaps[t - 1], point.sigma_n2)
+            for t in at_iterations or [point.iters]]
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("snr", [0.0, 20.0]), ("pilots", [4, 8]), ("users", [2, 4]),
+    ("bits", [2, 4]), ("iterations", [2, 6])])
+def test_constellation_major_sweep_equals_per_point_runs(
+        desk_train, desk_eval, desk_model, desk_tmodel, two_bit_models,
+        axis, values):
+    # one run_constellation call per constellation covers every point and
+    # shares draws, samples and perfect-CSI feedback across them; every
+    # rate equals, bit for bit, a fresh Experiment's run of the point
+    # alone, and every SWMMSE rate a design on samples made for it alone
+    models = {("full", 4): desk_model, ("toeplitz", 4): desk_tmodel,
+              **two_bit_models}
+    config = ExperimentConfig.desk_profile(
+        users=4, constellations=2, seed=17, iters=6, schemes=ALL_SCHEMES)
+
+    def experiment():
+        return Experiment(config, train_dataset=desk_train,
+                          eval_dataset=desk_eval, models=models)
+
+    result = run_sweep(experiment(), axis, values)
+    assert result.schemes == list(ALL_SCHEMES)
+    at_iterations = values if axis == "iterations" else None
+    if at_iterations:
+        points = [(slice(None), evaluate.sweep_point(config, axis, 6))]
+    else:
+        points = [(row, evaluate.sweep_point(config, axis, value))
+                  for row, value in enumerate(values)]
+    for i in range(2):
+        for row, point in points:
+            fresh = experiment()
+            [(rates, skipped)] = fresh.run_constellation([17, i], [point],
+                                                         at_iterations)
+            assert skipped == {}
+            for tag in ALL_SCHEMES:
+                got = result.per_constellation[tag][row, i]
+                expected = (_fresh_swmmse_rates(fresh, [17, i], point, tag,
+                                                at_iterations)
+                            if tag.endswith("+swmmse") else rates[tag])
+                assert np.all(got == expected), (tag, row, i)
+
+
+def test_designs_sharing_a_sample_set_sample_once(desk_train, desk_eval,
+                                                  desk_model, monkeypatch):
+    # perfect-CSI indices do not change with the SNR, and the points of a
+    # constellation share its draw: per constellation, one feedback call
+    # serves both schemes at all three points, and one sample set the
+    # three SWMMSE designs
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    exp = _experiment(desk_train, desk_eval, desk_model, constellations=2,
+                      iters=6, schemes=("gmm-perfect+swmmse", "gmm-perfect"))
+    monkeypatch.setattr(exp, "feedback", counting("feedback", exp.feedback))
+    monkeypatch.setattr(evaluate, "swmmse_samples",
+                        counting("samples", evaluate.swmmse_samples))
+    monkeypatch.setattr(evaluate, "swmmse_precoders",
+                        counting("design", evaluate.swmmse_precoders))
+    run_sweep(exp, "snr", [0.0, 10.0, 20.0])
+    assert calls == ["feedback", "samples", "design", "design", "design"] * 2
+
+
+def test_run_constellation_holds_one_draw_and_one_sample_set(
+        desk_train, desk_eval, desk_model, desk_tmodel):
+    # three SNR points, two SWMMSE schemes: six designs, on up to six
+    # sample sets of one draw. The call may hold the draw and one sample
+    # set besides the design in hand, and nothing of a finished design
+    import tracemalloc
+
+    exp = _experiment(desk_train, desk_eval, desk_model, desk_tmodel,
+                      iters=300, schemes=("gmm-obs+swmmse", "tgmm-obs+swmmse"))
+    points = [replace(exp.config, snr_db=(snr,)) for snr in (0.0, 10.0, 20.0)]
+    exp.run_constellation([17, 0], points)  # warm-up: the Experiment's caches
+    one_set = 301 * 4 * 16 * 16  # (T + 1) J N complex
+    samples = swmmse_samples(desk_model, [1, 5, 5, 9],
+                             swmmse_white(3, 301, 4, 16))
+    tracemalloc.start()
+    try:
+        swmmse_precoders(samples, 0.1, 1.0)
+        design_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        exp.run_constellation([17, 0], points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < design_peak + 2.25 * one_set
+
+
+def test_a_scheme_skipped_at_some_points_rates_nan_there(desk_eval,
+                                                         desk_model):
+    # a full model for B=4 only and no training data to fit another:
+    # gmm-obs runs at B=4 and is skipped at B=5
+    config = ExperimentConfig.desk_profile(
+        users=4, constellations=3, seed=1, schemes=("gmm-obs", "dft:perfect"))
+    exp = Experiment(config, eval_dataset=desk_eval,
+                     models={("full", 4): desk_model})
+    result = run_sweep(exp, "bits", values=[4, 5])
+    assert result.schemes == ["gmm-obs", "dft:perfect"]
+    rates = result.per_constellation["gmm-obs"]
+    assert np.all(np.isfinite(rates[0])) and np.all(np.isnan(rates[1]))
+    assert np.isnan(result.means["gmm-obs"][1])
+    assert np.isnan(result.std_errors["gmm-obs"][1])
+    assert np.all(np.isfinite(result.per_constellation["dft:perfect"]))
+    assert result.metadata["skipped"] == {
+        "gmm-obs": {5: "no full model for B=5"}}
 
 
 def test_no_swmmse_draw_without_a_runnable_swmmse_scheme(
@@ -521,7 +680,8 @@ def test_dump_raw_round_trip(tmp_path, desk_train, desk_eval, desk_model):
 def test_export_trajectory_csv(tmp_path):
     mean = np.array([1.0, 0.5j, -0.25, 0.1], dtype=complex)
     model = GmmModel([1.0], [mean], [1e-10 * np.eye(4)])
-    out = swmmse_precoders(model, [1], 0.1, 1.0, swmmse_white(0, 13, 1, 4))
+    out = swmmse_precoders(swmmse_samples(model, [1], swmmse_white(0, 13, 1, 4)),
+                           0.1, 1.0)
     path = tmp_path / "traj.csv"
     export_trajectory_csv(out, path)
     lines = path.read_text().splitlines()

@@ -10,7 +10,7 @@ from limfb.evaluate import sum_rate
 from limfb.gmm import GmmModel
 from limfb.precoding import (PrecoderSet, _power_step, _power_workspace,
                              directional_representatives, rci_precoders,
-                             swmmse_precoders, swmmse_white)
+                             swmmse_precoders, swmmse_samples, swmmse_white)
 from wmmse_oracle import (deterministic_wmmse, eigen_power_step,
                           reference_power_step, reference_swmmse,
                           stochastic_wmmse)
@@ -27,7 +27,8 @@ def _degenerate_model(means, eps=1e-12):
 def _design(model, indices, sigma_n2, rho, iters, seed):
     """An SWMMSE design of ``iters`` iterations on the draws of ``seed``."""
     white = swmmse_white(seed, iters + 1, len(indices), model.dim)
-    return swmmse_precoders(model, indices, sigma_n2, rho, white)
+    return swmmse_precoders(swmmse_samples(model, indices, white), sigma_n2,
+                            rho)
 
 
 def _random_model(dim, n_comp, seed):
@@ -308,22 +309,39 @@ def test_swmmse_matches_reference_loop_bit_for_bit(desk_model, scale, seed,
                                                    sigma_n2):
     # 8 users on 16 antennas: the first iterations take the eigen path; the
     # benchmark's shape, 8 users on 64 antennas (4 x 16), pins the buffers'
-    # layouts and the BLAS kernels chosen at that size
+    # layouts and the BLAS kernels chosen at that size. On the design's
+    # samples the reference loop gives the same bytes. On its own draws,
+    # one matrix-vector product per user and round where swmmse_samples
+    # makes one matrix product per user, the rounding of the samples moves:
+    # the design then agrees to 1e-12 relative, and the power steps take
+    # the same paths
     if scale == "desk":
         model, components = desk_model, [2, 0, 2, 9, 15, 4, 4, 11]
         iters = 60
     else:
         model, components = _random_model(64, 4, 1), [1, 0, 1, 3, 2, 2, 3, 0]
         iters = 40
-    out = _design(model, [k + 1 for k in components], sigma_n2, 1.0,
-                  iters, seed)
+    white = swmmse_white(seed, iters + 1, len(components), model.dim)
+    samples = swmmse_samples(model, [k + 1 for k in components], white)
+    out = swmmse_precoders(samples, sigma_n2, 1.0)
+    meta = out.metadata
+    vectors, objective, ridge, factorizations, eigen = reference_swmmse(
+        model, components, sigma_n2, 1.0, iters, seed, samples)
+    assert out.vectors.tobytes() == vectors.tobytes()
+    assert meta["objective"].tobytes() == objective.tobytes()
+    assert meta["ridge"].tobytes() == ridge.tobytes()
+    assert np.array_equal(meta["factorizations"], factorizations)
+    assert meta["eigen_iterations"] == eigen
+
     vectors, objective, ridge, factorizations, eigen = reference_swmmse(
         model, components, sigma_n2, 1.0, iters, seed)
-    assert out.vectors.tobytes() == vectors.tobytes()
-    assert out.metadata["objective"].tobytes() == objective.tobytes()
-    assert out.metadata["ridge"].tobytes() == ridge.tobytes()
-    assert np.array_equal(out.metadata["factorizations"], factorizations)
-    assert out.metadata["eigen_iterations"] == eigen
+    assert (np.linalg.norm(out.vectors - vectors)
+            <= 1e-12 * np.linalg.norm(vectors))
+    for got, expected in ((meta["objective"], objective),
+                          (meta["ridge"], ridge)):
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+    assert np.array_equal(meta["factorizations"], factorizations)
+    assert meta["eigen_iterations"] == eigen
 
 
 def test_swmmse_two_user_matches_deterministic_oracle():
@@ -648,23 +666,30 @@ def test_swmmse_takes_its_iterations_from_its_draws(desk_model):
     # T = len(white) - 1, and a prefix of the draws is the design stopped
     # after that many iterations
     white = swmmse_white(7, 21, 3, 16)
-    full = swmmse_precoders(desk_model, [3, 1, 3], 0.1, 1.0, white)
-    short = swmmse_precoders(desk_model, [3, 1, 3], 0.1, 1.0, white[:11])
+    samples = swmmse_samples(desk_model, [3, 1, 3], white)
+    full = swmmse_precoders(samples, 0.1, 1.0)
+    short = swmmse_precoders(samples[:11], 0.1, 1.0)
+    assert samples.shape == (21, 3, 16)
+    assert (swmmse_samples(desk_model, [3, 1, 3], white[:11]).tobytes()
+            == samples[:11].tobytes())
     assert full.metadata["precoders"].shape == (20, 3, 16)
     assert (short.metadata["precoders"].tobytes()
             == full.metadata["precoders"][:10].tobytes())
     for shape in ((1, 3, 16), (21, 2, 16), (21, 3, 8), (21, 3)):
         with pytest.raises(ValueError, match="white draws must have shape"):
-            swmmse_precoders(desk_model, [3, 1, 3], 0.1, 1.0,
-                             np.zeros(shape, dtype=complex))
+            swmmse_samples(desk_model, [3, 1, 3],
+                           np.zeros(shape, dtype=complex))
+    for shape in ((1, 3, 16), (21, 0, 16), (21, 3, 0), (21, 3)):
+        with pytest.raises(ValueError, match="samples must have shape"):
+            swmmse_precoders(np.ones(shape, dtype=complex), 0.1, 1.0)
 
 
 @pytest.mark.parametrize("drawn_here", [True, False])
 def test_swmmse_design_memory_stays_below_three_sample_sets(drawn_here):
     # N=64 (4 x 16), 8 users, 300 iterations: a set is the (T + 1) J N
     # complex of the samples. The design holds the samples, the precoder
-    # snapshots and, at the end, the power track's |v|^2; draws made here
-    # and handed over go before the snapshots come. The earlier loop, with
+    # snapshots and, at the end, the power track's |v|^2; draws and samples
+    # made here are gone before the snapshots come. The earlier loop, with
     # a conjugated copy of the samples, traced 3.75 sets (8.8 MiB); this
     # one traces 2.60 sets either way
     import tracemalloc
@@ -672,15 +697,16 @@ def test_swmmse_design_memory_stays_below_three_sample_sets(drawn_here):
     model = _random_model(64, 4, 1)
     indices = [1, 2, 2, 3, 4, 1, 3, 4]
     one_set = 301 * 8 * 64 * 16
-    white = swmmse_white(2, 301, 8, 64)
-    swmmse_precoders(model, indices, 0.1, 1.0, white)  # warm-up: caches
+    samples = swmmse_samples(model, indices, swmmse_white(2, 301, 8, 64))
+    swmmse_precoders(samples, 0.1, 1.0)  # warm-up: caches
     tracemalloc.start()
     try:
-        if drawn_here:  # only the design holds these draws
-            swmmse_precoders(model, indices, 0.1, 1.0,
-                             swmmse_white(2, 301, 8, 64))
+        if drawn_here:  # only the design holds these samples
+            swmmse_precoders(swmmse_samples(model, indices,
+                                            swmmse_white(2, 301, 8, 64)),
+                             0.1, 1.0)
         else:
-            swmmse_precoders(model, indices, 0.1, 1.0, white)
+            swmmse_precoders(samples, 0.1, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -3,7 +3,8 @@
 A terminal infers its own index from its own pilots, so feedback, mixture
 scores and channel estimates of a row must not depend on which other rows
 share the call. Likewise a component's representative, kept on the model
-by the request that first needs it, must not depend on that request. These
+by the request that first needs it, must not depend on that request, and a
+user's SWMMSE samples must not depend on the other users of the design. These
 properties must hold at any BLAS thread count; CI runs this file with one
 and with two OpenBLAS threads.
 """
@@ -17,7 +18,8 @@ from limfb.estimators import estimate_gmm, estimate_lmmse
 from limfb.evaluate import Experiment, ExperimentConfig
 from limfb.feedback import PilotSetup, observe
 from limfb.gmm import GmmModel, project_to_observation
-from limfb.precoding import directional_representatives
+from limfb.precoding import (directional_representatives, swmmse_samples,
+                             swmmse_white)
 
 FEEDBACK_SOURCES = ("gmm-obs", "tgmm-obs", "gmm-perfect", "tgmm-perfect",
                     "dft:perfect", "dft:gmm", "dft:tgmm", "dft:lmmse",
@@ -125,6 +127,33 @@ def test_paper_scale_representatives_do_not_depend_on_the_request(order):
     _assert_kept_rows_equal_rows_made_alone(
         lambda: _random_mixture(np.random.default_rng(1), 64, 64),
         requests[order])
+
+
+def _assert_samples_equal_samples_made_alone(model, indices, white):
+    """Each user's SWMMSE samples equal those made for that user alone."""
+    samples = swmmse_samples(model, indices, white)
+    for j, k in enumerate(indices):
+        alone = swmmse_samples(model, [k], white[:, j:j + 1].copy())
+        assert alone[:, 0].tobytes() == samples[:, j].tobytes(), (indices, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 12), n_comp=st.integers(1, 6),
+       rounds=st.integers(2, 40), seed=_SEEDS, data=st.data())
+def test_a_users_samples_equal_the_samples_it_makes_alone(dim, n_comp, rounds,
+                                                          seed, data):
+    model = _random_mixture(np.random.default_rng(seed), n_comp, dim)
+    indices = data.draw(st.lists(st.integers(1, n_comp), min_size=1,
+                                 max_size=8))
+    white = swmmse_white(seed, rounds, len(indices), dim)
+    _assert_samples_equal_samples_made_alone(model, indices, white)
+
+
+def test_paper_scale_samples_equal_the_samples_made_alone():
+    # N = 64, 8 users with repeated components, T = 300 as the benchmark
+    model = _random_mixture(np.random.default_rng(2), 4, 64)
+    _assert_samples_equal_samples_made_alone(
+        model, [2, 1, 2, 4, 3, 3, 4, 1], swmmse_white(5, 301, 8, 64))
 
 
 @pytest.fixture(scope="module")

@@ -208,13 +208,16 @@ def reference_power_step(cov, rhs, rho, tol, lam=0.0):
     return (coeffs / (eigvals + lam)) @ eigvecs.T, lam, factorizations, True
 
 
-def reference_swmmse(model, components, sigma_n2, rho, iters, seed):
+def reference_swmmse(model, components, sigma_n2, rho, iters, seed,
+                     samples=None):
     """The stochastic WMMSE loop drawing one round at a time.
 
     ``components`` are 0-based, one per user; the rounds come from one
     stream of ``seed``, as ``swmmse_white(seed, iters + 1, J, N)`` draws
-    them. Returns ``(vectors, objective, ridge, factorizations,
-    eigen_iterations)``.
+    them, and each user's sample is one matrix-vector product with its
+    component's Cholesky factor. Given ``samples`` (shape (iters + 1, J,
+    N)), the loop takes its rounds from there instead. Returns ``(vectors,
+    objective, ridge, factorizations, eigen_iterations)``.
     """
     n_users, dim = len(components), model.dim
     unique, inverse = np.unique(components, return_inverse=True)
@@ -222,8 +225,12 @@ def reference_swmmse(model, components, sigma_n2, rho, iters, seed):
                       for k in unique])[inverse]
     means = model.means[components]
     rng = np.random.default_rng(seed)
+    given = iter(()) if samples is None else iter(samples)
 
     def draw():
+        found = next(given, None)
+        if found is not None:
+            return found
         white = (rng.standard_normal((n_users, dim))
                  + 1j * rng.standard_normal((n_users, dim))) / np.sqrt(2.0)
         return means + (roots @ white[:, :, None])[:, :, 0]
