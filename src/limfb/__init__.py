@@ -11,9 +11,9 @@ from .estimators import (build_omp_dictionary, estimate_gmm, estimate_lmmse,
                          estimate_omp)
 from .evaluate import (Experiment, ExperimentConfig, SweepResult, dump_raw,
                        emit_csv, export_trajectory_csv, run_sweep, sum_rate)
-from .feedback import (Codebook, FeedbackReport, PilotSetup,
-                       build_dft_codebook, build_pilot_matrix,
-                       mixture_feedback, observe, select_codebook_index)
+from .feedback import (FeedbackReport, PilotSetup, build_dft_codebook,
+                       build_pilot_matrix, mixture_feedback, observe,
+                       select_codebook_index)
 from .gmm import (EmOptions, GmmModel, ObservationGmm, fit_em, load_model,
                   param_count, project_to_observation, sample_moments,
                   save_model)

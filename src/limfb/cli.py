@@ -151,7 +151,7 @@ def _cmd_report(args):
         print(f"\nrecomputed from {args.raw} ({n_const} constellations):")
         # row v * C + i of the dump -> [axis value v, scheme, constellation i]
         means, ses = mean_and_se(
-            raw.reshape(len(rows), n_const, -1).transpose(0, 2, 1))
+            raw.reshape(len(rows), n_const, len(schemes)).transpose(0, 2, 1))
         for row, row_means, row_ses in zip(rows, means, ses):
             _print_row(widths, row[0], row_means, row_ses)
 

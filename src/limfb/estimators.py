@@ -13,6 +13,8 @@ from .feedback import _dft_beams
 from .gmm import _EM_CHUNK_BYTES, _Mixture, project_to_observation
 
 _REFIT_RIDGE = 1e-10
+_VISIBLE = 1e-8  # of the largest sensing norm; pilot-null atoms are ~1e-15
+_SCORE_TIE = 1e-12  # relative; ties resolve to the lowest atom index
 
 
 def estimate_lmmse(mean, cov, setup, y):
@@ -75,16 +77,19 @@ def omp_support(setup, dictionary, y):
 
     Atoms of the effective sensing matrix ``P @ dictionary`` are selected by
     the largest normalized residual correlation, with a least-squares re-fit
-    on the support each round. Iteration stops when the residual drops to
-    the noise level sqrt(n_p)*sigma_n or the support reaches n_p atoms. An
-    observation with an inf or NaN raises ValueError.
+    on the support each round. Only atoms the pilots see, with a sensing
+    norm above ``_VISIBLE`` of the largest, are usable; scores within
+    ``_SCORE_TIE`` of the best tie, and the lowest index wins. Iteration
+    stops when the residual drops to the noise level sqrt(n_p)*sigma_n or
+    the support reaches n_p atoms. An observation with an inf or NaN raises
+    ValueError.
     """
     y = np.asarray(y, dtype=np.complex128)
     if not np.all(np.isfinite(y)):
         raise ValueError("observation contains infs or NaNs")
     sensing = setup.pilot_matrix @ np.asarray(dictionary, dtype=np.complex128)
     norms = np.linalg.norm(sensing, axis=0)
-    usable = norms > 0.0
+    usable = norms > _VISIBLE * norms.max()
     threshold = np.sqrt(setup.n_pilots * setup.sigma_n2)
 
     support = []
@@ -94,9 +99,10 @@ def omp_support(setup, dictionary, y):
         scores = np.abs(sensing.conj().T @ residual)
         scores = np.where(usable, scores / np.maximum(norms, 1e-300), 0.0)
         scores[support] = 0.0
-        atom = int(np.argmax(scores))
-        if scores[atom] == 0.0:
+        best = scores.max()
+        if best == 0.0:
             break
+        atom = int(np.argmax(scores >= (1.0 - _SCORE_TIE) * best))
         support.append(atom)
         coeff = _refit(sensing, support, y)
         residual = y - sensing[:, support] @ coeff

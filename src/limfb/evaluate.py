@@ -32,9 +32,9 @@ from .estimators import (build_omp_dictionary, estimate_gmm, estimate_lmmse,
 from .feedback import (build_dft_codebook, build_pilot_matrix,
                        mixture_feedback, observe, select_codebook_index)
 from .gmm import fit_em, load_model, project_to_observation, sample_moments
-from .precoding import (_check_rho, _sum_rate_matrix,
-                        directional_representatives, rci_precoders,
-                        swmmse_precoders, swmmse_samples, swmmse_white)
+from .precoding import (_sum_rate_matrix, directional_representatives,
+                        rci_precoders, swmmse_precoders, swmmse_samples,
+                        swmmse_white)
 from .scene import ArrayGeometry, load_dataset, read_geometry
 
 logger = logging.getLogger(__name__)
@@ -49,6 +49,9 @@ DFT_ESTIMATORS = ("perfect", "gmm", "tgmm", "lmmse", "omp")
 
 DEFAULT_SCHEMES = ("gmm-obs", "tgmm-obs", "dft:gmm", "dft:tgmm",
                    "dft:lmmse", "dft:omp")
+
+# pilot energy per row and transmit power budget: the SNR sets the noise
+UNIT_POWER = 1.0
 
 # named config presets: desk for CI-scale runs, full for the paper's scale
 PROFILES = {
@@ -106,7 +109,6 @@ class ExperimentConfig:
     constellations: int = 500
     schemes: tuple = DEFAULT_SCHEMES
     iters: int = 300
-    rho: float = 1.0
     seed: int = 0
     model_paths: dict = field(default_factory=dict)
 
@@ -122,25 +124,24 @@ class ExperimentConfig:
         if not 1 <= self.pilots <= self.geometry.n:
             raise ValueError(f"pilots must lie in 1..{self.geometry.n}, "
                              f"got {self.pilots}")
-        _check_rho(self.rho)
+        if np.ndim(self.snr_db) != 1:
+            raise ValueError(f"snr_db must be a sequence, got {self.snr_db!r}")
         if not self.snr_db:
             raise ValueError("need at least one snr_db point")
         if not np.all(np.isfinite(self.snr_db)):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
-        for snr in self.snr_db:  # in Python floats, which raise on overflow
-            try:
-                noise = float(self.rho) / 10.0 ** (float(snr) / 10.0)
-            except (OverflowError, ZeroDivisionError):
-                noise = 0.0
-            if not 0.0 < noise < np.inf:
-                raise ValueError(f"snr_db {snr}: no finite noise variance > 0")
+        for snr in self.snr_db:
+            _noise_variance(snr)
+        if isinstance(self.schemes, str):
+            raise ValueError(f"schemes must be a sequence, "
+                             f"got {self.schemes!r}")
         for tag in self.schemes:
             parse_scheme(tag)
 
     @property
     def sigma_n2(self):
-        """The noise variance of the first SNR point, rho / 10^(snr_db/10)."""
-        return self.rho / 10.0 ** (self.snr_db[0] / 10.0)
+        """The noise variance of the first SNR point."""
+        return _noise_variance(self.snr_db[0])
 
     @classmethod
     def desk_profile(cls, **overrides):
@@ -166,9 +167,23 @@ class ExperimentConfig:
         return cls(**{**PROFILES.get(profile, {}), **kwargs})
 
     def config_hash(self):
-        """Stable hash over every field that influences the results."""
-        payload = repr(sorted(self.__dict__.items(), key=lambda kv: kv[0]))
+        """Stable hash of every field that influences the results, sorted."""
+        values = {**self.__dict__,
+                  "model_paths": sorted(self.model_paths.items())}
+        payload = repr(sorted(values.items(), key=lambda kv: kv[0]))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _noise_variance(snr_db):
+    """The noise variance UNIT_POWER / 10^(snr_db/10), in Python floats,
+    which raise on overflow; ValueError unless it is finite and > 0."""
+    try:
+        noise = UNIT_POWER / 10.0 ** (float(snr_db) / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        noise = 0.0
+    if not 0.0 < noise < np.inf:
+        raise ValueError(f"snr_db {snr_db}: no finite noise variance > 0")
+    return noise
 
 
 @dataclass
@@ -255,7 +270,7 @@ class Experiment:
         return self._memo(
             ("pilots", n_pilots, sigma_n2),
             lambda: build_pilot_matrix(self.geometry, n_pilots,
-                                       sigma_n2=sigma_n2, rho=self.config.rho))
+                                       sigma_n2=sigma_n2, rho=UNIT_POWER))
 
     def observation_model(self, constraint, bits, n_pilots, sigma_n2):
         return self._memo(
@@ -365,12 +380,12 @@ class Experiment:
                         sample_set, []).append(
                             (indices, rates, tag, channels, point))
                     continue
-                chosen = (self.codebook(bits).entries[indices - 1]
+                chosen = (self.codebook(bits)[indices - 1]
                           if source.startswith("dft:") else
                           directional_representatives(
                               self.model_for(constraint, bits), indices))
                 rates[tag] = sum_rate(channels, rci_precoders(
-                    chosen, point.sigma_n2, point.rho), point.sigma_n2)
+                    chosen, point.sigma_n2, UNIT_POWER), point.sigma_n2)
 
         for draw, sets in designs.items():
             white = swmmse_white(*draw, self.geometry.n)
@@ -387,7 +402,7 @@ class Experiment:
 
 def _swmmse_rates(samples, channels, point, at_iterations):
     """The rate of one SWMMSE design, or its rates at ``at_iterations``."""
-    precoders = swmmse_precoders(samples, point.sigma_n2, point.rho)
+    precoders = swmmse_precoders(samples, point.sigma_n2, UNIT_POWER)
     if at_iterations is None:
         return sum_rate(channels, precoders, point.sigma_n2)
     snaps = precoders.metadata["precoders"]
@@ -549,13 +564,13 @@ def dump_raw(result, path):
     """Persist per-constellation rates as a float64 ``.npy`` array at ``path``.
 
     Row ``v * C + i`` holds the per-scheme rates of axis value ``v`` and
-    constellation ``i`` (C constellations), one column per scheme; a
-    JSON-lines sidecar ``<path>.jsonl`` maps rows to axis values and
-    constellation indices and names the scheme order.
+    constellation ``i`` (C constellations), one column per scheme, so a
+    sweep that ran no scheme dumps (V * C, 0). A one-line JSON sidecar
+    ``<path>.jsonl`` names the scheme order, the axis, the config hash and
+    the master seed.
     """
-    n_values = len(result.values)
-    n_const = result.metadata["constellations"]
-    stacked = np.zeros((n_values * n_const, max(len(result.schemes), 1)))
+    n_rows = len(result.values) * result.metadata["constellations"]
+    stacked = np.empty((n_rows, len(result.schemes)))
     for s_idx, tag in enumerate(result.schemes):
         stacked[:, s_idx] = result.per_constellation[tag].reshape(-1)
     with open(path, "wb") as fh:
@@ -565,11 +580,6 @@ def dump_raw(result, path):
             "schemes": result.schemes, "axis": result.axis,
             "config_hash": result.metadata["config_hash"],
             "master_seed": result.metadata["master_seed"]}) + "\n")
-        for row in range(n_values * n_const):
-            fh.write(json.dumps({
-                "row": row,
-                "value": result.values[row // n_const],
-                "constellation": row % n_const}) + "\n")
 
 
 def export_trajectory_csv(precoders, path):

@@ -10,7 +10,6 @@ in 1..2^B.
 
 import logging
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import dft
@@ -21,11 +20,11 @@ logger = logging.getLogger(__name__)
 
 
 class PilotSetup:
-    """Pilot matrix plus the per-experiment noise and power bookkeeping.
+    """Pilot matrix plus the noise variance of its observations.
 
-    Every row of the pilot matrix (column of P^T) carries pilot energy rho
-    and the observation noise has variance ``sigma_n2`` per entry; both are
-    validated at construction.
+    Every row of the pilot matrix (column of P^T) must carry pilot energy
+    ``rho``, which the matrix itself then holds, and the observation noise
+    has variance ``sigma_n2`` per entry; both are validated at construction.
     """
 
     def __init__(self, pilot_matrix, rho, sigma_n2):
@@ -41,7 +40,6 @@ class PilotSetup:
         if np.max(np.abs(row_energy - rho)) > 1e-8 * rho:
             raise ValueError("every pilot row must carry energy rho")
         self.pilot_matrix = pilot_matrix
-        self.rho = float(rho)
         self.sigma_n2 = float(sigma_n2)
 
     @property
@@ -83,18 +81,6 @@ def observe(setup, h, seed):
     return h @ setup.pilot_matrix.T + np.sqrt(setup.sigma_n2) * unit
 
 
-@dataclass
-class Codebook:
-    """Unit-norm beamforming vectors from an under-/oversampled 2D-DFT grid."""
-
-    entries: np.ndarray  # (K, N), rows are the codebook vectors
-    oversampling: tuple  # (S_v, S_h) as Fractions
-    bits: int
-
-    def __len__(self):
-        return self.entries.shape[0]
-
-
 def _dft_beams(n_antennas, n_beams):
     """(n_antennas, n_beams) matrix of unit-norm DFT beam columns."""
     t = np.arange(n_antennas)[:, None]
@@ -103,7 +89,8 @@ def _dft_beams(n_antennas, n_beams):
 
 
 def build_dft_codebook(geometry, bits):
-    """2D-DFT codebook with 2^bits entries for a URA.
+    """2D-DFT codebook for a URA: its 2^bits unit-norm entries as the rows
+    of a (2^bits, N) array.
 
     Beam counts per dimension multiply to 2^bits. Starting from one beam per
     antenna, surplus entries oversample the horizontal dimension (where the
@@ -126,10 +113,7 @@ def build_dft_codebook(geometry, bits):
             f"cannot build a 2^{bits}-entry codebook on a {n_vert}x{n_horiz} "
             f"array (attempted {beams_v}x{beams_h} beams)")
     grid = np.kron(_dft_beams(n_vert, beams_v), _dft_beams(n_horiz, beams_h))
-    return Codebook(entries=np.ascontiguousarray(grid.T),
-                    oversampling=(Fraction(beams_v, n_vert),
-                                  Fraction(beams_h, n_horiz)),
-                    bits=bits)
+    return np.ascontiguousarray(grid.T)
 
 
 @dataclass(frozen=True)
@@ -143,13 +127,14 @@ class FeedbackReport:
 def select_codebook_index(codebook, h_hat):
     """Codebook entry with the largest correlation magnitude |c_k^H h_hat|.
 
+    ``codebook`` holds the entries c_k as rows (:func:`build_dft_codebook`).
     Ties resolve to the smallest index; an all-zero input is flagged as
     degenerate (index 1); an inf or NaN entry raises ValueError.
     """
     h_hat = np.asarray(h_hat, dtype=np.complex128)
     if not np.all(np.isfinite(h_hat)):
         raise ValueError("channel estimate contains infs or NaNs")
-    scores = np.abs(codebook.entries.conj() @ h_hat)
+    scores = np.abs(codebook.conj() @ h_hat)
     if not np.any(scores > 0.0):
         return FeedbackReport(1, degenerate=True)
     return FeedbackReport(int(np.argmax(scores)) + 1)

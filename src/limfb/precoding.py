@@ -42,7 +42,7 @@ _SERIES_TERM = 0.3  # the most each series term may change a Newton step
 class PrecoderSet:
     """J precoding vectors under a total power budget, plus designer metadata."""
 
-    def __init__(self, vectors, rho, designer, metadata=None):
+    def __init__(self, vectors, rho, metadata=None):
         vectors = np.asarray(vectors, dtype=np.complex128)
         if vectors.ndim != 2:
             raise ValueError("precoders must form a (J, N) matrix")
@@ -53,7 +53,6 @@ class PrecoderSet:
             raise ValueError(f"power constraint violated: {power} > {rho}")
         self.vectors = vectors
         self.rho = float(rho)
-        self.designer = designer
         self.metadata = metadata or {}
 
     @property
@@ -138,11 +137,8 @@ def rci_precoders(representatives, sigma_n2, rho):
         gram = gram + 1e-12 * n_users * np.eye(reps.shape[1])
         unnormalized = np.linalg.solve(gram, rhs)
     total = np.sum(np.abs(unnormalized) ** 2)
-    beta = np.sqrt(rho / total)
-    vectors = (beta * unnormalized).T
-    return PrecoderSet(vectors, rho, "rci",
-                       metadata={"regularizer": regularizer, "beta": beta,
-                                 "ridged": flagged})
+    vectors = (np.sqrt(rho / total) * unnormalized).T
+    return PrecoderSet(vectors, rho, metadata={"ridged": flagged})
 
 
 def _sum_rate_matrix(channels, vectors, sigma_n2):
@@ -171,10 +167,10 @@ def _ill_conditioned(cov, chol):
     return info != 0 or np.trace(cov).real * np.linalg.norm(np.tril(inv)) ** 2 >= 1e13
 
 
-def _ridge_newton(solve, moments, rho, tol, lam, bracket, zero_open,
-                  resolution):
+def _ridge_newton(solve, moments, rho, lam, bracket, zero_open, resolution):
     """Safeguarded Newton on ``phi^-1/2`` (Moré & Sorensen, SIAM J. Sci. Stat.
-    Comput. 1983) for the least ridge with ``rho - tol rho <= phi <= rho``.
+    Comput. 1983) for the least ridge with
+    ``rho - _POWER_TOL rho <= phi <= rho``.
 
     ``solve(lam)`` gives ``(phi, top, solution)`` or None where it cannot
     resolve ``lam``: ``top`` bounds the largest eigenvalue of ``A + lam I``
@@ -190,7 +186,7 @@ def _ridge_newton(solve, moments, rho, tol, lam, bracket, zero_open,
     out. Returns ``(solution, lam)``, or None when ``solve`` or the step
     fails; ``bracket`` then holds the last bracket.
     """
-    target = rho * (1.0 - 0.5 * tol)  # the middle of the window
+    target = rho * (1.0 - 0.5 * _POWER_TOL)  # the middle of the window
     lo, hi = bracket
     first = True
     for _ in range(_NEWTON_STEPS):
@@ -202,7 +198,7 @@ def _ridge_newton(solve, moments, rho, tol, lam, bracket, zero_open,
         if found is None:
             break
         power, top, solution = found
-        if power <= rho and (lam == 0.0 or rho - power <= tol * rho):
+        if power <= rho and (lam == 0.0 or rho - power <= _POWER_TOL * rho):
             # in the window at lam > 0, phi(0) >= power + 2 m_3 lam (phi is
             # convex) leaves phi(0) <= rho open, and lam = 0 is tried first;
             # m_3 >= power / top settles most ridges without m_3
@@ -298,8 +294,8 @@ def _power_step(cov, rhs, rho, lam=0.0, workspace=None):
         return found
 
     resolution = 8.0 * _EPS * cov_diagonal.max()
-    found = _ridge_newton(cholesky_solve, cholesky_moments, rho, _POWER_TOL,
-                          lam, [0.0, hi], True, resolution)
+    found = _ridge_newton(cholesky_solve, cholesky_moments, rho, lam,
+                          [0.0, hi], True, resolution)
     if found is not None:
         return *found, factorizations, False
 
@@ -328,8 +324,8 @@ def _power_step(cov, rhs, rho, lam=0.0, workspace=None):
 
     inv = None
     bracket = [0.0, hi]
-    found = _ridge_newton(eigen_solve, eigen_moments, rho, _POWER_TOL, lam,
-                          bracket, False, 0.0)
+    found = _ridge_newton(eigen_solve, eigen_moments, rho, lam, bracket,
+                          False, 0.0)
     # no root when weight on an inactive direction rules lam = 0 out while
     # its eigenvalue keeps phi(0+) <= rho: the least feasible ridge tried
     # stands in
@@ -493,4 +489,4 @@ def swmmse_precoders(samples, sigma_n2, rho):
         "eigen_iterations": eigen_iterations,
         "precoders": snapshots,
     }
-    return PrecoderSet(vectors, rho, "swmmse", metadata=metadata)
+    return PrecoderSet(vectors, rho, metadata=metadata)

@@ -130,7 +130,7 @@ def test_criterion_3_oracle_equivalence(desk_geometry):
     scan_ok = True
     for _ in range(100):
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        scores = [abs(np.vdot(entry, h)) for entry in codebook.entries]
+        scores = [abs(np.vdot(entry, h)) for entry in codebook]
         scan_ok &= select_codebook_index(codebook, h).index \
             == int(np.argmax(scores)) + 1
 
@@ -157,7 +157,7 @@ def test_criterion_3_oracle_equivalence(desk_geometry):
                     / (sum(abs(h[j] @ v[m]) ** 2 for m in range(2) if m != j)
                        + sigma_n2))
             for j in range(2))
-        got = sum_rate(h, PrecoderSet(v, 1.0, "rci"), sigma_n2)
+        got = sum_rate(h, PrecoderSet(v, 1.0), sigma_n2)
         rate_ok &= abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
     ok = lmmse_ok and scan_ok and eig_ok and rate_ok
@@ -184,7 +184,7 @@ def test_criterion_4_swmmse_sanity():
     out2 = swmmse_precoders(
         swmmse_samples(two, [1, 2], swmmse_white(1, 301, 2, 2)), sigma_n2, rho)
     oracle_vectors = deterministic_wmmse(channels, sigma_n2, rho)
-    oracle = sum_rate(channels, PrecoderSet(oracle_vectors, rho, "o"),
+    oracle = sum_rate(channels, PrecoderSet(oracle_vectors, rho),
                       sigma_n2)
     got = sum_rate(channels, out2, sigma_n2)
     two_user_ok = abs(got - oracle) <= 0.02 * oracle

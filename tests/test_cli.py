@@ -188,8 +188,7 @@ def _sweep_config(workspace, path, **overrides):
 
 
 @pytest.mark.parametrize("overrides, extra, match", [
-    (dict(rho="nan"), [], "rho must be finite and > 0, got nan"),
-    (dict(rho="0"), [], "rho must be finite and > 0"),
+    (dict(rho="1.0"), [], r"^unknown config keys: \['rho'\]$"),
     (dict(iters=0), [], "iters must be >= 1"),
     ({}, ["--iters", "0"], "iters must be >= 1"),
     (dict(num_cluster=4), [], "unknown config keys"),
@@ -209,7 +208,7 @@ def _sweep_config(workspace, path, **overrides):
     (dict(snr_db="-inf"), [], r"snr_db must be finite, got \(-inf,\)"),
     ({}, ["--axis", "snr", "--values", "0,inf"],
      "snr value inf: snr_db must be finite"),
-], ids=["rho-nan", "rho-zero", "iters-key", "iters-flag", "unknown-key",
+], ids=["rho-key", "iters-key", "iters-flag", "unknown-key",
         "bad-values", "pilots-range", "users-range", "iterations-range",
         "bits-range", "bits-beyond-training", "bits-key", "snr-nan-key",
         "snr-minus-inf-key", "snr-inf-values"])
@@ -319,6 +318,22 @@ def test_report_refuses_a_dump_of_the_wrong_shape(pilots_and_snr_dumps,
     with pytest.raises(SystemExit, match="not a dump of the CSV's snr sweep"):
         main(["report", "--csv", str(snr_csv), "--raw", str(raw_path)])
     assert "recomputed" not in capsys.readouterr().out
+
+
+def test_report_reads_back_the_dump_of_a_sweep_that_ran_no_scheme(
+        workspace, tmp_path, capsys):
+    # codebook schemes cannot take +swmmse: the scheme is skipped everywhere
+    cfg = _sweep_config(workspace, tmp_path / "none.cfg",
+                        schemes="dft:perfect+swmmse")
+    csv_path, raw_path = tmp_path / "none.csv", tmp_path / "none.npy"
+    main(["sweep", "--config", str(cfg), "--axis", "snr",
+          "--out", str(csv_path), "--dump-raw", str(raw_path)])
+    capsys.readouterr()
+    assert np.load(raw_path).shape == (6, 0)  # 2 SNRs x 3 constellations
+    main(["report", "--csv", str(csv_path), "--raw", str(raw_path)])
+    table, recomputed = capsys.readouterr().out.split("\nrecomputed")
+    assert "(3 constellations)" in recomputed
+    assert table.splitlines()[1:] == recomputed.splitlines()[1:]
 
 
 def test_report_accepts_a_matching_dump_without_sidecar(

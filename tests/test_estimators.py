@@ -12,6 +12,8 @@ from limfb.estimators import (build_omp_dictionary, estimate_gmm,
                               estimate_lmmse, estimate_omp, omp_support)
 from limfb.feedback import PilotSetup, build_pilot_matrix, observe
 from limfb.gmm import GmmModel, ObservationGmm, project_to_observation
+from limfb.scene import (ArrayGeometry, SceneConfig, generate_channels,
+                         normalize_dataset)
 
 from gmm_oracle import log_density
 
@@ -244,6 +246,81 @@ def test_omp_two_sparse_support_matches_exhaustive_search(desk_geometry):
     assert len(support) == 2 and set(support) == best
     estimate = estimate_omp(setup, dictionary, y)
     assert np.linalg.norm(setup.pilot_matrix @ estimate - y) < 1e-8
+
+
+def _pilot_null_atoms(geometry, n_pilots):
+    """Which OMP atoms every pilot row misses, in exact arithmetic.
+
+    Pilot row i is flat row round(i N / n_p) of the 2D-DFT. DFT row a of n
+    antennas and beam g of the 2n-beam grid have the inner product
+    sum_t exp(-2 pi i t (2a + g) / 2n) / n, which is 0 for an even g unless
+    2a + g = 0 mod 2n; an atom is seen by a row when both of its factors
+    are.
+    """
+    def seen(a, g, n):
+        return g % 2 == 1 or (2 * a + g) % (2 * n) == 0
+    n_vert, n_horiz = geometry.n_vert, geometry.n_horiz
+    rows = np.floor(np.arange(n_pilots) * geometry.n / n_pilots + 0.5)
+    atoms = [divmod(f, 2 * n_horiz) for f in range(4 * geometry.n)]
+    return np.array([
+        not any(seen(r // n_horiz, g_v, n_vert) and seen(r % n_horiz, g_h,
+                                                         n_horiz)
+                for r in rows.astype(int)) for g_v, g_h in atoms])
+
+
+# (array, pilots) cases where rounding used to pick OMP's atoms
+OMP_CASES = pytest.mark.parametrize(
+    "shape, n_pilots", [((2, 8), 4), ((2, 8), 8), ((4, 16), 2), ((4, 16), 8)],
+    ids=["2x8-4", "2x8-8", "4x16-2", "4x16-8"])
+
+
+def _omp_case(shape, n_pilots):
+    """Geometry, dictionary and 100 scene channels of an OMP case."""
+    geometry = ArrayGeometry(*shape, 1.0, 0.5)
+    channels = normalize_dataset(generate_channels(
+        SceneConfig(geometry, seed=7), 100, sample_seed=2)).samples
+    return geometry, build_omp_dictionary(geometry), channels.astype(complex)
+
+
+@OMP_CASES
+def test_omp_support_holds_no_pilot_null_atom(shape, n_pilots):
+    geometry, dictionary, channels = _omp_case(shape, n_pilots)
+    null = _pilot_null_atoms(geometry, n_pilots)
+    setup = build_pilot_matrix(geometry, n_pilots, sigma_n2=1.0)
+    norms = np.linalg.norm(setup.pilot_matrix @ dictionary, axis=0)
+    # rounding leaves the null atoms' norms far below every seen atom's
+    assert null.any() and not null.all()
+    assert norms[null].max() <= 1e-14 * norms.max()
+    assert norms[~null].min() >= 1e-2 * norms.max()
+    for snr_db in (0.0, 10.0, 20.0):
+        setup = build_pilot_matrix(geometry, n_pilots,
+                                   sigma_n2=10.0 ** (-snr_db / 10.0))
+        for y in observe(setup, channels, n_pilots):
+            support, _ = omp_support(setup, dictionary, y)
+            assert not null[support].any()
+
+
+@OMP_CASES
+def test_omp_is_invariant_to_scaling_pilot_energy_and_noise(shape,
+                                                            n_pilots):
+    # pilots sqrt(c) P and noise variance c sigma_n2 scale y by sqrt(c):
+    # the support and the estimate stay, up to rounding
+    geometry, dictionary, channels = _omp_case(shape, n_pilots)
+    for snr_db in (0.0, 10.0, 20.0):
+        sigma_n2 = 10.0 ** (-snr_db / 10.0)
+        setup = build_pilot_matrix(geometry, n_pilots, sigma_n2=sigma_n2)
+        observations = observe(setup, channels, n_pilots)
+        found = [(omp_support(setup, dictionary, y)[0],
+                  estimate_omp(setup, dictionary, y)) for y in observations]
+        for c in (2.5, 0.01, 100.0):
+            scaled = build_pilot_matrix(geometry, n_pilots,
+                                        sigma_n2=c * sigma_n2, rho=c)
+            for y, (support, estimate) in zip(observations, found):
+                y = np.sqrt(c) * y
+                assert omp_support(scaled, dictionary, y)[0] == support
+                got = estimate_omp(scaled, dictionary, y)
+                assert (np.linalg.norm(got - estimate)
+                        <= 1e-12 * np.linalg.norm(estimate))
 
 
 @pytest.mark.parametrize("support", [[0, 0, 5], [1, 3]])

@@ -1,3 +1,4 @@
+import json
 import logging
 import re
 from dataclasses import replace
@@ -38,13 +39,13 @@ def _experiment(desk_train, desk_eval, desk_model, desk_tmodel=None,
 
 def test_sum_rate_unit_sinr():
     h = np.array([[np.exp(0.7j), 0.0]])
-    v = PrecoderSet(np.array([[np.exp(-0.7j), 0.0]]), rho=1.0, designer="rci")
+    v = PrecoderSet(np.array([[np.exp(-0.7j), 0.0]]), rho=1.0)
     assert abs(sum_rate(h, v, sigma_n2=1.0) - 1.0) < 1e-12
 
 
 def test_sum_rate_zero_precoders():
     h = np.ones((3, 4), dtype=complex)
-    v = PrecoderSet(np.zeros((3, 4), dtype=complex), rho=1.0, designer="rci")
+    v = PrecoderSet(np.zeros((3, 4), dtype=complex), rho=1.0)
     assert sum_rate(h, v, 0.5) == 0.0
 
 
@@ -61,7 +62,7 @@ def test_sum_rate_matches_term_by_term_oracle():
             interference = sum(abs(h[j] @ v[m]) ** 2 for m in range(2)
                                if m != j)
             oracle += np.log2(1.0 + signal / (interference + sigma_n2))
-        got = sum_rate(h, PrecoderSet(v, 1.0, "rci"), sigma_n2)
+        got = sum_rate(h, PrecoderSet(v, 1.0), sigma_n2)
         assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
 
@@ -69,7 +70,7 @@ def test_sum_rate_invariant_to_user_phase():
     rng = np.random.default_rng(1)
     h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     v = PrecoderSet(0.5 * (rng.standard_normal((2, 3))
-                           + 1j * rng.standard_normal((2, 3))), 10.0, "rci")
+                           + 1j * rng.standard_normal((2, 3))), 10.0)
     phased = h.copy()
     phased[0] *= np.exp(1.23j)
     assert abs(sum_rate(h, v, 0.3) - sum_rate(phased, v, 0.3)) < 1e-12
@@ -123,7 +124,7 @@ def test_run_constellation_matches_hand_driven_pipeline(
     [(rates, _)] = exp.run_constellation(seed)
 
     cfg = exp.config
-    sigma_n2 = cfg.rho / 10.0 ** (cfg.snr_db[0] / 10.0)
+    sigma_n2 = 1.0 / 10.0 ** (cfg.snr_db[0] / 10.0)  # at unit power
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(desk_eval), size=cfg.users, replace=False)
     channels = desk_eval.samples[picks].astype(np.complex128)
@@ -138,7 +139,7 @@ def test_run_constellation_matches_hand_driven_pipeline(
     for j in range(cfg.users):
         idx = int(np.argmax(obs_model.log_responsibilities(observations[j])))
         chosen.append(reps[idx])
-    precoders = rci_precoders(np.vstack(chosen), sigma_n2, cfg.rho)
+    precoders = rci_precoders(np.vstack(chosen), sigma_n2, 1.0)
     assert rates["gmm-obs"] == sum_rate(channels, precoders, sigma_n2)
 
 
@@ -478,7 +479,7 @@ def _fresh_swmmse_rates(exp, seed, point, tag, at_iterations):
     indices = exp.feedback(tag, point.bits, setup, channels, observations)
     model = exp.model_for(parse_scheme(tag)[1], point.bits)
     out = swmmse_precoders(swmmse_samples(model, indices, white),
-                           point.sigma_n2, point.rho)
+                           point.sigma_n2, 1.0)
     snaps = out.metadata["precoders"]
     return [sum_rate(channels, snaps[t - 1], point.sigma_n2)
             for t in at_iterations or [point.iters]]
@@ -670,11 +671,12 @@ def test_dump_raw_round_trip(tmp_path, desk_train, desk_eval, desk_model):
     for s_idx, tag in enumerate(result.schemes):
         np.testing.assert_array_equal(
             raw[:, s_idx], result.per_constellation[tag].reshape(-1))
-    sidecar = (str(path) + ".jsonl")
-    import json
-    with open(sidecar) as fh:
-        head = json.loads(fh.readline())
-    assert head["schemes"] == result.schemes
+    # the sidecar is one header line; it fixes every row: row = v * C + i
+    lines = (tmp_path / "raw.npy.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [{
+        "schemes": result.schemes, "axis": "pilots",
+        "config_hash": exp.config.config_hash(),
+        "master_seed": exp.config.seed}]
 
 
 def test_export_trajectory_csv(tmp_path):
@@ -741,17 +743,15 @@ def test_experiment_config_array_keys_override_the_profile_geometry(tmp_path):
 def test_experiment_config_without_profile_reads_the_array_keys(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("n_vert = 2\nn_horiz = 4\nspacing_horiz = 0.25\n"
-                    "pilots = 3\nrho = 2.5\n")
+                    "pilots = 3\n")
     config = ExperimentConfig.from_file(path)
     assert (config.geometry.n_vert, config.geometry.n_horiz) == (2, 4)
     assert config.geometry.spacing_horiz == 0.25
-    assert config.pilots == 3 and config.rho == 2.5 and config.bits == 6
+    assert config.pilots == 3 and config.bits == 6
     assert config.model_paths == {}
 
 
 @pytest.mark.parametrize("overrides, match", [
-    (dict(rho=np.nan), "rho"), (dict(rho=np.inf), "rho"),
-    (dict(rho=0.0), "rho"), (dict(rho=-1.0), "rho"),
     (dict(iters=0), "iters"), (dict(snr_db=()), "snr_db"),
     (dict(constellations=0), "constellations"), (dict(users=0), "users"),
     (dict(bits=-1), "bits must be >= 0, got -1"),
@@ -765,13 +765,15 @@ def test_experiment_config_without_profile_reads_the_array_keys(tmp_path):
     (dict(snr_db=(-np.inf,)), "snr_db must be finite"),
     (dict(snr_db=(10.0, 4000.0)), "^snr_db 4000.0: no finite noise"),
     (dict(snr_db=(-4000.0,)), "^snr_db -4000.0: no finite noise"),
-    (dict(snr_db=(-3000.0,), rho=1e300), "^snr_db -3000.0: no finite")],
-    ids=["rho-nan", "rho-inf", "rho-zero", "rho-negative", "iters",
+    (dict(snr_db=(-3090.0,)), "^snr_db -3090.0: no finite"),
+    (dict(snr_db=10.0), "^snr_db must be a sequence, got 10.0$"),
+    (dict(schemes="gmm-obs"), "^schemes must be a sequence, got 'gmm-obs'$")],
+    ids=["iters",
          "snr_db", "constellations", "users", "bits-negative",
          "bits-fraction", "constellations-fraction", "users-float",
          "pilots-float", "iters-fraction", "snr-nan", "snr-inf",
          "snr-minus-inf", "snr-noise-underflow", "snr-noise-overflow",
-         "snr-noise-overflow-at-rho"])
+         "snr-noise-overflow-in-division", "snr-scalar", "schemes-string"])
 def test_experiment_config_rejects_bad_values(overrides, match):
     with pytest.raises(ValueError, match=match):
         ExperimentConfig.desk_profile(**overrides)
@@ -814,6 +816,25 @@ def test_config_hash_tracks_fields():
     c = ExperimentConfig.desk_profile(seed=2)
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
+
+
+def test_config_hash_ignores_the_order_of_the_model_paths(tmp_path):
+    forward = ExperimentConfig.desk_profile(
+        model_paths={"full": "a", "toeplitz": "b"})
+    backward = ExperimentConfig.desk_profile(
+        model_paths={"toeplitz": "b", "full": "a"})
+    swapped = ExperimentConfig.desk_profile(
+        model_paths={"full": "b", "toeplitz": "a"})
+    assert forward.config_hash() == backward.config_hash()
+    assert forward.config_hash() != swapped.config_hash()
+    # so the line order of a config file does not move the hash
+    lines = ["profile = desk", "model.full = a", "model.toeplitz = b"]
+    hashes = set()
+    for order in (lines, lines[::-1]):
+        path = tmp_path / "exp.cfg"
+        path.write_text("\n".join(order) + "\n")
+        hashes.add(ExperimentConfig.from_file(path).config_hash())
+    assert len(hashes) == 1
 
 
 def test_on_demand_fit_is_logged(desk_train, desk_eval, desk_model, caplog):

@@ -131,34 +131,44 @@ def test_observe_noise_moments(desk_geometry):
 
 # -- codebooks ---------------------------------------------------------------
 
+def _beam_grid(n_vert, beams_v, n_horiz, beams_h):
+    """Rows: the unit-norm 2D-DFT beams of ``beams_v`` x ``beams_h``
+    angles on an n_vert x n_horiz array, vertical index slowest."""
+    def beams(n, count):
+        return np.exp(-2j * np.pi * np.outer(np.arange(count), np.arange(n))
+                      / count) / np.sqrt(n)
+    return np.kron(beams(n_vert, beams_v), beams(n_horiz, beams_h))
+
+
 def test_codebook_matched_size_is_full_dft():
     geom = ArrayGeometry(4, 16, 1.0, 0.5)
     cb = build_dft_codebook(geom, 6)
-    assert len(cb) == 64
-    assert cb.oversampling == (1, 1)
+    assert cb.shape == (64, 64)
     full = np.kron(dft(4), dft(16)) / np.sqrt(64)
-    np.testing.assert_allclose(cb.entries, full.T, atol=1e-12)
+    np.testing.assert_allclose(cb, full.T, atol=1e-12)
+    np.testing.assert_allclose(cb, _beam_grid(4, 4, 16, 16), atol=1e-12)
 
 
 def test_codebook_oversamples_horizontal_first():
+    # 256 entries: 4 vertical beams (1x) by 64 horizontal beams (4x)
     geom = ArrayGeometry(4, 16, 1.0, 0.5)
     cb = build_dft_codebook(geom, 8)
-    assert len(cb) == 256
-    s_vert, s_horiz = cb.oversampling
-    assert (s_vert, s_horiz) == (1, 4)
+    assert cb.shape == (256, 64)
+    np.testing.assert_allclose(cb, _beam_grid(4, 4, 16, 64), atol=1e-12)
 
 
 def test_codebook_undersamples_vertical_first():
+    # 16 entries: 1 vertical beam (1/4x) by 16 horizontal beams (1x)
     geom = ArrayGeometry(4, 16, 1.0, 0.5)
     cb = build_dft_codebook(geom, 4)
-    s_vert, s_horiz = cb.oversampling
-    assert (s_vert, s_horiz) == (0.25, 1)
+    assert cb.shape == (16, 64)
+    np.testing.assert_allclose(cb, _beam_grid(4, 1, 16, 16), atol=1e-12)
 
 
 def test_codebook_entries_are_unit_norm(desk_geometry):
     for bits in (2, 4, 5):
         cb = build_dft_codebook(desk_geometry, bits)
-        norms = np.linalg.norm(cb.entries, axis=1)
+        norms = np.linalg.norm(cb, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
 
 
@@ -172,14 +182,12 @@ def test_codebook_rejects_infeasible_allocation():
 
 def test_select_self_match(desk_geometry):
     cb = build_dft_codebook(desk_geometry, 4)
-    report = select_codebook_index(cb, cb.entries[2])
+    report = select_codebook_index(cb, cb[2])
     assert report.index == 3  # 1-based
 
 
 def test_select_unique_correlator():
-    entries = np.eye(4, dtype=complex)
-    from limfb.feedback import Codebook
-    cb = Codebook(entries=entries, oversampling=(1, 1), bits=2)
+    cb = np.eye(4, dtype=complex)
     report = select_codebook_index(cb, np.array([1.0, 0, 0, 0]) + 0j)
     assert report.index == 1
 
@@ -189,7 +197,7 @@ def test_select_matches_exhaustive_scan(desk_geometry):
     rng = np.random.default_rng(4)
     for _ in range(50):
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        scores = [abs(np.vdot(c, h)) for c in cb.entries]
+        scores = [abs(np.vdot(c, h)) for c in cb]
         assert select_codebook_index(cb, h).index == int(np.argmax(scores)) + 1
 
 

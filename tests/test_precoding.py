@@ -212,7 +212,7 @@ def test_rci_power_budget_exact():
 
 def test_precoder_set_validates_power():
     with pytest.raises(ValueError):
-        PrecoderSet(np.ones((2, 2), dtype=complex), rho=1.0, designer="rci")
+        PrecoderSet(np.ones((2, 2), dtype=complex), rho=1.0)
 
 
 def test_rci_ridges_singular_system(caplog):
@@ -247,12 +247,12 @@ def test_codebook_representative_convention_is_consistent(desk_geometry):
     for _ in range(10):
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         report = select_codebook_index(codebook, h)
-        rep = codebook.entries[report.index - 1]
+        rep = codebook[report.index - 1]
         # single-user RCI keeps the representative direction for any
         # regularizer; the achieved gain is the selected correlation
         out = rci_precoders(rep[None, :], sigma_n2=0.1, rho=1.0)
         gain = abs(h @ out.vectors[0])
-        best = max(abs(np.vdot(c, h)) for c in codebook.entries)
+        best = max(abs(np.vdot(c, h)) for c in codebook)
         assert abs(gain - best) < 1e-8
 
 
@@ -355,7 +355,7 @@ def test_swmmse_two_user_matches_deterministic_oracle():
     achieved = sum_rate(channels, out, sigma_n2)
     oracle_vectors = deterministic_wmmse(channels, sigma_n2, rho)
     oracle = sum_rate(channels,
-                      PrecoderSet(oracle_vectors, rho, "oracle"), sigma_n2)
+                      PrecoderSet(oracle_vectors, rho), sigma_n2)
     assert abs(achieved - oracle) <= 0.02 * oracle
 
 
@@ -384,7 +384,6 @@ def test_swmmse_trajectory_metadata():
     out = _design(model, [1, 2], 0.1, 1.0, iters=25, seed=4)
     assert out.metadata["precoders"].shape == (25, 2, 3)
     assert len(out.metadata["objective"]) == 25
-    assert out.designer == "swmmse"
 
 
 def test_swmmse_validates_reports():
