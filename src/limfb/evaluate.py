@@ -126,7 +126,7 @@ class ExperimentConfig:
                              f"got {self.pilots}")
         if np.ndim(self.snr_db) != 1:
             raise ValueError(f"snr_db must be a sequence, got {self.snr_db!r}")
-        if not self.snr_db:
+        if len(self.snr_db) == 0:
             raise ValueError("need at least one snr_db point")
         if not np.all(np.isfinite(self.snr_db)):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
@@ -137,6 +137,9 @@ class ExperimentConfig:
                              f"got {self.schemes!r}")
         for tag in self.schemes:
             parse_scheme(tag)
+        # one value, one config_hash, whatever container held it
+        self.snr_db = tuple(float(snr) for snr in self.snr_db)
+        self.schemes = tuple(str(tag) for tag in self.schemes)
 
     @property
     def sigma_n2(self):
@@ -205,11 +208,11 @@ class Experiment:
     Models are keyed by (constraint, bits). Missing models are loaded from
     ``config.model_paths`` (keys ``full``/``toeplitz`` or ``full.<bits>``)
     or, when training data is available, fitted on demand (logged at INFO).
-    What a model alone determines, its score matrix and its components'
-    representatives, is kept on the model and outlives the Experiment.
-    Pilot setups, codebooks, observation mixtures and training statistics
-    are made on first use and kept in one dict here: an observation mixture
-    (0.7 MB at N=K=64 and 8 pilots) is freed with the Experiment.
+    What a model determines, alone or with a pilot setup, is kept on the
+    model and outlives the Experiment: its score matrix, its components'
+    representatives and its observation mixtures (0.7 MB each at N=K=64
+    and 8 pilots). Pilot setups, codebooks and training statistics are made
+    on first use and kept in one dict here.
     What belongs to one constellation at all its points, its feedback and
     its SWMMSE draws and sample sets, lives in one
     :meth:`run_constellation` call only.
@@ -273,10 +276,15 @@ class Experiment:
                                        sigma_n2=sigma_n2, rho=UNIT_POWER))
 
     def observation_model(self, constraint, bits, n_pilots, sigma_n2):
-        return self._memo(
-            ("observation", constraint, bits, n_pilots, sigma_n2),
-            lambda: project_to_observation(self.model_for(constraint, bits),
-                                           self.pilot_setup(n_pilots, sigma_n2)))
+        """The model's observation mixture, kept on the model: the geometry,
+        the pilot count and the noise variance determine it, as every
+        pilot row carries UNIT_POWER."""
+        model = self.model_for(constraint, bits)
+        key = (self.geometry, n_pilots, sigma_n2)
+        if key not in model._observations:
+            model._observations[key] = project_to_observation(
+                model, self.pilot_setup(n_pilots, sigma_n2))
+        return model._observations[key]
 
     def codebook(self, bits):
         return self._memo(("codebook", bits),

@@ -64,7 +64,9 @@ def _inverse_factors(covariances):
     logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2).real),
                            axis=1)
     eye = np.eye(chols.shape[-1])
-    inv_chols = np.array([ztrtrs(chol, eye, lower=1)[0] for chol in chols])
+    inv_chols = np.empty_like(chols)
+    for k, chol in enumerate(chols):
+        inv_chols[k] = ztrtrs(chol, eye, lower=1)[0]
     return inv_chols, logdets
 
 
@@ -73,7 +75,9 @@ class _Mixture:
     row through the EM score matrix W of :func:`_score_matrix` (2.2 MB at
     d=64, K=64), made on first use and kept instead of its factors. The
     rows of :func:`~limfb.precoding.directional_representatives` are kept
-    too, by 1-based component, each made on its first request."""
+    too, by 1-based component, each made on its first request, and so are
+    the observation mixtures an :class:`~limfb.evaluate.Experiment` projects
+    from this one, by (geometry, pilot count, noise variance)."""
 
     def __init__(self, weights, means, covariances):
         self.weights = np.asarray(weights, dtype=float)
@@ -81,6 +85,7 @@ class _Mixture:
         self.covariances = np.asarray(covariances, dtype=np.complex128)
         self._scores = None
         self._representatives = {}
+        self._observations = {}
 
     @property
     def n_components(self):
@@ -358,8 +363,12 @@ def _unpack_second_moments(packed, dim):
 
 
 def _precisions(inv_chols):
-    """Precisions ``P_k = L_k^-H L_k^-1`` from stacked inverse factors."""
-    return np.swapaxes(inv_chols.conj(), 1, 2) @ inv_chols
+    """Precisions ``P_k = L_k^-H L_k^-1`` from stacked inverse factors, one
+    product at a time into one stack, so no full-size conjugate is made."""
+    out = np.empty_like(inv_chols)
+    for k, inv_chol in enumerate(inv_chols):
+        np.matmul(inv_chol.conj().T, inv_chol, out=out[k])
+    return out
 
 
 def _score_matrix(weights, means, precisions, logdets):
@@ -485,11 +494,11 @@ def fit_em(dataset, n_components, constraint="full", options=None, geometry=None
 
     def factors(iteration):
         """Precisions and log-determinants of the K covariances; in the first
-        iteration, those of ``init_cov``, broadcast K times."""
+        iteration, the one precision of ``init_cov``, broadcast K times."""
         inv_chols, logdets = _inverse_factors(
             covariances if iteration > 0 else init_cov[None])
         shape = (n_components,) + inv_chols.shape[1:]
-        return (_precisions(np.broadcast_to(inv_chols, shape)),
+        return (np.broadcast_to(_precisions(inv_chols), shape),
                 np.broadcast_to(logdets, shape[:1]))
 
     n_quad = dim * dim

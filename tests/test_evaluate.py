@@ -12,7 +12,7 @@ from limfb.config import read_kv
 from limfb.evaluate import (Experiment, ExperimentConfig, SweepResult,
                             dump_raw, emit_csv, export_trajectory_csv,
                             parse_scheme, read_sweep_csv, run_sweep, sum_rate)
-from limfb.feedback import observe
+from limfb.feedback import build_pilot_matrix, observe
 from limfb.gmm import EmOptions, GmmModel, fit_em, project_to_observation
 from limfb.precoding import (PrecoderSet, directional_representatives,
                              rci_precoders, swmmse_precoders, swmmse_samples,
@@ -195,6 +195,107 @@ def test_representatives_are_computed_once_per_used_component(
                                            np.arange(1, 17))
         for k, row in model._representatives.items():
             assert row.tobytes() == cold[k - 1].tobytes()
+
+
+def _counted_projections(monkeypatch):
+    """The (pilots, sigma_n2) of each projection an Experiment makes."""
+    calls = []
+
+    def counting(model, setup):
+        calls.append((setup.n_pilots, setup.sigma_n2))
+        return project_to_observation(model, setup)
+
+    monkeypatch.setattr(evaluate, "project_to_observation", counting)
+    return calls
+
+
+def _assert_kept_mixtures_are_projections(model, source, cold_copy):
+    """Every mixture kept on ``model`` equals a projection of a cold copy
+    of ``source`` under the pilot setup of its key, bit for bit."""
+    for (geometry, n_pilots, sigma_n2), kept in model._observations.items():
+        direct = project_to_observation(cold_copy(source), build_pilot_matrix(
+            geometry, n_pilots, sigma_n2=sigma_n2, rho=evaluate.UNIT_POWER))
+        for name in ("_scores", "filters", "offsets", "weights", "means",
+                     "covariances"):
+            assert (getattr(kept, name).tobytes()
+                    == getattr(direct, name).tobytes()), name
+
+
+def test_observation_mixtures_are_kept_on_the_model(
+        desk_train, desk_eval, desk_model, desk_tmodel, cold_copy,
+        monkeypatch):
+    full_model, toeplitz_model = cold_copy(desk_model), cold_copy(desk_tmodel)
+    calls = _counted_projections(monkeypatch)
+
+    def sweep():
+        exp = _experiment(desk_train, desk_eval, full_model, toeplitz_model,
+                          constellations=3, snr_db=(0.0, 10.0),
+                          schemes=("gmm-obs", "tgmm-obs", "dft:gmm",
+                                   "dft:tgmm"))
+        return run_sweep(exp, "snr")
+
+    first = sweep()
+    # one projection per model and point, shared by obs and dft:*gmm
+    assert sorted(calls) == sorted(2 * [(8, 1.0), (8, 0.1)])
+    calls.clear()
+    again = sweep()  # a second Experiment on the same models
+    assert calls == []
+    for tag in first.schemes:
+        assert (again.per_constellation[tag].tobytes()
+                == first.per_constellation[tag].tobytes())
+    for model, source in ((full_model, desk_model),
+                          (toeplitz_model, desk_tmodel)):
+        assert len(model._observations) == 2
+        _assert_kept_mixtures_are_projections(model, source, cold_copy)
+
+
+def test_each_pilot_setup_gets_its_own_observation_mixture(
+        desk_train, desk_eval, desk_model, cold_copy, monkeypatch):
+    model = cold_copy(desk_model)
+    calls = _counted_projections(monkeypatch)
+    setups = [(geometry, n_pilots, evaluate._noise_variance(snr))
+              for geometry in (ArrayGeometry(2, 8, 1.0, 0.5),
+                               ArrayGeometry(4, 4, 1.0, 0.5))  # both N = 16
+              for n_pilots in (4, 8) for snr in (0.0, 10.0)]
+    for _ in range(2):  # the second round finds every mixture kept
+        for geometry, n_pilots, sigma_n2 in setups:
+            exp = _experiment(desk_train, desk_eval, model, geometry=geometry)
+            exp.observation_model("full", 4, n_pilots, sigma_n2)
+    assert len(calls) == len(model._observations) == len(setups) == 8
+    assert set(model._observations) == set(setups)
+    filters = {kept.filters.tobytes()
+               for kept in model._observations.values()}
+    assert len(filters) == 8
+    _assert_kept_mixtures_are_projections(model, desk_model, cold_copy)
+
+
+def test_feedback_from_a_warm_model_equals_a_cold_copy(
+        desk_train, desk_eval, desk_model, desk_tmodel, cold_copy):
+    sources = ("gmm-obs", "tgmm-obs", "gmm-perfect", "tgmm-perfect",
+               "dft:perfect", "dft:gmm", "dft:tgmm", "dft:lmmse", "dft:omp")
+    warm = cold_copy(desk_model), cold_copy(desk_tmodel)
+
+    def experiment(models):
+        return _experiment(desk_train, desk_eval, *models, schemes=sources)
+
+    for n_pilots, snr in ((8, 10.0), (4, 0.0)):  # a third point stays cold
+        exp = experiment(warm)
+        exp.run_constellation([17, 0], [replace(exp.config, pilots=n_pilots,
+                                                snr_db=(snr,))])
+    assert [len(model._observations) for model in warm] == [2, 2]
+    for i, (n_pilots, snr) in enumerate(((8, 10.0), (4, 0.0), (8, 0.0))):
+        found = []
+        for models in (warm, (cold_copy(desk_model), cold_copy(desk_tmodel))):
+            exp = experiment(models)
+            rng = np.random.default_rng([17, i])
+            channels = desk_eval.samples[rng.choice(
+                len(desk_eval), 4, replace=False)].astype(complex)
+            setup = exp.pilot_setup(n_pilots, evaluate._noise_variance(snr))
+            observations = observe(setup, channels, rng)
+            found.append([exp.feedback(tag, 4, setup, channels, observations)
+                          for tag in sources])
+        for tag, got, expected in zip(sources, *found):
+            assert got.tobytes() == expected.tobytes(), tag
 
 
 def test_perfect_equals_observed_with_invertible_noiseless_pilots(
@@ -835,6 +936,33 @@ def test_config_hash_ignores_the_order_of_the_model_paths(tmp_path):
         path.write_text("\n".join(order) + "\n")
         hashes.add(ExperimentConfig.from_file(path).config_hash())
     assert len(hashes) == 1
+
+
+def test_config_hash_depends_on_values_not_containers():
+    snrs = [ExperimentConfig.desk_profile(snr_db=snr_db)
+            for snr_db in ([10.0], (10.0,), (10,), np.array([10.0]),
+                           (np.float64(10.0),))]
+    assert len({config.config_hash() for config in snrs}) == 1
+    assert all(type(config.snr_db) is tuple
+               and type(config.snr_db[0]) is float for config in snrs)
+    schemes = [ExperimentConfig.desk_profile(schemes=tags)
+               for tags in (["gmm-obs"], ("gmm-obs",), np.array(["gmm-obs"]))]
+    assert len({config.config_hash() for config in schemes}) == 1
+    assert all(config.schemes == ("gmm-obs",)
+               and type(config.schemes[0]) is str for config in schemes)
+    assert (ExperimentConfig.desk_profile(snr_db=(10.0,)).config_hash()
+            != ExperimentConfig.desk_profile(snr_db=(10.0, 20.0)).config_hash())
+
+
+def test_experiment_config_validates_a_numpy_snr_array():
+    config = ExperimentConfig.desk_profile(snr_db=np.array([0.0, 10.0]))
+    assert config.snr_db == (0.0, 10.0)
+    assert (config.config_hash()
+            == ExperimentConfig.desk_profile(snr_db=(0.0, 10.0)).config_hash())
+    with pytest.raises(ValueError, match="snr_db must be finite"):
+        ExperimentConfig.desk_profile(snr_db=np.array([0.0, np.nan]))
+    with pytest.raises(ValueError, match="need at least one snr_db point"):
+        ExperimentConfig.desk_profile(snr_db=np.array([]))
 
 
 def test_on_demand_fit_is_logged(desk_train, desk_eval, desk_model, caplog):

@@ -635,6 +635,74 @@ def test_inverse_factors_of_copies_equal_the_tiled_single_factor(
     assert logdets.tobytes() == np.tile(logdet, n_comp).tobytes()
 
 
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(1, 8) | st.sampled_from([16, 64]),
+       n_comp=st.integers(1, 6), log_cond=st.floats(0.0, 8.0), seed=_SEEDS)
+def test_stacked_precisions_equal_the_per_matrix_products(dim, n_comp,
+                                                          log_cond, seed):
+    rng = np.random.default_rng(seed)
+    covs = np.array([_conditioned_covariance(rng, dim, 10.0 ** log_cond)
+                     for _ in range(n_comp)])
+    inv_chols, _ = gmm._inverse_factors(covs)
+    expected = np.array([inv.conj().T @ inv for inv in inv_chols])
+    assert gmm._precisions(inv_chols).tobytes() == expected.tobytes()
+
+
+def test_factor_step_holds_no_full_size_temporary():
+    # at paper scale (K = N = 64) a (K, N, N) stack is 4 MiB; the factors
+    # and the precisions each fill one stack made up front, so the step
+    # holds two stacks and per-matrix scraps. A Python list of factors with
+    # its np.array copy, or a full-size conjugate, makes it three.
+    import tracemalloc
+
+    rng = np.random.default_rng(41)
+    covs = np.array([_conditioned_covariance(rng, 64, 1e3)
+                     for _ in range(64)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inv_chols, _ = gmm._inverse_factors(covs)
+        precisions = gmm._precisions(inv_chols)
+        del inv_chols
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert precisions.shape == covs.shape
+    assert peak <= 2.5 * covs.nbytes
+
+
+@pytest.mark.parametrize("constraint", ["full", "toeplitz"])
+def test_first_iteration_broadcasts_one_precision(constraint, desk_geometry,
+                                                  monkeypatch):
+    # iteration 0 scores K copies of init_cov: one product, broadcast, must
+    # equal the K products of the K factors made one by one
+    rng = np.random.default_rng(42)
+    ds = normalize_dataset(ChannelDataset(_complex_normal(
+        rng, (400, desk_geometry.n))))
+    factored, scored = [], []
+    inverse_factors, score_matrix = gmm._inverse_factors, gmm._score_matrix
+
+    def recording_factors(covariances):
+        factored.append(np.array(covariances))
+        return inverse_factors(covariances)
+
+    def recording_scores(weights, means, precisions, logdets):
+        scored.append(precisions)
+        return score_matrix(weights, means, precisions, logdets)
+
+    monkeypatch.setattr(gmm, "_inverse_factors", recording_factors)
+    monkeypatch.setattr(gmm, "_score_matrix", recording_scores)
+    fit_em(ds, 5, constraint, EmOptions(max_iters=2, rel_loglik_tol=0.0),
+           geometry=desk_geometry)
+    [init_cov] = factored[0]
+    precisions = scored[0]
+    assert precisions.shape == (5,) + init_cov.shape
+    assert precisions.strides[0] == 0  # one product, not five
+    copies, _ = inverse_factors(np.tile(init_cov, (5, 1, 1)))
+    for k, inv in enumerate(copies):
+        assert precisions[k].tobytes() == (inv.conj().T @ inv).tobytes()
+
+
 @pytest.mark.parametrize("fit", ["desk-full", "desk-toeplitz",
                                  "collapse-full", "collapse-toeplitz"])
 def test_fit_em_matches_reference_kernels_bit_for_bit(
